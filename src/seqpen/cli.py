@@ -14,8 +14,10 @@ Config files are flat ``key = value`` text with ``#`` comments. Parsing is
 strict: unknown keys, duplicate keys, and keys that do not apply to the
 chosen task/method are rejected with the offending line number.
 
-Exit codes: 0 success, 2 config error, 3 numeric abort (partial trace is
-still flushed).
+Exit codes: 0 success, 2 config or data error (a missing or unreadable
+dataset, a corrupt IDX file), 3 numeric abort (a diverging iterate or a
+non-finite oracle value; the partial trace is still flushed). The manifest
+is written before any data is read, so it is present in all three cases.
 
 All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
@@ -78,6 +80,10 @@ TIMELINE_HEADER = ["epoch", "phase", "split", "accuracy", "satisfied_fraction"]
 
 
 class ConfigError(Exception):
+    pass
+
+
+class DataError(Exception):
     pass
 
 
@@ -441,8 +447,12 @@ def _run_enc_dec(cfg, out: Path):
     root = cfg["data_root"]
     train_limit = cfg["train_limit"] or None
     test_limit = cfg["test_limit"] or None
-    train = load_idx_dataset(*dataset_paths(root, "train"), limit=train_limit, split="train")
-    test = load_idx_dataset(*dataset_paths(root, "test"), limit=test_limit, split="test")
+    try:
+        train = load_idx_dataset(*dataset_paths(root, "train"), limit=train_limit, split="train")
+        test = load_idx_dataset(*dataset_paths(root, "test"), limit=test_limit, split="test")
+    except (OSError, ValueError) as err:
+        # IdxError and the dataset's own validation are ValueErrors.
+        raise DataError(str(err)) from err
     task = build_enc_dec_task(train, cfg["theta"])
     model = task.model
 
@@ -532,6 +542,9 @@ def run_experiment(config_path) -> int:
             _run_enc_dec(cfg, out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except DataError as err:
+        print(f"data error: {err}", file=sys.stderr)
         return 2
     except OuterAbort as err:
         # Flush whatever the outer loop recorded before the abort.

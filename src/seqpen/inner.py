@@ -293,19 +293,36 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
     trace = [penalty_value_full(problem, spec, z)] if config.track_penalty else []
     clip_count = 0
     steps = 0
+    # The Adam step runs in place through two scratch buffers. It performs
+    # the same operations, in the same order, as the textbook expressions
+    #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
+    #   z = z - lr (m / c1) / (sqrt(v / c2) + eps),
+    # so the iterates are bit-identical to them.
+    g = np.empty(problem.dim)
+    tmp = np.empty(problem.dim)
     for _ in range(config.budget):
         for batch in epoch_batches(n_samples, config.batch_size, rng):
             gsum = penalty_grad_batch(problem, spec, batch, z)
             scale = (1.0 / batch.size) if problem.normalization == "mean" else n_samples / batch.size
-            g = scale * gsum
+            np.multiply(gsum, scale, out=g)
             if adam.weight_decay:
-                g = g + adam.weight_decay * z
+                np.multiply(z, adam.weight_decay, out=tmp)
+                g += tmp
             state.step += 1
-            state.m = adam.beta1 * state.m + (1.0 - adam.beta1) * g
-            state.v = adam.beta2 * state.v + (1.0 - adam.beta2) * (g * g)
-            m_hat = state.m / (1.0 - adam.beta1**state.step)
-            v_hat = state.v / (1.0 - adam.beta2**state.step)
-            z = z - config.stepsize * m_hat / (np.sqrt(v_hat) + adam.eps_hat)
+            state.m *= adam.beta1
+            np.multiply(g, 1.0 - adam.beta1, out=tmp)
+            state.m += tmp
+            state.v *= adam.beta2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - adam.beta2
+            state.v += tmp
+            np.divide(state.m, 1.0 - adam.beta1**state.step, out=g)
+            g *= config.stepsize
+            np.divide(state.v, 1.0 - adam.beta2**state.step, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += adam.eps_hat
+            g /= tmp
+            z -= g
             if config.clip_box is not None:
                 z, clip_count = _clip(z, config.clip_box, clip_count)
             _check_finite(z, steps)
@@ -313,7 +330,7 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
         if config.track_penalty:
             trace.append(penalty_value_full(problem, spec, z))
         if epoch_hook is not None:
-            epoch_hook(z)
+            epoch_hook(z.copy())
 
     return InnerReport(
         candidate=z,

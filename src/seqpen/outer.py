@@ -20,22 +20,29 @@ unconstrained run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from seqpen.inner import InnerReport, InnerSolverError, SGDConfig, sgd_run
-from seqpen.penalties import PenaltySpec, multiplier_estimate, penalty_value_full
-from seqpen.problems import Array, FeasibilityStats, FiniteSumProblem, as_params, feasibility_stats, full_objective
-
-PENALTY_KINDS = ("quadratic", "linear")
+from seqpen.penalties import PENALTY_KINDS, PenaltySpec, constraint_weights, penalty_value_from_values
+from seqpen.problems import (
+    Array,
+    FeasibilityStats,
+    FiniteSumProblem,
+    OracleError,
+    as_params,
+    constraint_values,
+    feasibility_from_values,
+    objective_values,
+)
 
 
 class OuterAbort(RuntimeError):
-    """Inner solver failure, annotated with the outer iteration and the trace so far."""
+    """Inner solver or record failure, annotated with the outer iteration and the trace so far."""
 
-    def __init__(self, outer_index: int, partial: "OuterTrace", cause: InnerSolverError):
-        super().__init__(f"inner solver aborted at outer iteration {outer_index}: {cause}")
+    def __init__(self, outer_index: int, partial: "OuterTrace", cause: Union[InnerSolverError, OracleError]):
+        super().__init__(f"outer iteration {outer_index} aborted: {cause}")
         self.outer_index = outer_index
         self.partial = partial
         self.cause = cause
@@ -116,17 +123,21 @@ class OuterTrace:
 
 
 def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
+    # One pass over the training set for f and one for g; every recorded
+    # quantity is derived from these two arrays.
     x = report.candidate
-    lam = multiplier_estimate(problem, spec, x)
+    f = objective_values(problem, x)
+    g = constraint_values(problem, x)
+    lam = constraint_weights(spec, g)
     return OuterRecord(
         k=k,
         tau=spec.tau,
         eps=eps,
         candidate=x.copy(),
-        penalty_value=penalty_value_full(problem, spec, x),
-        objective_value=full_objective(problem, x),
+        penalty_value=penalty_value_from_values(problem, spec, f, g),
+        objective_value=float(problem.agg_scale * f.sum()),
         grad_norm=report.grad_norm_estimate,
-        feasibility=feasibility_stats(problem, x),
+        feasibility=feasibility_from_values(g),
         multiplier_max=float(lam.max()),
         multiplier_mean=float(lam.mean()),
         iterate_count=report.iterate_count,
@@ -163,12 +174,12 @@ def sequential_penalty_train(
             config = replace(config, budget=int(schedule.budget_fn(tau, eps, x)))
         try:
             report = sgd_run(problem, spec, x, config, opt_state=opt_state, epoch_hook=epoch_hook)
-        except InnerSolverError as err:
+            rec = _make_record(problem, spec, k, eps, report)
+        except (InnerSolverError, OracleError) as err:
             raise OuterAbort(k, trace, err) from err
         x = report.candidate
         opt_state = report.opt_state
-        trace.records.append(_make_record(problem, spec, k, eps, report))
-        rec = trace.records[-1]
+        trace.records.append(rec)
         if rec.grad_norm <= eps and rec.feasibility.max_violation <= schedule.feasibility_tol:
             trace.stopped = "tolerance"
             break
@@ -195,7 +206,7 @@ def fixed_penalty_train(
     trace = OuterTrace(kind="linear", stopped="budget")
     try:
         report = sgd_run(problem, spec, x, inner, epoch_hook=epoch_hook)
-    except InnerSolverError as err:
+        trace.records.append(_make_record(problem, spec, 0, float("nan"), report))
+    except (InnerSolverError, OracleError) as err:
         raise OuterAbort(0, trace, err) from err
-    trace.records.append(_make_record(problem, spec, 0, float("nan"), report))
     return trace

@@ -17,6 +17,7 @@ we use tau * 1{g > 0}, the weight the subgradient actually applies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,9 @@ class PenaltySpec:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
 
-def violation_term(spec: PenaltySpec, g_row: Array) -> float:
-    """Penalty contribution of one sample's raw constraint values."""
-    v = np.maximum(0.0, g_row)
+def violation_term(spec: PenaltySpec, g: Array) -> float:
+    """Penalty contribution of raw constraint values: one sample's row or a whole matrix."""
+    v = np.maximum(0.0, g)
     if spec.kind == "quadratic":
         return 0.5 * spec.tau * float((v * v).sum())
     return spec.tau * float(v.sum())
@@ -77,14 +78,12 @@ def penalty_value_sample(problem: FiniteSumProblem, spec: PenaltySpec, j: int, x
 def penalty_value_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float:
     """Aggregate penalty value per the problem's normalization."""
     x = as_params(problem, x)
-    f = objective_values(problem, x).sum()
-    g = constraint_values(problem, x)
-    v = np.maximum(0.0, g)
-    if spec.kind == "quadratic":
-        pen = 0.5 * spec.tau * float((v * v).sum())
-    else:
-        pen = spec.tau * float(v.sum())
-    return float(problem.agg_scale * (f + pen))
+    return penalty_value_from_values(problem, spec, objective_values(problem, x), constraint_values(problem, x))
+
+
+def penalty_value_from_values(problem: FiniteSumProblem, spec: PenaltySpec, f: Array, g: Array) -> float:
+    """Aggregate penalty from per-sample objective values f and the raw constraint matrix g."""
+    return float(problem.agg_scale * (f.sum() + violation_term(spec, g)))
 
 
 def penalty_grad_sample(problem: FiniteSumProblem, spec: PenaltySpec, j: int, x) -> Array:
@@ -108,15 +107,13 @@ def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x)
     x = as_params(problem, x)
     indices = np.asarray(indices, dtype=int)
     if problem.batch_weighted_grad is not None:
-        if problem.batch_constraints is not None:
-            g = np.asarray(problem.batch_constraints(indices, x), dtype=float)
-            g = g.reshape(indices.size, problem.num_constraints)
+        # The oracle maps the constraint values of its own forward pass to
+        # weights; at tau = 0 every weight is zero and no value is needed.
+        if spec.tau == 0:
+            con_w = np.zeros((indices.size, problem.num_constraints))
         else:
-            g = np.stack([np.asarray(problem.sample_constraints(j, x), dtype=float) for j in indices])
-        return np.asarray(
-            problem.batch_weighted_grad(indices, x, np.ones(indices.size), constraint_weights(spec, g)),
-            dtype=float,
-        )
+            con_w = functools.partial(constraint_weights, spec)
+        return np.asarray(problem.batch_weighted_grad(indices, x, np.ones(indices.size), con_w), dtype=float)
     total = np.zeros(problem.dim)
     for j in indices:
         total += penalty_grad_sample(problem, spec, int(j), x)

@@ -53,6 +53,12 @@ class FiniteSumProblem:
       as one flat vector. This single hook is what the solvers need: plain
       objective gradients, penalty gradients of either kind, and KKT
       stationarity terms are all weighted sums of this shape.
+      ``con_weights`` is either a (len(indices), num_constraints) array or a
+      function mapping the batch's raw constraint values g, shaped
+      (len(indices), num_constraints), to such an array. The function form
+      lets the oracle take g from the forward pass it already runs, so a
+      penalty gradient costs one pass over the batch; the oracle must call
+      it exactly once, with the same values ``batch_constraints`` returns.
     """
 
     dim: int
@@ -63,7 +69,6 @@ class FiniteSumProblem:
     sample_constraints: Callable[[int, Array], Array]
     sample_constraint_jacobian: Callable[[int, Array], Array]
     normalization: str = "sum"
-    lower_bound: Optional[float] = None
     batch_objective: Optional[Callable[[Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[Array, Array], Array]] = None
     batch_weighted_grad: Optional[Callable[[Array, Array, Array, Array], Array]] = None
@@ -154,9 +159,13 @@ class FeasibilityStats:
 
 def feasibility_stats(problem: FiniteSumProblem, x, threshold_tol: float = 0.0) -> FeasibilityStats:
     """Violation summary; a constraint counts satisfied iff g <= threshold_tol."""
+    return feasibility_from_values(constraint_values(problem, x), threshold_tol)
+
+
+def feasibility_from_values(g: Array, threshold_tol: float = 0.0) -> FeasibilityStats:
+    """Violation summary of an (num_samples, num_constraints) matrix of raw constraint values."""
     if threshold_tol < 0:
         raise ValueError("threshold_tol must be >= 0")
-    g = constraint_values(problem, x)
     viol = np.maximum(0.0, g)
     return FeasibilityStats(
         mean_violation=float(viol.mean()),

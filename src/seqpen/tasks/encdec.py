@@ -72,17 +72,32 @@ class EncDecModel:
         recon, _ = self.decoder.forward(pd, codes)
         return recon
 
+    def predict_and_reconstruct(self, params: Array, images) -> tuple[Array, Array]:
+        """Class probabilities and reconstructions from one encoder pass."""
+        pe, pc, pd = self.split(params)
+        codes, _ = self.encoder.forward(pe, images)
+        probs, _ = self.classifier.forward(pc, codes)
+        recon, _ = self.decoder.forward(pd, codes)
+        return probs, recon
+
     def weighted_grad(self, params: Array, images, labels, obj_weights, con_weights) -> Array:
         """sum_j obj_w[j] * grad ce_j + con_w[j] * grad mse_j in one fused pass.
+
+        ``con_weights`` may also be a function that maps the per-sample
+        reconstruction MSE of this pass's decoder output to the weights.
 
         Branches whose weights are all zero are skipped entirely, so e.g.
         objective-only training never touches the decoder.
         """
         images = np.atleast_2d(np.asarray(images, dtype=float))
         obj_w = np.asarray(obj_weights, dtype=float).ravel()
-        con_w = np.asarray(con_weights, dtype=float).ravel()
         pe, pc, pd = self.split(params)
         codes, enc_cache = self.encoder.forward(pe, images)
+        recon = None
+        if callable(con_weights):
+            recon, dec_cache = self.decoder.forward(pd, codes)
+            con_weights = con_weights(mse_values(images, recon))
+        con_w = np.asarray(con_weights, dtype=float).ravel()
 
         grad = np.zeros(self.num_params)
         grad_codes = np.zeros_like(codes)
@@ -93,7 +108,8 @@ class EncDecModel:
             grad[self.classifier_slice] = g_cls
             grad_codes += g_codes
         if con_w.any():
-            recon, dec_cache = self.decoder.forward(pd, codes)
+            if recon is None:
+                recon, dec_cache = self.decoder.forward(pd, codes)
             d_recon = con_w[:, None] * mse_grad(images, recon)
             g_dec, g_codes = self.decoder.backward(pd, dec_cache, d_recon)
             grad[self.decoder_slice] = g_dec
@@ -142,6 +158,9 @@ def _task_problem(model: EncDecModel, images: Array, labels: Array, theta: float
         return (mse_values(images[indices], recon) - theta).reshape(-1, 1)
 
     def batch_weighted_grad(indices, x, obj_w, con_w):
+        if callable(con_w):
+            weights_of_g = con_w
+            con_w = lambda mse: weights_of_g((mse - theta).reshape(-1, 1))
         return model.weighted_grad(x, images[indices], labels[indices], obj_w, con_w)
 
     return FiniteSumProblem(
@@ -153,7 +172,6 @@ def _task_problem(model: EncDecModel, images: Array, labels: Array, theta: float
         sample_constraints=sample_constraints,
         sample_constraint_jacobian=sample_constraint_jacobian,
         normalization="mean",
-        lower_bound=0.0,
         batch_objective=batch_objective,
         batch_constraints=batch_constraints,
         batch_weighted_grad=batch_weighted_grad,
@@ -197,10 +215,9 @@ def evaluate_enc_dec(
     mse_all = np.empty(n)
     for lo in range(0, n, eval_batch):
         sl = slice(lo, min(lo + eval_batch, n))
-        probs = model.predict(params, images[sl])
+        probs, recon = model.predict_and_reconstruct(params, images[sl])
         ce_total += float(ce_values(probs, labels[sl]).sum())
         correct += int((probs.argmax(axis=1) == labels[sl]).sum())
-        recon = model.reconstruct(params, images[sl])
         mse_all[sl] = mse_values(images[sl], recon)
     violations = np.maximum(0.0, mse_all - theta)
     return {

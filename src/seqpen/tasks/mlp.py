@@ -38,11 +38,11 @@ def _apply_activation(kind: str, z: Array) -> Array:
     if kind == "relu":
         return np.maximum(0.0, z)
     if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        # 0.5 * (1 + tanh(z / 2)): overflow-free for any z, no masking.
+        out = z * 0.5
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
         return out
     # softmax, rowwise, shifted for stability
     shifted = z - z.max(axis=1, keepdims=True)

@@ -79,6 +79,8 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
 
     def batch_weighted_grad(indices, x, obj_w, con_w):
         # Single-sample problem: the batch is some multiset of index 0.
+        if callable(con_w):
+            con_w = con_w(batch_constraints(indices, x))
         total_obj = float(np.sum(obj_w))
         total_con = np.asarray(con_w, dtype=float).reshape(len(indices), m).sum(axis=0)
         return total_obj * (Q @ x + b) + total_con @ A
@@ -100,7 +102,6 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
         sample_constraints=constraints,
         sample_constraint_jacobian=jacobian,
         normalization="sum",
-        lower_bound=None,
         batch_objective=batch_objective,
         batch_constraints=batch_constraints,
         batch_weighted_grad=batch_weighted_grad,

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+import seqpen.cli as cli_mod
 from seqpen.cli import main
 from seqpen.tasks.data import write_synthetic_idx
+from seqpen.tasks.qp import qp_registry
 
 
 @pytest.fixture(scope="session")
@@ -264,3 +268,58 @@ def test_synth_data_command(tmp_path):
 
     img, lbl = dataset_paths(tmp_path / "d", "train")
     assert load_idx_dataset(img, lbl).num_samples == 40
+
+
+def _enc_cfg(tmp_path, data_root, name="enc"):
+    return write_cfg(
+        tmp_path / f"{name}.cfg",
+        task="enc_dec",
+        method="objective_only",
+        out_dir=tmp_path / f"{name}_out",
+        data_root=data_root,
+        train_limit=64,
+        test_limit=32,
+        epochs=1,
+        warm_start_epochs=0,
+        timeline="false",
+    )
+
+
+def test_missing_dataset_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    cfg = _enc_cfg(tmp_path, tmp_path / "empty")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "train-images-idx3-ubyte" in err
+    assert (tmp_path / "enc_out" / "manifest.json").exists()
+
+
+def test_corrupt_idx_file_is_a_data_error(tmp_path, capsys):
+    root = tmp_path / "idx"
+    write_synthetic_idx(root, num_train=64, num_test=32, rng_seed=0)
+    images = root / "train-images-idx3-ubyte"
+    images.write_bytes(images.read_bytes()[:1000])  # header intact, payload cut short
+    cfg = _enc_cfg(tmp_path, root)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "payload" in err
+    assert (tmp_path / "enc_out" / "manifest.json").exists()
+
+
+def test_record_oracle_failure_exits_3_with_partial_trace(tmp_path, capsys, monkeypatch):
+    qp = qp_registry()["x_sq_ge_1"]
+    base = qp.problem
+
+    def batch_constraints(indices, x):
+        # candidates approach 1 from below; the oracle fails past 0.75 (outer iteration 3)
+        g = base.batch_constraints(indices, x)
+        return np.full_like(g, np.nan) if x[0] > 0.75 else g
+
+    broken = dataclasses.replace(qp, problem=dataclasses.replace(base, batch_constraints=batch_constraints))
+    monkeypatch.setattr(cli_mod, "qp_registry", lambda: {"x_sq_ge_1": broken})
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "out", max_outer=10)
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric abort" in err and "non-finite constraint value" in err
+    _, rows = read_rows(tmp_path / "out" / "trace.csv")
+    assert [row["k"] for row in rows] == ["0", "1", "2"]

@@ -10,6 +10,9 @@ from seqpen import (
     iteration_budget,
     sgd_run,
 )
+from seqpen.inner import AdamState
+from seqpen.penalties import penalty_grad_batch
+from seqpen.problems import epoch_batches
 from seqpen.tasks.qp import build_analytic_qp
 
 from conftest import make_random_problem
@@ -201,3 +204,65 @@ def test_rate_improves_with_budget(constrained_qp):
             norms.append(grad_norm_estimate(constrained_qp, spec, rep.candidate))
         medians.append(float(np.median(norms)))
     assert medians[1] < medians[0] / 1.8
+
+
+def _reference_adam_run(prob, spec, x0, cfg, state):
+    """Out-of-place Adam over shuffled epochs: the textbook expressions, step by step."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    adam = cfg.adam
+    m, v, step = state
+    z = x0.copy()
+    n = prob.num_samples
+    for _ in range(cfg.budget):
+        for batch in epoch_batches(n, cfg.batch_size, rng):
+            g = (1.0 / batch.size) * penalty_grad_batch(prob, spec, batch, z)
+            g = g + adam.weight_decay * z
+            step += 1
+            m = adam.beta1 * m + (1.0 - adam.beta1) * g
+            v = adam.beta2 * v + (1.0 - adam.beta2) * (g * g)
+            m_hat = m / (1.0 - adam.beta1**step)
+            v_hat = v / (1.0 - adam.beta2**step)
+            z = z - cfg.stepsize * m_hat / (np.sqrt(v_hat) + adam.eps_hat)
+    return z, (m, v, step)
+
+
+def test_in_place_adam_matches_out_of_place_reference(tiny_encdec):
+    prob = tiny_encdec.problem
+    params0 = tiny_encdec.model.init_params(np.random.default_rng(6))
+    spec = PenaltySpec("quadratic", 30.0)
+    cfg = SGDConfig(
+        stepsize=1e-2, batch_size=5, mode="practical", budget=3, adam=AdamParams(weight_decay=1e-2), rng_seed=9,
+        grad_norm="none",
+    )
+    zeros = np.zeros(prob.dim)
+    ref_z, (ref_m, ref_v, ref_step) = _reference_adam_run(prob, spec, params0, cfg, (zeros, zeros, 0))
+    x0 = params0.copy()
+    rep = sgd_run(prob, spec, x0, cfg)
+    assert ref_step == rep.opt_state.step == 9
+    assert np.array_equal(rep.candidate, ref_z)
+    assert np.array_equal(rep.opt_state.m, ref_m)
+    assert np.array_equal(rep.opt_state.v, ref_v)
+    assert np.array_equal(x0, params0)
+
+    # continuing from a saved state leaves the caller's state untouched
+    state = AdamState(rep.opt_state.m.copy(), rep.opt_state.v.copy(), rep.opt_state.step)
+    saved = state.copy()
+    start = rep.candidate.copy()
+    cont = sgd_run(prob, spec, start, cfg, opt_state=state)
+    ref_z2, (ref_m2, ref_v2, _) = _reference_adam_run(prob, spec, rep.candidate, cfg, (saved.m, saved.v, saved.step))
+    assert np.array_equal(cont.candidate, ref_z2)
+    assert np.array_equal(cont.opt_state.m, ref_m2)
+    assert np.array_equal(cont.opt_state.v, ref_v2)
+    assert np.array_equal(state.m, saved.m) and np.array_equal(state.v, saved.v) and state.step == saved.step
+    assert np.array_equal(start, rep.candidate)
+
+
+def test_epoch_hook_gets_arrays_that_do_not_change_later(free_quadratic):
+    kept = []
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode="practical", budget=3)
+    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, epoch_hook=kept.append)
+    assert len({id(z) for z in kept}) == 3
+    values = [z[0] for z in kept]
+    assert values == sorted(values, reverse=True) and len(set(values)) == 3
+    assert values[-1] == rep.candidate[0]
+    assert kept[-1] is not rep.candidate

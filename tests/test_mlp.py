@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from seqpen.gradcheck import central_diff_gradient, gradient_rel_error
 from seqpen.tasks.mlp import (
     LayerSpec,
     Mlp,
+    _apply_activation,
     ce_grad,
     ce_loss,
     ce_values,
@@ -131,3 +134,22 @@ def test_init_params_seeded_and_bounded():
     assert np.all(b1 == 0) and np.all(b2 == 0)
     assert np.abs(w1).max() <= np.sqrt(6.0 / 12.0)
     assert np.abs(w2).max() <= np.sqrt(6.0 / 6.0)
+
+
+def test_sigmoid_extremes_without_warnings_and_close_to_masked_form():
+    def masked_sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    z = np.concatenate([[-800.0, 800.0, -40.0, 40.0, 0.0], np.random.default_rng(0).normal(scale=6.0, size=2000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = _apply_activation("sigmoid", z.reshape(5, -1))
+    assert a.shape == (5, 401)
+    assert np.abs(a.ravel() - masked_sigmoid(z)).max() <= 1e-15
+    assert a.ravel()[0] == 0.0 and a.ravel()[1] == 1.0 and a.ravel()[4] == 0.5
+    assert ((a >= 0.0) & (a <= 1.0)).all()

@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import seqpen.outer as outer_mod
 from seqpen import (
     InnerSolverError,
+    OracleError,
     OuterAbort,
     PenaltySpec,
     SGDConfig,
     Schedule,
+    feasibility_stats,
     fixed_penalty_train,
+    full_objective,
     grad_norm_estimate,
     iteration_budget,
     kkt_residual,
@@ -17,6 +22,7 @@ from seqpen import (
     sequential_penalty_train,
     sgd_run,
 )
+from seqpen.inner import InnerReport
 from seqpen.tasks.qp import qp_registry
 
 
@@ -222,3 +228,64 @@ def test_adam_state_threads_across_outer_iterations(monkeypatch, tiny_encdec):
     steps_per_epoch = int(np.ceil(tiny_encdec.problem.num_samples / 4))
     assert passed_states[1] is not None and passed_states[1].step == steps_per_epoch
     assert passed_states[2].step == 2 * steps_per_epoch
+
+
+def _counting(fn, calls, name):
+    def wrapped(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapped
+
+
+def test_record_makes_one_objective_and_one_constraint_pass(tiny_encdec):
+    calls = []
+    base = tiny_encdec.problem
+    prob = replace(
+        base,
+        batch_objective=_counting(base.batch_objective, calls, "f"),
+        batch_constraints=_counting(base.batch_constraints, calls, "g"),
+        sample_objective=_counting(base.sample_objective, calls, "f_j"),
+        sample_constraints=_counting(base.sample_constraints, calls, "g_j"),
+    )
+    x = tiny_encdec.model.init_params(np.random.default_rng(7))
+    report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5, sampled_index=None, trace=[],
+                         clip_activations=0)
+    for kind in ("quadratic", "linear"):
+        spec = PenaltySpec(kind, 3.0)
+        calls.clear()
+        rec = outer_mod._make_record(prob, spec, 2, 0.1, report)
+        assert sorted(calls) == ["f", "g"]
+        # every quantity equals the one computed by its own full pass
+        lam = multiplier_estimate(base, spec, x)
+        assert rec.penalty_value == penalty_value_full(base, spec, x)
+        assert rec.objective_value == full_objective(base, x)
+        assert rec.feasibility == feasibility_stats(base, x)
+        assert rec.multiplier_max == float(lam.max()) and rec.multiplier_mean == float(lam.mean())
+
+
+def _qp_with_nan_constraints_after(x_limit):
+    """The x >= 1 QP whose constraint value oracle turns non-finite once x exceeds x_limit."""
+    base = qp_problem()
+
+    def batch_constraints(indices, x):
+        g = base.batch_constraints(indices, x)
+        return np.full_like(g, np.nan) if x[0] > x_limit else g
+
+    return replace(base, batch_constraints=batch_constraints)
+
+
+def test_record_oracle_failure_aborts_with_partial_trace():
+    # candidates are tau / (2 + tau) for tau = 2^k: 1/3, 1/2, 2/3, 4/5, ...
+    prob = _qp_with_nan_constraints_after(0.75)
+    with pytest.raises(OuterAbort) as err:
+        sequential_penalty_train(prob, "quadratic", qp_schedule(max_outer=10), np.array([0.0]))
+    abort = err.value
+    assert isinstance(abort.cause, OracleError)
+    assert abort.outer_index == 3
+    assert [rec.k for rec in abort.partial.records] == [0, 1, 2]
+
+    with pytest.raises(OuterAbort) as err:
+        fixed_penalty_train(prob, 0.0, exact_inner(), np.array([2.0]))
+    assert isinstance(err.value.cause, OracleError)
+    assert err.value.outer_index == 0 and err.value.partial.records == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from seqpen import (
     violation_vector,
 )
 from seqpen.gradcheck import central_diff_gradient, gradient_rel_error
+from seqpen.penalties import constraint_weights, penalty_grad_batch
 
 from conftest import make_random_problem, make_scalar_problem
 
@@ -147,3 +150,66 @@ def test_penalty_grad_batch_consistent_with_samples():
     batch = np.array([0, 2, 2, 5])
     expected = sum(penalty_grad_sample(prob, spec, int(j), x) for j in batch)
     assert np.allclose(penalty_grad_batch(prob, spec, batch, x), expected, atol=1e-12)
+
+
+def _two_pass_grad(prob, spec, idx, x):
+    """The reference the fused path must reproduce: constraint values first, then the weighted gradient."""
+    g = np.asarray(prob.batch_constraints(idx, x), dtype=float).reshape(idx.size, prob.num_constraints)
+    return prob.batch_weighted_grad(idx, x, np.ones(idx.size), constraint_weights(spec, g))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear"])
+@pytest.mark.parametrize("tau", [0.0, 7.0])
+def test_fused_penalty_grad_batch_matches_two_pass(tiny_encdec, qps, kind, tau):
+    spec = PenaltySpec(kind, tau)
+    enc = tiny_encdec.problem
+    params = tiny_encdec.model.init_params(np.random.default_rng(3))
+    qp = qps["sum_ge_2"].problem
+    cases = [
+        (enc, np.array([0, 3, 3, 7, 11]), params),
+        (qp, np.array([0, 0, 0]), np.array([0.2, -0.4])),
+    ]
+    for prob, idx, x in cases:
+        fused = penalty_grad_batch(prob, spec, idx, x)
+        assert np.array_equal(fused, _two_pass_grad(prob, spec, idx, x))
+    # the encoder/decoder case must actually exercise active constraint weights
+    g = enc.batch_constraints(np.arange(enc.num_samples), params)
+    assert (g > 0).any()
+
+
+def test_zero_tau_penalty_grad_calls_no_constraint_oracle(tiny_encdec, qps):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return wrapped
+
+    params = tiny_encdec.model.init_params(np.random.default_rng(4))
+    for prob, x in ((tiny_encdec.problem, params), (qps["x_sq_ge_1"].problem, np.array([0.0]))):
+        counted = replace(
+            prob,
+            batch_constraints=counting(prob.batch_constraints),
+            sample_constraints=counting(prob.sample_constraints),
+        )
+        got = penalty_grad_batch(counted, PenaltySpec("linear", 0.0), np.arange(prob.num_samples), x)
+        assert np.array_equal(got, _two_pass_grad(prob, PenaltySpec("linear", 0.0), np.arange(prob.num_samples), x))
+    assert calls == []
+
+
+def test_weighted_grad_weight_function_sees_constraint_values(tiny_encdec):
+    prob = tiny_encdec.problem
+    params = tiny_encdec.model.init_params(np.random.default_rng(5))
+    idx = np.array([1, 4, 6])
+    seen = []
+
+    def weights(g):
+        seen.append(g.copy())
+        return np.full(g.shape, 2.0)
+
+    fused = prob.batch_weighted_grad(idx, params, np.ones(3), weights)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], prob.batch_constraints(idx, params))
+    assert np.array_equal(fused, prob.batch_weighted_grad(idx, params, np.ones(3), np.full((3, 1), 2.0)))
