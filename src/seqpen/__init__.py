@@ -8,6 +8,7 @@ from seqpen.problems import (
     feasibility_stats,
     full_objective,
     objective_grad_full,
+    constraint_jacobian,
     constraint_values,
     violation_vector,
 )
@@ -15,9 +16,7 @@ from seqpen.penalties import (
     PenaltySpec,
     multiplier_estimate,
     penalty_grad_full,
-    penalty_grad_sample,
     penalty_value_full,
-    penalty_value_sample,
 )
 from seqpen.inner import (
     AdamParams,

@@ -6,7 +6,8 @@ Commands:
   manifest into the configured output directory.
 * ``seqpen compare <dirs...>``: print an aligned summary table across runs.
 * ``seqpen grid <config-glob> [--jobs K]``: run many configs in worker
-  processes, each writing to its own directory.
+  processes, each writing to its own directory; a failing config does not
+  stop the others, and the exit code is the largest of theirs.
 * ``seqpen synth-data <root>``: generate a synthetic digit dataset in IDX
   format so the image task runs without any download.
 
@@ -14,10 +15,12 @@ Config files are flat ``key = value`` text with ``#`` comments. Parsing is
 strict: unknown keys, duplicate keys, and keys that do not apply to the
 chosen task/method are rejected with the offending line number.
 
-Exit codes: 0 success, 2 config or data error (a missing or unreadable
-dataset, a corrupt IDX file), 3 numeric abort (a diverging iterate or a
-non-finite oracle value; the partial trace is still flushed). The manifest
-is written before any data is read, so it is present in all three cases.
+Exit codes: 0 success, 2 config or data error (a value the library rejects,
+an out_dir that cannot be created, a missing or unreadable dataset, a corrupt
+IDX file), 3 numeric abort (a diverging iterate or a non-finite oracle value;
+the partial trace is still flushed). The manifest
+is written before any data is read, so it is present in all three cases
+unless out_dir cannot be created.
 
 All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
@@ -28,12 +31,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import glob as globmod
 import hashlib
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +90,15 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _library_checks():
+    """Report a library constructor's rejection of a config value as a config error."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 # --------------------------------------------------------------------------
@@ -391,35 +405,39 @@ def _run_qp(cfg, out: Path):
     elif x0.shape != (qp.dim,):
         raise ConfigError(f"x0 has length {x0.size}, problem dimension is {qp.dim}")
 
-    inner = SGDConfig(
-        stepsize=1.0,  # replaced below
-        batch_size=cfg["batch_size"],
-        mode=cfg["mode"],
-        budget=cfg["budget"],
-        rng_seed=cfg["seed"],
-        candidate_rule=cfg["candidate_rule"] if cfg["mode"] == "theoretical" else None,
-        grad_norm="exact",
-    )
-
     def auto_stepsize(tau):
         return 1.0 / qp.penalty_lipschitz(tau)
 
-    if cfg["method"] == "sequential":
-        fixed_step = cfg["stepsize"] if cfg["stepsize"] != "auto" else None
-        schedule = Schedule(
-            tau0=cfg["tau0"],
-            gamma=cfg["gamma"],
-            max_outer=cfg["max_outer"],
-            inner=inner if fixed_step is None else dataclasses.replace(inner, stepsize=fixed_step),
-            eps0=cfg["eps0"],
-            eps_decay=cfg["eps_decay"],
-            stepsize_fn=auto_stepsize if fixed_step is None else None,
+    with _library_checks():
+        inner = SGDConfig(
+            stepsize=1.0,  # replaced below
+            batch_size=cfg["batch_size"],
+            mode=cfg["mode"],
+            budget=cfg["budget"],
+            rng_seed=cfg["seed"],
+            candidate_rule=cfg["candidate_rule"] if cfg["mode"] == "theoretical" else None,
+            grad_norm="exact",
         )
+        if cfg["method"] == "sequential":
+            fixed_step = cfg["stepsize"] if cfg["stepsize"] != "auto" else None
+            schedule = Schedule(
+                tau0=cfg["tau0"],
+                gamma=cfg["gamma"],
+                max_outer=cfg["max_outer"],
+                inner=inner if fixed_step is None else dataclasses.replace(inner, stepsize=fixed_step),
+                eps0=cfg["eps0"],
+                eps_decay=cfg["eps_decay"],
+                stepsize_fn=auto_stepsize if fixed_step is None else None,
+            )
+        else:
+            lam = cfg["lambda"] if cfg["method"] == "fixed" else 0.0
+            step = cfg["stepsize"] if cfg["stepsize"] != "auto" else auto_stepsize(lam)
+            inner = dataclasses.replace(inner, stepsize=step)
+
+    if cfg["method"] == "sequential":
         trace = sequential_penalty_train(problem, cfg["penalty_kind"], schedule, x0)
     else:
-        lam = cfg["lambda"] if cfg["method"] == "fixed" else 0.0
-        step = cfg["stepsize"] if cfg["stepsize"] != "auto" else auto_stepsize(lam)
-        trace = fixed_penalty_train(problem, lam, dataclasses.replace(inner, stepsize=step), x0)
+        trace = fixed_penalty_train(problem, lam, inner, x0)
 
     _write_trace(out, trace, qp.dim)
     final = trace.final()
@@ -453,7 +471,26 @@ def _run_enc_dec(cfg, out: Path):
     except (OSError, ValueError) as err:
         # IdxError and the dataset's own validation are ValueErrors.
         raise DataError(str(err)) from err
-    task = build_enc_dec_task(train, cfg["theta"])
+    with _library_checks():
+        task = build_enc_dec_task(train, cfg["theta"])
+        inner = SGDConfig(
+            stepsize=cfg["learning_rate"],
+            batch_size=cfg["batch_size"],
+            mode="practical",
+            budget=1 if cfg["method"] == "sequential" else cfg["epochs"],
+            adam=AdamParams(weight_decay=cfg["weight_decay"]),
+            rng_seed=derived_seed(cfg["seed"], 2),
+            grad_norm="none",
+        )
+        if cfg["method"] == "sequential":
+            schedule = Schedule(
+                tau0=cfg["tau0"],
+                gamma=cfg["gamma"],
+                max_outer=cfg["epochs"],
+                inner=inner,
+                eps0=cfg["eps0"],
+                eps_decay=cfg["eps_decay"],
+            )
     model = task.model
 
     params0 = model.init_params(np.random.default_rng(derived_seed(cfg["seed"], 0)))
@@ -485,25 +522,7 @@ def _run_enc_dec(cfg, out: Path):
     )
     phase_state["phase"] = "train"
 
-    inner = SGDConfig(
-        stepsize=cfg["learning_rate"],
-        batch_size=cfg["batch_size"],
-        mode="practical",
-        budget=1 if cfg["method"] == "sequential" else cfg["epochs"],
-        adam=AdamParams(weight_decay=cfg["weight_decay"]),
-        rng_seed=derived_seed(cfg["seed"], 2),
-        grad_norm="none",
-    )
-
     if cfg["method"] == "sequential":
-        schedule = Schedule(
-            tau0=cfg["tau0"],
-            gamma=cfg["gamma"],
-            max_outer=cfg["epochs"],
-            inner=inner,
-            eps0=cfg["eps0"],
-            eps_decay=cfg["eps_decay"],
-        )
         trace = sequential_penalty_train(task.problem, cfg["penalty_kind"], schedule, params, epoch_hook=hook)
     else:
         lam = cfg["lambda"] if cfg["method"] == "fixed" else 0.0
@@ -529,11 +548,14 @@ def run_experiment(config_path) -> int:
     """Run one configured experiment; returns the process exit code."""
     try:
         cfg = load_config(config_path)
+        out = Path(cfg["out_dir"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"out_dir: {err}") from err
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, cfg)
     try:
         if cfg["task"] == "analytic_qp":
@@ -613,16 +635,26 @@ def cmd_compare(run_dirs, split: str = "train") -> int:
     return 0
 
 
+def _run_grid_config(config) -> int:
+    """``run_experiment`` for one grid config; an unexpected error ends only this config, with exit 1."""
+    try:
+        return run_experiment(config)
+    except Exception:
+        print(f"{config}: unexpected error", file=sys.stderr)
+        traceback.print_exc()
+        return 1
+
+
 def cmd_grid(pattern: str, jobs: int) -> int:
     configs = sorted(globmod.glob(pattern))
     if not configs:
         print(f"error: no config files match {pattern!r}", file=sys.stderr)
         return 1
     if jobs <= 1:
-        codes = [run_experiment(c) for c in configs]
+        codes = [_run_grid_config(c) for c in configs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(run_experiment, configs))
+            codes = list(pool.map(_run_grid_config, configs))
     for config, code in zip(configs, codes):
         print(f"{config}: exit {code}")
     return max(codes)

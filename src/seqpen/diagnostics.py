@@ -24,11 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from seqpen.penalties import PenaltySpec, penalty_grad_sample
+from seqpen.penalties import PenaltySpec, penalty_grad_batch
 from seqpen.problems import (
     Array,
     FiniteSumProblem,
     as_params,
+    constraint_jacobian,
     constraint_values,
     objective_grad_full,
 )
@@ -111,24 +112,8 @@ def kkt_residual(problem: FiniteSumProblem, x, lambdas) -> KKTReport:
     x = as_params(problem, x)
     lam = np.asarray(lambdas, dtype=float).reshape(problem.num_samples, problem.num_constraints)
     g = constraint_values(problem, x)
-
-    if problem.batch_weighted_grad is not None:
-        idx = np.arange(problem.num_samples)
-        stat_vec = problem.agg_scale * np.asarray(
-            problem.batch_weighted_grad(idx, x, np.ones(problem.num_samples), lam), dtype=float
-        )
-    else:
-        acc = np.zeros(problem.dim)
-        for j in range(problem.num_samples):
-            acc += np.asarray(problem.sample_objective_grad(j, x), dtype=float)
-            row = lam[j]
-            nz = np.flatnonzero(row)
-            if nz.size:
-                jac = np.asarray(problem.sample_constraint_jacobian(j, x), dtype=float)
-                jac = jac.reshape(problem.num_constraints, problem.dim)
-                acc += row[nz] @ jac[nz]
-        stat_vec = problem.agg_scale * acc
-
+    idx = np.arange(problem.num_samples)
+    stat_vec = problem.agg_scale * problem.weighted_grad(idx, x, np.ones(problem.num_samples), lam)
     return KKTReport(
         stationarity_residual=float(np.linalg.norm(stat_vec)),
         feasibility_residual=float(np.maximum(0.0, g).max()),
@@ -156,9 +141,7 @@ def elicq_check(
     for j in range(problem.num_samples):
         hit = np.flatnonzero(g[j] >= -act_tol)
         if hit.size:
-            jac = np.asarray(problem.sample_constraint_jacobian(j, x), dtype=float)
-            jac = jac.reshape(problem.num_constraints, problem.dim)
-            rows.append(jac[hit])
+            rows.append(constraint_jacobian(problem, j, x)[hit])
     if not rows:
         return ElicqReport(holds=True, num_active_plus=0, min_singular_value=float("inf"))
     mat = np.vstack(rows)
@@ -212,11 +195,7 @@ def smoothness_estimate(
 
     obj_grads = np.stack([objective_grad_full(problem, p) for p in probes])
     g_vals = np.stack([constraint_values(problem, p) for p in probes])  # (P, N, m)
-    jacs = np.empty((n_probes, n_s, n_c, problem.dim))
-    for p_idx, p in enumerate(probes):
-        for j in range(n_s):
-            jac = np.asarray(problem.sample_constraint_jacobian(j, p), dtype=float)
-            jacs[p_idx, j] = jac.reshape(n_c, problem.dim)
+    jacs = np.array([[constraint_jacobian(problem, j, p) for j in range(n_s)] for p in probes])  # (P, N, m, dim)
 
     grad_sup = np.linalg.norm(jacs, axis=3).max(axis=0)  # (N, m)
     violation_sup = np.maximum(0.0, g_vals).max(axis=0)  # (N, m)
@@ -268,7 +247,7 @@ def sgc_estimate(
     n_s = problem.num_samples
     for x in probe_points:
         x = as_params(problem, x)
-        per_sample = np.stack([penalty_grad_sample(problem, spec, j, x) for j in range(n_s)])
+        per_sample = np.stack([penalty_grad_batch(problem, spec, [j], x) for j in range(n_s)])
         full = problem.agg_scale * per_sample.sum(axis=0)
         full_sq = float(full @ full)
         if np.sqrt(full_sq) <= zero_tol:

@@ -31,7 +31,7 @@ from seqpen.problems import Array, FiniteSumProblem, as_params, epoch_batches
 
 MODES = ("theoretical", "practical")
 CANDIDATE_RULES = ("uniform", "last")
-GRAD_NORM_MODES = ("exact", "minibatch", "none")
+GRAD_NORM_MODES = ("exact", "none")
 
 
 class InnerSolverError(RuntimeError):
@@ -86,7 +86,6 @@ class SGDConfig:
     track_penalty: bool = False
     track_iterates: bool = False
     grad_norm: str = "exact"
-    grad_norm_probes: int = 8
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -141,37 +140,11 @@ def iteration_budget(rho: float, L: float, gap: float, eps: float) -> int:
     return int(math.ceil(t))
 
 
-def grad_norm_estimate(
-    problem: FiniteSumProblem,
-    spec: PenaltySpec,
-    x,
-    num_probes: int = 1,
-    rng_seed: int = 0,
-    exact: bool = True,
-    batch_size: Optional[int] = None,
-) -> float:
-    """Norm of the full penalty gradient at x, exact or Monte-Carlo.
-
-    The Monte-Carlo path averages unbiased minibatch gradient estimates over
-    ``num_probes`` draws and returns the norm of the average, a consistent
-    estimate of the exact norm.
-    """
+def grad_norm_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float:
+    """Norm of the full penalty gradient at x."""
     x = as_params(problem, x)
-    if num_probes < 1:
-        raise ValueError("num_probes must be >= 1")
-    n_samples = problem.num_samples
-    if exact or batch_size is not None and batch_size >= n_samples:
-        idx = np.arange(n_samples)
-        g = problem.agg_scale * penalty_grad_batch(problem, spec, idx, x)
-        return float(np.linalg.norm(g))
-    rng = np.random.default_rng(rng_seed)
-    b = batch_size or min(n_samples, 128)
-    scale = 1.0 / b if problem.normalization == "mean" else n_samples / b
-    acc = np.zeros(problem.dim)
-    for _ in range(num_probes):
-        batch = rng.integers(0, n_samples, size=b)
-        acc += scale * penalty_grad_batch(problem, spec, batch, x)
-    return float(np.linalg.norm(acc / num_probes))
+    g = problem.agg_scale * penalty_grad_batch(problem, spec, np.arange(problem.num_samples), x)
+    return float(np.linalg.norm(g))
 
 
 def _check_finite(z: Array, iteration: int):
@@ -195,15 +168,7 @@ def _clip(z: Array, box, count: int) -> tuple[Array, int]:
 def _report_grad_norm(problem, spec, x, config: SGDConfig) -> float:
     if config.grad_norm == "none":
         return float("nan")
-    return grad_norm_estimate(
-        problem,
-        spec,
-        x,
-        num_probes=config.grad_norm_probes,
-        rng_seed=config.rng_seed,
-        exact=config.grad_norm == "exact",
-        batch_size=config.batch_size,
-    )
+    return grad_norm_estimate(problem, spec, x)
 
 
 def sgd_run(

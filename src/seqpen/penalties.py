@@ -68,13 +68,6 @@ def constraint_weights(spec: PenaltySpec, g: Array) -> Array:
     return spec.tau * (g > 0).astype(float)
 
 
-def penalty_value_sample(problem: FiniteSumProblem, spec: PenaltySpec, j: int, x) -> float:
-    x = as_params(problem, x)
-    f = float(problem.sample_objective(j, x))
-    g = np.asarray(problem.sample_constraints(j, x), dtype=float)
-    return f + violation_term(spec, g)
-
-
 def penalty_value_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float:
     """Aggregate penalty value per the problem's normalization."""
     x = as_params(problem, x)
@@ -86,19 +79,6 @@ def penalty_value_from_values(problem: FiniteSumProblem, spec: PenaltySpec, f: A
     return float(problem.agg_scale * (f.sum() + violation_term(spec, g)))
 
 
-def penalty_grad_sample(problem: FiniteSumProblem, spec: PenaltySpec, j: int, x) -> Array:
-    x = as_params(problem, x)
-    g = np.asarray(problem.sample_constraints(j, x), dtype=float)
-    grad = np.asarray(problem.sample_objective_grad(j, x), dtype=float).copy()
-    w = constraint_weights(spec, g)
-    active = np.flatnonzero(w)
-    if active.size:
-        jac = np.asarray(problem.sample_constraint_jacobian(j, x), dtype=float)
-        jac = jac.reshape(problem.num_constraints, problem.dim)
-        grad = grad + w[active] @ jac[active]
-    return grad
-
-
 def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x) -> Array:
     """Sum over the given samples of the per-sample penalty gradients.
 
@@ -106,18 +86,13 @@ def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x)
     """
     x = as_params(problem, x)
     indices = np.asarray(indices, dtype=int)
-    if problem.batch_weighted_grad is not None:
-        # The oracle maps the constraint values of its own forward pass to
-        # weights; at tau = 0 every weight is zero and no value is needed.
-        if spec.tau == 0:
-            con_w = np.zeros((indices.size, problem.num_constraints))
-        else:
-            con_w = functools.partial(constraint_weights, spec)
-        return np.asarray(problem.batch_weighted_grad(indices, x, np.ones(indices.size), con_w), dtype=float)
-    total = np.zeros(problem.dim)
-    for j in indices:
-        total += penalty_grad_sample(problem, spec, int(j), x)
-    return total
+    # The oracle maps the constraint values of its own forward pass to
+    # weights; at tau = 0 every weight is zero and no value is needed.
+    if spec.tau == 0:
+        con_w = np.zeros((indices.size, problem.num_constraints))
+    else:
+        con_w = functools.partial(constraint_weights, spec)
+    return problem.weighted_grad(indices, x, np.ones(indices.size), con_w)
 
 
 def penalty_grad_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> Array:

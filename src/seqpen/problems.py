@@ -8,9 +8,10 @@ where ``agg`` is either a plain sum over samples or the sample mean.
 Penalty coefficients are not transferable between the two scalings, so the
 choice is an explicit attribute of the problem rather than a convention.
 
-Oracles are per-sample callables. Vectorized batch oracles may be attached
-for speed; when present they are used by the hot paths and are checked
-against the per-sample oracles in the test suite.
+The library evaluates a problem only through three batch methods:
+``objective``, ``constraints`` and ``weighted_grad``. Each quantity can be
+supplied either as a batch oracle or as per-sample oracles, which the method
+then loops over; these methods are the one place that reads an oracle.
 
 Oracles are treated as read-only with respect to the problem definition and
 must be safe to call concurrently; every reduction over samples here runs in
@@ -35,39 +36,44 @@ class OracleError(RuntimeError):
 
 @dataclass
 class FiniteSumProblem:
-    """Per-sample objective and constraint oracles for a finite-sum problem.
+    """Objective and constraint oracles for a finite-sum problem.
 
-    ``sample_constraints(j, x)`` returns the raw constraint values g_ij(x)
-    for sample ``j`` as a vector of length ``num_constraints``; a sample is
-    feasible when all of them are <= 0. ``sample_constraint_jacobian(j, x)``
-    stacks the corresponding gradients as rows of an
-    (num_constraints, dim) matrix.
+    The library calls three methods, each over a batch of sample indices:
 
-    Optional batch oracles:
+    * ``objective(indices, x)`` -> per-sample objective values f_j(x).
+    * ``constraints(indices, x)`` -> (len(indices), num_constraints) raw
+      constraint values g_ij(x); a sample is feasible when all are <= 0.
+    * ``weighted_grad(indices, x, obj_weights, con_weights)`` -> sum over the
+      batch of obj_w[j] * grad f_j + sum_i con_w[j, i] * grad g_ij, as one
+      flat vector. Plain objective gradients, penalty gradients of either
+      kind, KKT stationarity terms and Jacobian rows are all weighted sums of
+      this shape. ``con_weights`` is either a (len(indices), num_constraints)
+      array or a function mapping the batch's raw constraint values g to
+      such an array. The function form lets a fused oracle take g from the
+      forward pass it already runs, so a penalty gradient costs one pass over
+      the batch.
 
-    * ``batch_objective(indices, x)`` -> per-sample objective values.
-    * ``batch_constraints(indices, x)`` -> (len(indices), num_constraints)
-      raw constraint values.
-    * ``batch_weighted_grad(indices, x, obj_weights, con_weights)`` ->
-      sum over the batch of obj_w[j] * grad f_j + sum_i con_w[j, i] * grad g_ij,
-      as one flat vector. This single hook is what the solvers need: plain
-      objective gradients, penalty gradients of either kind, and KKT
-      stationarity terms are all weighted sums of this shape.
-      ``con_weights`` is either a (len(indices), num_constraints) array or a
-      function mapping the batch's raw constraint values g, shaped
-      (len(indices), num_constraints), to such an array. The function form
-      lets the oracle take g from the forward pass it already runs, so a
-      penalty gradient costs one pass over the batch; the oracle must call
-      it exactly once, with the same values ``batch_constraints`` returns.
+    Each quantity comes from a batch oracle when one is set and otherwise
+    from per-sample oracles:
+
+    * objective: ``batch_objective(indices, x)`` or ``sample_objective(j, x)``;
+    * constraints: ``batch_constraints(indices, x)`` or
+      ``sample_constraints(j, x)`` (a vector of length ``num_constraints``);
+    * weighted gradient: ``batch_weighted_grad(indices, x, obj_w, con_w)``,
+      with the signature and ``con_weights`` forms of ``weighted_grad`` (a
+      function must be called exactly once, with the values ``constraints``
+      returns), or ``sample_objective_grad(j, x)`` together with
+      ``sample_constraint_jacobian(j, x)`` (an (num_constraints, dim) matrix
+      of constraint gradients as rows).
     """
 
     dim: int
     num_samples: int
     num_constraints: int
-    sample_objective: Callable[[int, Array], float]
-    sample_objective_grad: Callable[[int, Array], Array]
-    sample_constraints: Callable[[int, Array], Array]
-    sample_constraint_jacobian: Callable[[int, Array], Array]
+    sample_objective: Optional[Callable[[int, Array], float]] = None
+    sample_objective_grad: Optional[Callable[[int, Array], Array]] = None
+    sample_constraints: Optional[Callable[[int, Array], Array]] = None
+    sample_constraint_jacobian: Optional[Callable[[int, Array], Array]] = None
     normalization: str = "sum"
     batch_objective: Optional[Callable[[Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[Array, Array], Array]] = None
@@ -78,6 +84,14 @@ class FiniteSumProblem:
             raise ValueError("dim, num_samples and num_constraints must be positive")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}")
+        sources = {
+            "objective": (self.batch_objective, self.sample_objective),
+            "constraints": (self.batch_constraints, self.sample_constraints),
+            "weighted_grad": (self.batch_weighted_grad, self.sample_objective_grad, self.sample_constraint_jacobian),
+        }
+        missing = [name for name, (batch, *sample) in sources.items() if batch is None and None in sample]
+        if missing:
+            raise ValueError(f"no oracle for {', '.join(missing)}: set its batch_* oracle or its sample_* oracles")
 
     @property
     def agg_scale(self) -> float:
@@ -86,6 +100,42 @@ class FiniteSumProblem:
 
     def with_normalization(self, normalization: str) -> "FiniteSumProblem":
         return replace(self, normalization=normalization)
+
+    def objective(self, indices, x) -> Array:
+        """Objective values f_j(x) for the samples in ``indices``."""
+        if self.batch_objective is not None:
+            return np.asarray(self.batch_objective(indices, x), dtype=float)
+        return np.array([self.sample_objective(int(j), x) for j in indices], dtype=float)
+
+    def constraints(self, indices, x) -> Array:
+        """Raw constraint values as a (len(indices), num_constraints) matrix."""
+        if self.batch_constraints is not None:
+            g = self.batch_constraints(indices, x)
+        else:
+            g = [self.sample_constraints(int(j), x) for j in indices]
+        return np.asarray(g, dtype=float).reshape(len(indices), self.num_constraints)
+
+    def weighted_grad(self, indices, x, obj_weights, con_weights) -> Array:
+        """sum_j obj_w[j] * grad f_j + sum_i con_w[j, i] * grad g_ij over the batch."""
+        if self.batch_weighted_grad is not None:
+            return np.asarray(self.batch_weighted_grad(indices, x, obj_weights, con_weights), dtype=float)
+        if callable(con_weights):
+            con_weights = con_weights(self.constraints(indices, x))
+        obj_w = np.asarray(obj_weights, dtype=float).reshape(len(indices))
+        con_w = np.asarray(con_weights, dtype=float).reshape(len(indices), self.num_constraints)
+        total = np.zeros(self.dim)
+        for j, wf, wc in zip(indices, obj_w, con_w):
+            # Each sample's term is summed first and then added to the total,
+            # and only the oracles with a nonzero weight are called.
+            active = np.flatnonzero(wc)
+            if not wf and not active.size:
+                continue
+            term = wf * np.asarray(self.sample_objective_grad(int(j), x), dtype=float) if wf else 0.0
+            if active.size:
+                jac = np.asarray(self.sample_constraint_jacobian(int(j), x), dtype=float)
+                term = term + wc[active] @ jac.reshape(self.num_constraints, self.dim)[active]
+            total += term
+        return total
 
 
 def as_params(problem: FiniteSumProblem, x) -> Array:
@@ -98,11 +148,7 @@ def as_params(problem: FiniteSumProblem, x) -> Array:
 
 def objective_values(problem: FiniteSumProblem, x) -> Array:
     """Per-sample objective values f_j(x) for all samples."""
-    x = as_params(problem, x)
-    if problem.batch_objective is not None:
-        vals = np.asarray(problem.batch_objective(np.arange(problem.num_samples), x), dtype=float)
-    else:
-        vals = np.array([problem.sample_objective(j, x) for j in range(problem.num_samples)], dtype=float)
+    vals = problem.objective(np.arange(problem.num_samples), as_params(problem, x))
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise OracleError(f"non-finite objective value for sample {bad[0]}")
@@ -116,29 +162,22 @@ def full_objective(problem: FiniteSumProblem, x) -> float:
 
 def objective_grad_full(problem: FiniteSumProblem, x) -> Array:
     """Gradient of the aggregate objective."""
+    n, m = problem.num_samples, problem.num_constraints
+    g = problem.weighted_grad(np.arange(n), as_params(problem, x), np.ones(n), np.zeros((n, m)))
+    return problem.agg_scale * g
+
+
+def constraint_jacobian(problem: FiniteSumProblem, j: int, x) -> Array:
+    """Gradients of sample j's constraints as rows of a (num_constraints, dim) matrix."""
     x = as_params(problem, x)
-    if problem.batch_weighted_grad is not None:
-        idx = np.arange(problem.num_samples)
-        g = problem.batch_weighted_grad(
-            idx, x, np.ones(problem.num_samples), np.zeros((problem.num_samples, problem.num_constraints))
-        )
-    else:
-        g = np.zeros(problem.dim)
-        for j in range(problem.num_samples):
-            g += np.asarray(problem.sample_objective_grad(j, x), dtype=float)
-    return problem.agg_scale * np.asarray(g, dtype=float)
+    idx = np.array([j])
+    onehot = np.eye(problem.num_constraints)
+    return np.stack([problem.weighted_grad(idx, x, np.zeros(1), row[None, :]) for row in onehot])
 
 
 def constraint_values(problem: FiniteSumProblem, x) -> Array:
     """Raw constraint values as an (num_samples, num_constraints) matrix."""
-    x = as_params(problem, x)
-    if problem.batch_constraints is not None:
-        g = np.asarray(problem.batch_constraints(np.arange(problem.num_samples), x), dtype=float)
-        g = g.reshape(problem.num_samples, problem.num_constraints)
-    else:
-        g = np.empty((problem.num_samples, problem.num_constraints))
-        for j in range(problem.num_samples):
-            g[j] = np.asarray(problem.sample_constraints(j, x), dtype=float)
+    g = problem.constraints(np.arange(problem.num_samples), as_params(problem, x))
     if not np.isfinite(g).all():
         j, i = np.argwhere(~np.isfinite(g))[0]
         raise OracleError(f"non-finite constraint value at sample {j}, constraint {i}")

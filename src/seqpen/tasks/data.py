@@ -128,12 +128,10 @@ def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train")
     count, rows, cols = dims_i
     if count != dims_l[0]:
         raise IdxCountMismatchError(f"{count} images vs {dims_l[0]} labels")
-    images = pixels.reshape(count, rows * cols).astype(float) / 255.0
-    labels = labels.astype(int)
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
-    return ImageDataset(images=images, labels=labels, split=split)
+    # Truncate the uint8 payload before converting, so only the kept rows
+    # are ever held as floats.
+    pixels = pixels.reshape(count, rows * cols)[:limit]
+    return ImageDataset(images=pixels.astype(float) / 255.0, labels=labels[:limit].astype(int), split=split)
 
 
 # 7x5 bitmap glyphs for the ten digits.

@@ -134,21 +134,6 @@ class EncDecTask:
 def _task_problem(model: EncDecModel, images: Array, labels: Array, theta: float) -> FiniteSumProblem:
     n_samples = images.shape[0]
 
-    def sample_objective(j, x):
-        probs = model.predict(x, images[j : j + 1])
-        return float(ce_values(probs, labels[j : j + 1])[0])
-
-    def sample_objective_grad(j, x):
-        return model.weighted_grad(x, images[j : j + 1], labels[j : j + 1], np.ones(1), np.zeros(1))
-
-    def sample_constraints(j, x):
-        recon = model.reconstruct(x, images[j : j + 1])
-        return np.array([float(mse_values(images[j : j + 1], recon)[0]) - theta])
-
-    def sample_constraint_jacobian(j, x):
-        g = model.weighted_grad(x, images[j : j + 1], labels[j : j + 1], np.zeros(1), np.ones(1))
-        return g.reshape(1, model.num_params)
-
     def batch_objective(indices, x):
         probs = model.predict(x, images[indices])
         return ce_values(probs, labels[indices])
@@ -167,10 +152,6 @@ def _task_problem(model: EncDecModel, images: Array, labels: Array, theta: float
         dim=model.num_params,
         num_samples=n_samples,
         num_constraints=1,
-        sample_objective=sample_objective,
-        sample_objective_grad=sample_objective_grad,
-        sample_constraints=sample_constraints,
-        sample_constraint_jacobian=sample_constraint_jacobian,
         normalization="mean",
         batch_objective=batch_objective,
         batch_constraints=batch_constraints,

@@ -65,18 +65,6 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
     n = Q.shape[0]
     m = A.shape[0]
 
-    def objective(j, x):
-        return 0.5 * float(x @ Q @ x) + float(b @ x)
-
-    def objective_grad(j, x):
-        return Q @ x + b
-
-    def constraints(j, x):
-        return A @ x - c
-
-    def jacobian(j, x):
-        return A
-
     def batch_weighted_grad(indices, x, obj_w, con_w):
         # Single-sample problem: the batch is some multiset of index 0.
         if callable(con_w):
@@ -97,10 +85,6 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
         dim=n,
         num_samples=1,
         num_constraints=m,
-        sample_objective=objective,
-        sample_objective_grad=objective_grad,
-        sample_constraints=constraints,
-        sample_constraint_jacobian=jacobian,
         normalization="sum",
         batch_objective=batch_objective,
         batch_constraints=batch_constraints,

@@ -21,8 +21,12 @@ def make_scalar_problem(f, fgrad, g, ggrad, normalization="sum"):
     )
 
 
-def make_random_problem(dim, num_samples, num_constraints, seed, normalization="sum"):
-    """Smooth quadratic objective/constraint samples with analytic gradients."""
+def make_random_problem(dim, num_samples, num_constraints, seed, normalization="sum", oracles="sample"):
+    """Smooth quadratic objective/constraint samples with analytic gradients.
+
+    ``oracles="sample"`` supplies the four per-sample oracles; ``"batch"``
+    builds the same problem from three vectorized batch oracles instead.
+    """
     rng = np.random.default_rng(seed)
     obj_h = rng.normal(size=(num_samples, dim, dim))
     obj_h = obj_h @ obj_h.transpose(0, 2, 1) / dim + 0.1 * np.eye(dim)
@@ -31,6 +35,29 @@ def make_random_problem(dim, num_samples, num_constraints, seed, normalization="
     con_h = con_h + con_h.transpose(0, 1, 3, 2)
     con_e = rng.normal(size=(num_samples, num_constraints, dim))
     con_s = rng.normal(size=(num_samples, num_constraints))
+    shape = dict(dim=dim, num_samples=num_samples, num_constraints=num_constraints, normalization=normalization)
+
+    if oracles == "batch":
+
+        def batch_objective(indices, x):
+            return 0.5 * np.einsum("i,bij,j->b", x, obj_h[indices], x) + obj_d[indices] @ x
+
+        def batch_constraints(indices, x):
+            return 0.5 * np.einsum("i,bkij,j->bk", x, con_h[indices], x) + con_e[indices] @ x + con_s[indices]
+
+        def batch_weighted_grad(indices, x, obj_w, con_w):
+            if callable(con_w):
+                con_w = con_w(batch_constraints(indices, x))
+            obj_grads = obj_h[indices] @ x + obj_d[indices]
+            con_grads = np.einsum("bkij,j->bki", con_h[indices], x) + con_e[indices]
+            return np.asarray(obj_w) @ obj_grads + np.einsum("bk,bki->i", np.asarray(con_w), con_grads)
+
+        return FiniteSumProblem(
+            **shape,
+            batch_objective=batch_objective,
+            batch_constraints=batch_constraints,
+            batch_weighted_grad=batch_weighted_grad,
+        )
 
     def sample_objective(j, x):
         return 0.5 * float(x @ obj_h[j] @ x) + float(obj_d[j] @ x)
@@ -45,14 +72,11 @@ def make_random_problem(dim, num_samples, num_constraints, seed, normalization="
         return np.einsum("kij,j->ki", con_h[j], x) + con_e[j]
 
     return FiniteSumProblem(
-        dim=dim,
-        num_samples=num_samples,
-        num_constraints=num_constraints,
+        **shape,
         sample_objective=sample_objective,
         sample_objective_grad=sample_objective_grad,
         sample_constraints=sample_constraints,
         sample_constraint_jacobian=sample_constraint_jacobian,
-        normalization=normalization,
     )
 
 

@@ -11,6 +11,8 @@ from seqpen import (
     PenaltySpec,
     SGDConfig,
     Schedule,
+    constraint_jacobian,
+    constraint_values,
     elicq_check,
     full_objective,
     grad_norm_estimate,
@@ -127,14 +129,14 @@ def _check_problem_gradients(prob, points, tol, rng, kinks_tol=1e-3):
         fd = central_diff_gradient(lambda p: full_objective(prob, p), x)
         worst = max(worst, gradient_rel_error(objective_grad_full(prob, x), fd))
         j = int(rng.integers(prob.num_samples))
-        jac = np.asarray(prob.sample_constraint_jacobian(j, x)).reshape(prob.num_constraints, prob.dim)
+        jac = constraint_jacobian(prob, j, x)
         for i in range(prob.num_constraints):
-            fd = central_diff_gradient(lambda p: np.asarray(prob.sample_constraints(j, p)).ravel()[i], x)
+            fd = central_diff_gradient(lambda p: prob.constraints([j], p)[0, i], x)
             worst = max(worst, gradient_rel_error(jac[i], fd))
         spec_q = PenaltySpec("quadratic", 5.0)
         fd = central_diff_gradient(lambda p: penalty_value_full(prob, spec_q, p), x)
         worst = max(worst, gradient_rel_error(penalty_grad_full(prob, spec_q, x), fd))
-        g = np.asarray([prob.sample_constraints(jj, x) for jj in range(prob.num_samples)])
+        g = constraint_values(prob, x)
         if np.abs(g).min() > kinks_tol:  # linear kind only away from its kinks
             spec_l = PenaltySpec("linear", 5.0)
             fd = central_diff_gradient(lambda p: penalty_value_full(prob, spec_l, p), x)
@@ -170,13 +172,14 @@ def test_criterion_3_gradient_oracles(qps, tiny_encdec, tiny_digits):
     for trial in clean_seeds:
         params = tiny_encdec.model.init_params(np.random.default_rng(trial))
         j = int(rng.integers(prob.num_samples))
-        fd = central_diff_gradient(lambda p: prob.sample_objective(j, p), params, rel_step=1e-6)
-        worst_mlp = max(worst_mlp, gradient_rel_error(prob.sample_objective_grad(j, params), fd))
-        fd = central_diff_gradient(lambda p: prob.sample_constraints(j, p)[0], params, rel_step=1e-6)
-        worst_mlp = max(worst_mlp, gradient_rel_error(prob.sample_constraint_jacobian(j, params)[0], fd))
+        fd = central_diff_gradient(lambda p: prob.objective([j], p)[0], params, rel_step=1e-6)
+        obj_grad = prob.weighted_grad([j], params, np.ones(1), np.zeros((1, 1)))
+        worst_mlp = max(worst_mlp, gradient_rel_error(obj_grad, fd))
+        fd = central_diff_gradient(lambda p: prob.constraints([j], p)[0, 0], params, rel_step=1e-6)
+        worst_mlp = max(worst_mlp, gradient_rel_error(constraint_jacobian(prob, j, params)[0], fd))
         for kind in ("quadratic", "linear"):
             spec = PenaltySpec(kind, 7.0)
-            g = np.asarray([prob.sample_constraints(jj, params) for jj in range(prob.num_samples)])
+            g = constraint_values(prob, params)
             if kind == "linear" and np.abs(g).min() <= 1e-4:
                 continue
             fd = central_diff_gradient(lambda p: penalty_value_full(prob, spec, p), params, rel_step=1e-6)
@@ -300,8 +303,7 @@ def test_criterion_5_penalty_identities():
             lam = multiplier_estimate(prob, spec, x)
             recomposed = objective_grad_full(prob, x).copy()
             for j in range(prob.num_samples):
-                jac = np.asarray(prob.sample_constraint_jacobian(j, x))
-                recomposed += prob.agg_scale * (lam[j] @ jac)
+                recomposed += prob.agg_scale * (lam[j] @ constraint_jacobian(prob, j, x))
             worst_identity = max(
                 worst_identity, float(np.abs(penalty_grad_full(prob, spec, x) - recomposed).max())
             )

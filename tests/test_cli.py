@@ -233,6 +233,64 @@ def test_grid_runs_all_configs(tmp_path):
     assert (tmp_path / "gout1" / "results.csv").exists()
 
 
+def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
+    for idx, gamma in enumerate((1.5, 3.0, 2.0)):
+        write_cfg(
+            tmp_path / f"g{idx}.cfg",
+            task="analytic_qp",
+            method="sequential",
+            out_dir=tmp_path / f"gout{idx}",
+            gamma=gamma,
+            max_outer=4,
+        )
+    real_train = cli_mod.sequential_penalty_train
+
+    def crash_on_middle_config(problem, kind, schedule, x0, **kwargs):
+        if schedule.gamma == 3.0:
+            raise RuntimeError("injected failure")
+        return real_train(problem, kind, schedule, x0, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "sequential_penalty_train", crash_on_middle_config)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    summary = [line for line in out.splitlines() if ": exit " in line]
+    assert summary == [f"{tmp_path / f'g{idx}.cfg'}: exit {code}" for idx, code in enumerate((0, 1, 0))]
+    assert "injected failure" in err
+    assert (tmp_path / "gout0" / "results.csv").exists()
+    assert not (tmp_path / "gout1" / "results.csv").exists()
+    assert (tmp_path / "gout2" / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"theta": 0}, "theta must be positive"),
+        ({"method": "sequential", "gamma": 1.0}, "gamma must exceed 1"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"method": "sequential", "epochs": 0}, "max_outer must be >= 1"),
+        ({"learning_rate": -1}, "stepsize must be positive"),
+        ({"out_dir": "{tmp}/not_a_dir/out"}, "out_dir"),
+    ],
+)
+def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, keys, message):
+    (tmp_path / "not_a_dir").write_text("a file, not a directory\n")
+    cfg = dict(
+        task="enc_dec",
+        method="objective_only",
+        out_dir=tmp_path / "out",
+        data_root=data_root,
+        train_limit=64,
+        test_limit=32,
+        epochs=1,
+        warm_start_epochs=0,
+        timeline="false",
+    )
+    cfg.update({k: str(v).format(tmp=tmp_path) for k, v in keys.items()})
+    assert main(["run", str(write_cfg(tmp_path / "bad.cfg", **cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_data_root_env_fallback(tmp_path, data_root, monkeypatch):
     monkeypatch.setenv("SEQPEN_DATA", str(data_root))
     cfg = write_cfg(

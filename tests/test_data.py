@@ -63,6 +63,16 @@ def test_limit_truncates(idx_pair):
     assert np.array_equal(ds.labels, labels[:3])
 
 
+def test_limit_keeps_only_the_kept_rows(idx_pair):
+    img_path, lbl_path, _, _ = idx_pair
+    full = load_idx_dataset(img_path, lbl_path)
+    ds = load_idx_dataset(img_path, lbl_path, limit=3)
+    # the truncated images own their memory instead of viewing the whole file
+    assert ds.images.base is None
+    assert ds.images.nbytes == 3 * full.images.shape[1] * 8
+    assert np.array_equal(ds.images, full.images[:3])
+
+
 def test_bad_magic(idx_pair, tmp_path):
     img_path, lbl_path, _, _ = idx_pair
     bad = tmp_path / "bad"

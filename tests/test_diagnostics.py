@@ -307,3 +307,38 @@ def test_sgc_at_least_one_on_random_problems():
     est = sgc_estimate(prob, spec, probes)
     assert est.rho_est >= 1.0 - 1e-12
     assert all(r >= 1.0 - 1e-12 for r in est.ratios)
+
+
+# ---------------------------------------------------------------------------
+# per-sample and batch oracles give the same diagnostics
+
+
+@pytest.mark.parametrize("normalization", ["sum", "mean"])
+def test_diagnostics_agree_on_per_sample_and_batch_twins(normalization):
+    twins = [
+        make_random_problem(dim=3, num_samples=4, num_constraints=2, seed=61, normalization=normalization, oracles=o)
+        for o in ("sample", "batch")
+    ]
+    spec = PenaltySpec("quadratic", 4.0)
+    rng = np.random.default_rng(62)
+    x = rng.normal(size=3)
+    lam = np.abs(rng.normal(size=(4, 2)))
+
+    kkt = [kkt_residual(prob, x, lam) for prob in twins]
+    assert kkt[0].stationarity_residual == pytest.approx(kkt[1].stationarity_residual, abs=1e-12)
+    assert kkt[0].feasibility_residual == pytest.approx(kkt[1].feasibility_residual, abs=1e-12)
+    assert kkt[0].complementarity_residual == pytest.approx(kkt[1].complementarity_residual, abs=1e-12)
+
+    elicq = [elicq_check(prob, x, act_tol=10.0) for prob in twins]
+    assert elicq[0].num_active_plus == elicq[1].num_active_plus == 8
+    assert elicq[0].holds == elicq[1].holds
+    assert elicq[0].min_singular_value == pytest.approx(elicq[1].min_singular_value, abs=1e-12)
+
+    smooth = [smoothness_estimate(prob, spec, (x - 1.0, x + 1.0), num_probes=5, rng_seed=3) for prob in twins]
+    assert smooth[0].penalty_lipschitz == pytest.approx(smooth[1].penalty_lipschitz, rel=1e-12)
+    assert np.allclose(smooth[0].grad_sup, smooth[1].grad_sup, rtol=0.0, atol=1e-12)
+    assert np.allclose(smooth[0].constraint_lipschitz, smooth[1].constraint_lipschitz, rtol=0.0, atol=1e-12)
+
+    probes = [x, x + 0.5]
+    sgc = [sgc_estimate(prob, spec, probes) for prob in twins]
+    assert np.allclose(sgc[0].ratios, sgc[1].ratios, rtol=1e-12, atol=0.0)

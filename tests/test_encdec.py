@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqpen import PenaltySpec, full_objective, penalty_grad_full, penalty_value_full
+from seqpen import PenaltySpec, constraint_jacobian, full_objective, penalty_grad_full, penalty_value_full
 from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset
@@ -14,16 +14,21 @@ def seeded_params(tiny_encdec):
     return tiny_encdec.model.init_params(np.random.default_rng(42))
 
 
+def objective_grad(prob, j, x):
+    """Gradient of sample j's objective alone."""
+    return prob.weighted_grad(np.array([j]), x, np.ones(1), np.zeros((1, prob.num_constraints)))
+
+
 def test_problem_wiring(tiny_encdec, seeded_params):
     task, params = tiny_encdec, seeded_params
     prob = task.problem
     assert prob.normalization == "mean"
     assert prob.num_constraints == 1
     probs = task.model.predict(params, task.images[3:4])
-    assert prob.sample_objective(3, params) == pytest.approx(float(ce_values(probs, task.labels[3:4])[0]))
+    assert prob.objective([3], params)[0] == pytest.approx(float(ce_values(probs, task.labels[3:4])[0]))
     recon = task.model.reconstruct(params, task.images[3:4])
     expected_g = float(mse_values(task.images[3:4], recon)[0]) - task.theta
-    assert prob.sample_constraints(3, params)[0] == pytest.approx(expected_g)
+    assert prob.constraints([3], params)[0, 0] == pytest.approx(expected_g)
 
 
 def test_constraint_is_mse_minus_theta_arithmetic():
@@ -34,18 +39,17 @@ def test_constraint_is_mse_minus_theta_arithmetic():
 def test_batch_oracles_match_per_sample(tiny_encdec, seeded_params):
     prob = tiny_encdec.problem
     idx = np.array([0, 3, 7])
-    vals = prob.batch_objective(idx, seeded_params)
+    vals = prob.objective(idx, seeded_params)
     for row, j in enumerate(idx):
-        assert vals[row] == pytest.approx(prob.sample_objective(int(j), seeded_params))
-    g = prob.batch_constraints(idx, seeded_params)
+        assert vals[row] == pytest.approx(prob.objective([j], seeded_params)[0])
+    g = prob.constraints(idx, seeded_params)
     for row, j in enumerate(idx):
-        assert g[row, 0] == pytest.approx(prob.sample_constraints(int(j), seeded_params)[0])
+        assert g[row, 0] == pytest.approx(prob.constraints([j], seeded_params)[0, 0])
     obj_w = np.array([1.0, 0.5, 2.0])
     con_w = np.array([[0.0], [3.0], [1.0]])
-    fused = prob.batch_weighted_grad(idx, seeded_params, obj_w, con_w)
+    fused = prob.weighted_grad(idx, seeded_params, obj_w, con_w)
     stacked = sum(
-        w * prob.sample_objective_grad(int(j), seeded_params)
-        + c[0] * prob.sample_constraint_jacobian(int(j), seeded_params)[0]
+        w * objective_grad(prob, j, seeded_params) + c[0] * constraint_jacobian(prob, j, seeded_params)[0]
         for j, w, c in zip(idx, obj_w, con_w)
     )
     assert np.allclose(fused, stacked, atol=1e-10)
@@ -55,11 +59,11 @@ def test_gradients_match_finite_differences(tiny_encdec, seeded_params):
     prob = tiny_encdec.problem
     j = 5
 
-    fd_obj = central_diff_gradient(lambda p: prob.sample_objective(j, p), seeded_params, rel_step=1e-6)
-    assert gradient_rel_error(prob.sample_objective_grad(j, seeded_params), fd_obj) <= 1e-4
+    fd_obj = central_diff_gradient(lambda p: prob.objective([j], p)[0], seeded_params, rel_step=1e-6)
+    assert gradient_rel_error(objective_grad(prob, j, seeded_params), fd_obj) <= 1e-4
 
-    fd_con = central_diff_gradient(lambda p: prob.sample_constraints(j, p)[0], seeded_params, rel_step=1e-6)
-    assert gradient_rel_error(prob.sample_constraint_jacobian(j, seeded_params)[0], fd_con) <= 1e-4
+    fd_con = central_diff_gradient(lambda p: prob.constraints([j], p)[0, 0], seeded_params, rel_step=1e-6)
+    assert gradient_rel_error(constraint_jacobian(prob, j, seeded_params)[0], fd_con) <= 1e-4
 
 
 def test_penalty_gradients_match_finite_differences(tiny_encdec, seeded_params):
@@ -81,10 +85,10 @@ def test_decoder_zeroed_paths(tiny_encdec, seeded_params):
     assert np.allclose(recon, 0.5)
 
     # the constraint cannot see the classifier head
-    jac = task.problem.sample_constraint_jacobian(2, params)[0]
+    jac = constraint_jacobian(task.problem, 2, params)[0]
     assert np.all(jac[model.classifier_slice] == 0.0)
     # and the objective cannot see the decoder
-    obj_grad = task.problem.sample_objective_grad(2, params)
+    obj_grad = objective_grad(task.problem, 2, params)
     assert np.all(obj_grad[model.decoder_slice] == 0.0)
 
 
@@ -93,7 +97,7 @@ def test_feasible_when_threshold_is_huge(tiny_encdec, seeded_params):
         ImageDataset(tiny_encdec.images, tiny_encdec.labels), theta=1e3,
         hidden_dim=14, code_dim=6, decoder_hidden_dim=10,
     )
-    g = roomy.problem.batch_constraints(np.arange(roomy.problem.num_samples), seeded_params)
+    g = roomy.problem.constraints(np.arange(roomy.problem.num_samples), seeded_params)
     assert (g < 0).all()
 
 

@@ -15,8 +15,6 @@ from seqpen.penalties import penalty_grad_batch
 from seqpen.problems import epoch_batches
 from seqpen.tasks.qp import build_analytic_qp
 
-from conftest import make_random_problem
-
 
 @pytest.fixture(scope="module")
 def free_quadratic():
@@ -141,15 +139,6 @@ def test_grad_norm_estimate_cases(constrained_qp):
     # at a feasible unconstrained minimum the penalty gradient equals grad f = 0
     inactive = build_analytic_qp([[2.0]], [0.0], [[1.0]], [5.0]).problem
     assert grad_norm_estimate(inactive, spec, np.array([0.0])) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_grad_norm_minibatch_approaches_exact():
-    prob = make_random_problem(dim=3, num_samples=40, num_constraints=1, seed=21, normalization="mean")
-    spec = PenaltySpec("quadratic", 2.0)
-    x = np.random.default_rng(22).normal(size=3)
-    exact = grad_norm_estimate(prob, spec, x)
-    mc = grad_norm_estimate(prob, spec, x, num_probes=400, rng_seed=1, exact=False, batch_size=10)
-    assert mc == pytest.approx(exact, rel=0.1)
 
 
 def test_practical_mode_deterministic_and_threads_state(tiny_encdec):

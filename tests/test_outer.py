@@ -245,8 +245,6 @@ def test_record_makes_one_objective_and_one_constraint_pass(tiny_encdec):
         base,
         batch_objective=_counting(base.batch_objective, calls, "f"),
         batch_constraints=_counting(base.batch_constraints, calls, "g"),
-        sample_objective=_counting(base.sample_objective, calls, "f_j"),
-        sample_constraints=_counting(base.sample_constraints, calls, "g_j"),
     )
     x = tiny_encdec.model.init_params(np.random.default_rng(7))
     report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5, sampled_index=None, trace=[],

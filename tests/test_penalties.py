@@ -9,13 +9,11 @@ from seqpen import (
     full_objective,
     multiplier_estimate,
     penalty_grad_full,
-    penalty_grad_sample,
     penalty_value_full,
-    penalty_value_sample,
     violation_vector,
 )
 from seqpen.gradcheck import central_diff_gradient, gradient_rel_error
-from seqpen.penalties import constraint_weights, penalty_grad_batch
+from seqpen.penalties import constraint_weights, penalty_grad_batch, penalty_value_from_values
 
 from conftest import make_random_problem, make_scalar_problem
 
@@ -32,6 +30,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec("quadratic", -1.0)
     assert PenaltySpec("linear", 0.0).tau == 0.0
+
+
+def penalty_value_sample(prob, spec, j, x):
+    """Penalty term p_j(x) of one sample."""
+    f, g = prob.objective([j], x), prob.constraints([j], x)
+    return penalty_value_from_values(prob.with_normalization("sum"), spec, f, g)
 
 
 def test_penalty_value_sample_hand_cases(qp1d):
@@ -54,9 +58,9 @@ def test_penalty_value_full_cases(qp1d):
 
 def test_penalty_grad_sample_hand_cases(qp1d):
     x0 = np.array([0.0])
-    assert penalty_grad_sample(qp1d, PenaltySpec("quadratic", 2.0), 0, x0)[0] == pytest.approx(-2.0)
-    assert penalty_grad_sample(qp1d, PenaltySpec("linear", 2.0), 0, x0)[0] == pytest.approx(-2.0)
-    assert penalty_grad_sample(qp1d, PenaltySpec("quadratic", 2.0), 0, np.array([2.0]))[0] == pytest.approx(4.0)
+    assert penalty_grad_batch(qp1d, PenaltySpec("quadratic", 2.0), [0], x0)[0] == pytest.approx(-2.0)
+    assert penalty_grad_batch(qp1d, PenaltySpec("linear", 2.0), [0], x0)[0] == pytest.approx(-2.0)
+    assert penalty_grad_batch(qp1d, PenaltySpec("quadratic", 2.0), [0], np.array([2.0]))[0] == pytest.approx(4.0)
 
 
 def test_multiplier_estimate_cases(qp1d):
@@ -142,20 +146,25 @@ def test_quadratic_gradient_continuous_across_boundary():
 
 
 def test_penalty_grad_batch_consistent_with_samples():
-    from seqpen.penalties import penalty_grad_batch
-
-    prob = make_random_problem(dim=3, num_samples=6, num_constraints=2, seed=15)
     spec = PenaltySpec("quadratic", 1.5)
     x = np.random.default_rng(16).normal(size=3)
     batch = np.array([0, 2, 2, 5])
-    expected = sum(penalty_grad_sample(prob, spec, int(j), x) for j in batch)
-    assert np.allclose(penalty_grad_batch(prob, spec, batch, x), expected, atol=1e-12)
+    prob = make_random_problem(dim=3, num_samples=6, num_constraints=2, seed=15)
+    # per sample: grad f_j + sum_i tau * max(0, g_ij) * grad g_ij
+    expected = sum(
+        prob.sample_objective_grad(j, x)
+        + constraint_weights(spec, prob.sample_constraints(j, x)) @ prob.sample_constraint_jacobian(j, x)
+        for j in batch
+    )
+    for oracles in ("sample", "batch"):
+        prob = make_random_problem(dim=3, num_samples=6, num_constraints=2, seed=15, oracles=oracles)
+        assert np.allclose(penalty_grad_batch(prob, spec, batch, x), expected, atol=1e-12)
 
 
 def _two_pass_grad(prob, spec, idx, x):
     """The reference the fused path must reproduce: constraint values first, then the weighted gradient."""
-    g = np.asarray(prob.batch_constraints(idx, x), dtype=float).reshape(idx.size, prob.num_constraints)
-    return prob.batch_weighted_grad(idx, x, np.ones(idx.size), constraint_weights(spec, g))
+    g = prob.constraints(idx, x)
+    return prob.weighted_grad(idx, x, np.ones(idx.size), constraint_weights(spec, g))
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "linear"])
@@ -173,7 +182,7 @@ def test_fused_penalty_grad_batch_matches_two_pass(tiny_encdec, qps, kind, tau):
         fused = penalty_grad_batch(prob, spec, idx, x)
         assert np.array_equal(fused, _two_pass_grad(prob, spec, idx, x))
     # the encoder/decoder case must actually exercise active constraint weights
-    g = enc.batch_constraints(np.arange(enc.num_samples), params)
+    g = enc.constraints(np.arange(enc.num_samples), params)
     assert (g > 0).any()
 
 
@@ -188,12 +197,14 @@ def test_zero_tau_penalty_grad_calls_no_constraint_oracle(tiny_encdec, qps):
         return wrapped
 
     params = tiny_encdec.model.init_params(np.random.default_rng(4))
-    for prob, x in ((tiny_encdec.problem, params), (qps["x_sq_ge_1"].problem, np.array([0.0]))):
-        counted = replace(
-            prob,
-            batch_constraints=counting(prob.batch_constraints),
-            sample_constraints=counting(prob.sample_constraints),
-        )
+    per_sample = make_random_problem(dim=2, num_samples=3, num_constraints=2, seed=17)
+    cases = [
+        (tiny_encdec.problem, "batch_constraints", params),
+        (qps["x_sq_ge_1"].problem, "batch_constraints", np.array([0.0])),
+        (per_sample, "sample_constraints", np.array([0.3, -0.2])),
+    ]
+    for prob, field, x in cases:
+        counted = replace(prob, **{field: counting(getattr(prob, field))})
         got = penalty_grad_batch(counted, PenaltySpec("linear", 0.0), np.arange(prob.num_samples), x)
         assert np.array_equal(got, _two_pass_grad(prob, PenaltySpec("linear", 0.0), np.arange(prob.num_samples), x))
     assert calls == []
@@ -209,7 +220,7 @@ def test_weighted_grad_weight_function_sees_constraint_values(tiny_encdec):
         seen.append(g.copy())
         return np.full(g.shape, 2.0)
 
-    fused = prob.batch_weighted_grad(idx, params, np.ones(3), weights)
+    fused = prob.weighted_grad(idx, params, np.ones(3), weights)
     assert len(seen) == 1
-    assert np.array_equal(seen[0], prob.batch_constraints(idx, params))
-    assert np.array_equal(fused, prob.batch_weighted_grad(idx, params, np.ones(3), np.full((3, 1), 2.0)))
+    assert np.array_equal(seen[0], prob.constraints(idx, params))
+    assert np.array_equal(fused, prob.weighted_grad(idx, params, np.ones(3), np.full((3, 1), 2.0)))

@@ -167,3 +167,94 @@ def test_epoch_batches_partition():
     assert np.array_equal(np.sort(combined), np.arange(103))
     for b in batches:
         assert np.unique(b).size == b.size
+
+
+# ---------------------------------------------------------------------------
+# the three batch methods over per-sample and batch oracles
+
+
+@pytest.fixture
+def twins():
+    """The same problem given as per-sample oracles and as batch oracles."""
+    return [make_random_problem(dim=4, num_samples=6, num_constraints=3, seed=41, oracles=o) for o in ("sample", "batch")]
+
+
+def test_methods_agree_on_per_sample_and_batch_twins(twins):
+    per_sample, batched = twins
+    assert per_sample.batch_weighted_grad is None and batched.sample_objective_grad is None
+    rng = np.random.default_rng(42)
+    idx = np.array([5, 0, 3, 3, 1])
+    for _ in range(5):
+        x = rng.normal(size=4)
+        obj_w = rng.normal(size=idx.size)
+        con_w = rng.normal(size=(idx.size, 3))
+        assert np.abs(per_sample.objective(idx, x) - batched.objective(idx, x)).max() <= 1e-12
+        g = per_sample.constraints(idx, x)
+        assert g.shape == (idx.size, 3)
+        assert np.abs(g - batched.constraints(idx, x)).max() <= 1e-12
+        array_form = per_sample.weighted_grad(idx, x, obj_w, con_w)
+        assert np.abs(array_form - batched.weighted_grad(idx, x, obj_w, con_w)).max() <= 1e-12
+
+        seen = []
+
+        def weights(g_batch):
+            seen.append(g_batch.copy())
+            return 2.0 * np.maximum(0.0, g_batch)
+
+        fn_form = [prob.weighted_grad(idx, x, obj_w, weights) for prob in twins]
+        assert len(seen) == 2
+        assert np.abs(seen[0] - seen[1]).max() <= 1e-12
+        assert np.abs(fn_form[0] - fn_form[1]).max() <= 1e-12
+        assert np.array_equal(fn_form[0], per_sample.weighted_grad(idx, x, obj_w, weights(g)))
+
+
+def test_per_sample_weighted_grad_calls_only_weighted_oracles():
+    calls = []
+    prob = FiniteSumProblem(
+        dim=2,
+        num_samples=3,
+        num_constraints=2,
+        sample_objective=lambda j, x: 0.0,
+        sample_objective_grad=lambda j, x: calls.append(("f", j)) or np.array([1.0, 0.0]),
+        sample_constraints=lambda j, x: np.zeros(2),
+        sample_constraint_jacobian=lambda j, x: calls.append(("g", j)) or np.eye(2),
+    )
+    con_w = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
+    got = prob.weighted_grad(np.arange(3), np.zeros(2), np.array([0.0, 2.0, 0.0]), con_w)
+    assert np.array_equal(got, [2.0, 3.0])
+    assert calls == [("f", 1), ("g", 2)]
+
+
+def test_constraint_jacobian_rows_match_per_sample_oracle(twins):
+    from seqpen import constraint_jacobian
+
+    per_sample, batched = twins
+    x = np.random.default_rng(43).normal(size=4)
+    for j in range(per_sample.num_samples):
+        expected = per_sample.sample_constraint_jacobian(j, x)
+        assert np.array_equal(constraint_jacobian(per_sample, j, x), expected)
+        assert np.abs(constraint_jacobian(batched, j, x) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "missing, quantity",
+    [
+        ("sample_objective", "objective"),
+        ("sample_constraints", "constraints"),
+        ("sample_objective_grad", "weighted_grad"),
+        ("sample_constraint_jacobian", "weighted_grad"),
+    ],
+)
+def test_problem_without_a_source_for_a_quantity_is_rejected(missing, quantity):
+    oracles = dict(
+        sample_objective=lambda j, x: 0.0,
+        sample_objective_grad=lambda j, x: np.zeros(1),
+        sample_constraints=lambda j, x: np.array([-1.0]),
+        sample_constraint_jacobian=lambda j, x: np.zeros((1, 1)),
+    )
+    FiniteSumProblem(dim=1, num_samples=2, num_constraints=1, **oracles)
+    del oracles[missing]
+    with pytest.raises(ValueError, match=f"no oracle for {quantity}"):
+        FiniteSumProblem(dim=1, num_samples=2, num_constraints=1, **oracles)
+    with pytest.raises(ValueError, match="no oracle for objective, constraints, weighted_grad"):
+        FiniteSumProblem(dim=1, num_samples=2, num_constraints=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqpen import elicq_check, kkt_residual
+from seqpen import constraint_jacobian, elicq_check, kkt_residual
 from seqpen.tasks.qp import QPCertificationError, build_analytic_qp, qp_registry
 
 
@@ -52,11 +52,10 @@ def test_problem_batch_oracles_consistent():
     prob = qp.problem
     x = np.array([0.3, -0.7])
     idx = np.array([0, 0, 0])
-    assert np.allclose(prob.batch_constraints(idx, x), np.tile(prob.sample_constraints(0, x), (3, 1)))
+    assert np.allclose(prob.objective(idx, x), np.full(3, qp.objective(x)))
+    assert np.allclose(prob.constraints(idx, x), np.tile(qp.A @ x - qp.c, (3, 1)))
     obj_w = np.array([1.0, 2.0, 0.5])
     con_w = np.array([[0.1], [0.0], [2.0]])
-    expected = sum(
-        w * prob.sample_objective_grad(0, x) + c[0] * prob.sample_constraint_jacobian(0, x)[0]
-        for w, c in zip(obj_w, con_w)
-    )
-    assert np.allclose(prob.batch_weighted_grad(idx, x, obj_w, con_w), expected)
+    expected = sum(w * (qp.Q @ x + qp.b) + c[0] * qp.A[0] for w, c in zip(obj_w, con_w))
+    assert np.allclose(prob.weighted_grad(idx, x, obj_w, con_w), expected)
+    assert np.allclose(constraint_jacobian(prob, 0, x), qp.A)
