@@ -15,12 +15,16 @@ Config files are flat ``key = value`` text with ``#`` comments. Parsing is
 strict: unknown keys, duplicate keys, and keys that do not apply to the
 chosen task/method are rejected with the offending line number.
 
-Exit codes: 0 success, 2 config or data error (a value the library rejects,
-an out_dir that cannot be created, a missing or unreadable dataset, a corrupt
-IDX file), 3 numeric abort (a diverging iterate or a non-finite oracle value;
-the partial trace is still flushed). The manifest
-is written before any data is read, so it is present in all three cases
-unless out_dir cannot be created.
+Exit codes: 0 success, 2 config or data error (a config file that is not
+UTF-8, a value the library rejects, an out_dir that cannot be created, a
+negative train_limit or test_limit, a missing or unreadable dataset, a
+corrupt IDX file), 3 numeric abort (a diverging iterate or a non-finite
+oracle value; the partial trace is still flushed). Every config value,
+lambda and warm_start_epochs included, is turned into the library object it
+feeds before any training starts, so a rejected value never costs a
+training run. The manifest is written before any data is read, so it is
+present in all three cases unless the file cannot be parsed or out_dir
+cannot be created.
 
 All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
@@ -53,6 +57,7 @@ from seqpen.outer import (
     fixed_penalty_train,
     sequential_penalty_train,
 )
+from seqpen.penalties import PenaltySpec
 from seqpen.tasks.data import dataset_paths, load_idx_dataset, write_synthetic_idx
 from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, warm_start
 from seqpen.tasks.qp import qp_registry
@@ -105,13 +110,9 @@ def _library_checks():
 # config parsing
 
 
-def _parse_lines(path: Path) -> dict:
-    """Read key = value lines; values kept as strings with their line numbers."""
+def _parse_lines(path: Path, text: str) -> dict:
+    """Split key = value lines; values kept as strings with their line numbers."""
     raw = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"{path}: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -258,7 +259,16 @@ SCALE_DEFAULTS = {
 def load_config(path) -> dict:
     """Parse and strictly validate a config file into typed values."""
     path = Path(path)
-    raw = _parse_lines(path)
+    try:
+        data = path.read_bytes()
+    except OSError as err:
+        raise ConfigError(f"{path}: {err}") from err
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
+    raw = _parse_lines(path, text)
+    config_raw = {k: v for k, (v, _) in raw.items()}
 
     def take(key, table):
         if key not in raw:
@@ -310,8 +320,8 @@ def load_config(path) -> dict:
                 raise ConfigError(f"{path}: set 'data_root' or the {DATA_ENV} environment variable")
             cfg["data_root"] = root
 
-    cfg["config_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    cfg["config_raw"] = {k: v for k, (v, _) in _parse_lines(path).items()}
+    cfg["config_sha256"] = hashlib.sha256(data).hexdigest()
+    cfg["config_raw"] = config_raw
     return cfg
 
 
@@ -393,7 +403,32 @@ def _write_trace(out: Path, trace: OuterTrace, dim: int):
 # experiment execution
 
 
-def _run_qp(cfg, out: Path):
+def _method(cfg, inner: SGDConfig, max_outer, stepsize_fn=None):
+    """Build the configured method; returns ``train(problem, x0, epoch_hook=None) -> OuterTrace``.
+
+    Call inside ``_library_checks()`` so the Schedule or the lambda PenaltySpec
+    rejects its values before training. ``stepsize_fn(tau)`` sets the inner stepsize per tau.
+    """
+    if cfg["method"] == "sequential":
+        schedule = Schedule(
+            tau0=cfg["tau0"],
+            gamma=cfg["gamma"],
+            max_outer=max_outer,
+            inner=inner,
+            eps0=cfg["eps0"],
+            eps_decay=cfg["eps_decay"],
+            stepsize_fn=stepsize_fn,
+        )
+        return lambda problem, x0, epoch_hook=None: sequential_penalty_train(
+            problem, cfg["penalty_kind"], schedule, x0, epoch_hook=epoch_hook
+        )
+    lam = PenaltySpec("linear", cfg["lambda"] if cfg["method"] == "fixed" else 0.0).tau
+    if stepsize_fn is not None:
+        inner = dataclasses.replace(inner, stepsize=stepsize_fn(lam))
+    return lambda problem, x0, epoch_hook=None: fixed_penalty_train(problem, lam, inner, x0, epoch_hook=epoch_hook)
+
+
+def _run_qp(cfg):
     registry = qp_registry()
     if cfg["qp_name"] not in registry:
         raise ConfigError(f"unknown qp_name {cfg['qp_name']!r}; choose from {', '.join(sorted(registry))}")
@@ -408,9 +443,10 @@ def _run_qp(cfg, out: Path):
     def auto_stepsize(tau):
         return 1.0 / qp.penalty_lipschitz(tau)
 
+    auto = cfg["stepsize"] == "auto"
     with _library_checks():
         inner = SGDConfig(
-            stepsize=1.0,  # replaced below
+            stepsize=1.0 if auto else cfg["stepsize"],  # replaced per tau when auto
             batch_size=cfg["batch_size"],
             mode=cfg["mode"],
             budget=cfg["budget"],
@@ -418,28 +454,9 @@ def _run_qp(cfg, out: Path):
             candidate_rule=cfg["candidate_rule"] if cfg["mode"] == "theoretical" else None,
             grad_norm="exact",
         )
-        if cfg["method"] == "sequential":
-            fixed_step = cfg["stepsize"] if cfg["stepsize"] != "auto" else None
-            schedule = Schedule(
-                tau0=cfg["tau0"],
-                gamma=cfg["gamma"],
-                max_outer=cfg["max_outer"],
-                inner=inner if fixed_step is None else dataclasses.replace(inner, stepsize=fixed_step),
-                eps0=cfg["eps0"],
-                eps_decay=cfg["eps_decay"],
-                stepsize_fn=auto_stepsize if fixed_step is None else None,
-            )
-        else:
-            lam = cfg["lambda"] if cfg["method"] == "fixed" else 0.0
-            step = cfg["stepsize"] if cfg["stepsize"] != "auto" else auto_stepsize(lam)
-            inner = dataclasses.replace(inner, stepsize=step)
+        train = _method(cfg, inner, cfg.get("max_outer"), auto_stepsize if auto else None)
 
-    if cfg["method"] == "sequential":
-        trace = sequential_penalty_train(problem, cfg["penalty_kind"], schedule, x0)
-    else:
-        trace = fixed_penalty_train(problem, lam, inner, x0)
-
-    _write_trace(out, trace, qp.dim)
+    trace = train(problem, x0)
     final = trace.final()
     g = constraint_values(problem, final.candidate)
     results = [
@@ -452,16 +469,14 @@ def _run_qp(cfg, out: Path):
             final.feasibility.satisfied_fraction,
         ]
     ]
-    write_csv(out / "results.csv", RESULTS_HEADER, results)
     hist = [["train", j, i, g[j, i]] for j in range(g.shape[0]) for i in range(g.shape[1])]
-    write_csv(out / "violations_hist.csv", HIST_HEADER, hist)
     timeline = [
         [rec.k, "train", "train", float("nan"), rec.feasibility.satisfied_fraction] for rec in trace.records
     ]
-    write_csv(out / "timeline.csv", TIMELINE_HEADER, timeline)
+    return trace, qp.dim, results, hist, timeline
 
 
-def _run_enc_dec(cfg, out: Path):
+def _run_enc_dec(cfg):
     root = cfg["data_root"]
     train_limit = cfg["train_limit"] or None
     test_limit = cfg["test_limit"] or None
@@ -469,7 +484,7 @@ def _run_enc_dec(cfg, out: Path):
         train = load_idx_dataset(*dataset_paths(root, "train"), limit=train_limit, split="train")
         test = load_idx_dataset(*dataset_paths(root, "test"), limit=test_limit, split="test")
     except (OSError, ValueError) as err:
-        # IdxError and the dataset's own validation are ValueErrors.
+        # IdxError, a negative limit and the dataset's own validation are ValueErrors.
         raise DataError(str(err)) from err
     with _library_checks():
         task = build_enc_dec_task(train, cfg["theta"])
@@ -482,15 +497,8 @@ def _run_enc_dec(cfg, out: Path):
             rng_seed=derived_seed(cfg["seed"], 2),
             grad_norm="none",
         )
-        if cfg["method"] == "sequential":
-            schedule = Schedule(
-                tau0=cfg["tau0"],
-                gamma=cfg["gamma"],
-                max_outer=cfg["epochs"],
-                inner=inner,
-                eps0=cfg["eps0"],
-                eps_decay=cfg["eps_decay"],
-            )
+        warm = dataclasses.replace(inner, budget=cfg["warm_start_epochs"], rng_seed=derived_seed(cfg["seed"], 1))
+        train_method = _method(cfg, inner, cfg["epochs"])
     model = task.model
 
     params0 = model.init_params(np.random.default_rng(derived_seed(cfg["seed"], 0)))
@@ -498,11 +506,10 @@ def _run_enc_dec(cfg, out: Path):
     timeline_rows = []
     phase_state = {"epoch": 0, "phase": "warm"}
 
+    splits = (("train", train.images, train.labels), ("test", test.images, test.labels))
+
     def timeline_hook(params):
-        for split_name, images, labels in (
-            ("train", train.images, train.labels),
-            ("test", test.images, test.labels),
-        ):
+        for split_name, images, labels in splits:
             m = evaluate_enc_dec(model, params, images, labels, cfg["theta"])
             timeline_rows.append(
                 [phase_state["epoch"], phase_state["phase"], split_name, m["accuracy"], m["satisfied_fraction"]]
@@ -511,37 +518,20 @@ def _run_enc_dec(cfg, out: Path):
 
     hook = timeline_hook if cfg["timeline"] else None
 
-    params = warm_start(
-        task,
-        params0,
-        epochs=cfg["warm_start_epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        rng_seed=derived_seed(cfg["seed"], 1),
-        epoch_hook=hook,
-    )
+    params = warm_start(task, params0, warm, epoch_hook=hook)
     phase_state["phase"] = "train"
-
-    if cfg["method"] == "sequential":
-        trace = sequential_penalty_train(task.problem, cfg["penalty_kind"], schedule, params, epoch_hook=hook)
-    else:
-        lam = cfg["lambda"] if cfg["method"] == "fixed" else 0.0
-        trace = fixed_penalty_train(task.problem, lam, inner, params, epoch_hook=hook)
-
-    _write_trace(out, trace, model.num_params)
+    trace = train_method(task.problem, params, epoch_hook=hook)
     final_params = trace.final().candidate
 
     results = []
     hist = []
-    for split_name, images, labels in (("train", train.images, train.labels), ("test", test.images, test.labels)):
+    for split_name, images, labels in splits:
         m = evaluate_enc_dec(model, final_params, images, labels, cfg["theta"])
         results.append(
             [split_name, m["ce_loss"], m["accuracy"], m["mse_loss"], m["mean_violation"], m["satisfied_fraction"]]
         )
         hist.extend([split_name, j, 0, m["mse_per_sample"][j]] for j in range(len(m["mse_per_sample"])))
-    write_csv(out / "results.csv", RESULTS_HEADER, results)
-    write_csv(out / "violations_hist.csv", HIST_HEADER, hist)
-    write_csv(out / "timeline.csv", TIMELINE_HEADER, timeline_rows)
+    return trace, model.num_params, results, hist, timeline_rows
 
 
 def run_experiment(config_path) -> int:
@@ -558,10 +548,7 @@ def run_experiment(config_path) -> int:
         return 2
     _write_manifest(out, cfg)
     try:
-        if cfg["task"] == "analytic_qp":
-            _run_qp(cfg, out)
-        else:
-            _run_enc_dec(cfg, out)
+        trace, dim, results, hist, timeline = (_run_qp if cfg["task"] == "analytic_qp" else _run_enc_dec)(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -574,6 +561,10 @@ def run_experiment(config_path) -> int:
         _write_trace(out, err.partial, dim)
         print(f"numeric abort: {err}", file=sys.stderr)
         return 3
+    _write_trace(out, trace, dim)
+    write_csv(out / "results.csv", RESULTS_HEADER, results)
+    write_csv(out / "violations_hist.csv", HIST_HEADER, hist)
+    write_csv(out / "timeline.csv", TIMELINE_HEADER, timeline)
     print(f"wrote {out}")
     return 0
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from seqpen.penalties import PenaltySpec, penalty_grad_batch, penalty_value_full
+from seqpen.penalties import PenaltySpec, penalty_grad_batch, penalty_grad_full, penalty_value_full
 from seqpen.problems import Array, FiniteSumProblem, as_params, epoch_batches
 
 MODES = ("theoretical", "practical")
@@ -142,9 +142,7 @@ def iteration_budget(rho: float, L: float, gap: float, eps: float) -> int:
 
 def grad_norm_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float:
     """Norm of the full penalty gradient at x."""
-    x = as_params(problem, x)
-    g = problem.agg_scale * penalty_grad_batch(problem, spec, np.arange(problem.num_samples), x)
-    return float(np.linalg.norm(g))
+    return float(np.linalg.norm(penalty_grad_full(problem, spec, x)))
 
 
 def _check_finite(z: Array, iteration: int):

@@ -119,6 +119,8 @@ def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train")
 
     ``limit`` truncates to the first samples, for desk-scale runs.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     magic_i, dims_i, pixels = read_idx(images_path)
     if magic_i != IMAGE_MAGIC:
         raise IdxMagicError(f"{images_path}: expected image magic {IMAGE_MAGIC:#010x}, got {magic_i:#010x}")

@@ -15,15 +15,18 @@ one forward/backward pass per branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from seqpen.inner import AdamParams, SGDConfig, sgd_run
+from seqpen.inner import SGDConfig, sgd_run
 from seqpen.penalties import PenaltySpec
-from seqpen.problems import Array, FiniteSumProblem
+from seqpen.problems import Array, FiniteSumProblem, feasibility_from_values
 from seqpen.tasks.data import ImageDataset
 from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, mse_grad, mse_values
+
+# Rows per forward pass when evaluating a whole split.
+EVAL_CHUNK = 512
 
 
 class EncDecModel:
@@ -180,62 +183,36 @@ def build_enc_dec_task(
     return EncDecTask(model=model, images=dataset.images, labels=dataset.labels, theta=theta)
 
 
-def evaluate_enc_dec(
-    model: EncDecModel,
-    params: Array,
-    images: Array,
-    labels: Array,
-    theta: float,
-    threshold_tol: float = 0.0,
-    eval_batch: int = 512,
-) -> dict:
+def evaluate_enc_dec(model: EncDecModel, params: Array, images: Array, labels: Array, theta: float) -> dict:
     """Table-style metrics for one split: ce, accuracy, mse, violation stats."""
     n = images.shape[0]
     ce_total = 0.0
     correct = 0
     mse_all = np.empty(n)
-    for lo in range(0, n, eval_batch):
-        sl = slice(lo, min(lo + eval_batch, n))
+    for lo in range(0, n, EVAL_CHUNK):
+        sl = slice(lo, min(lo + EVAL_CHUNK, n))
         probs, recon = model.predict_and_reconstruct(params, images[sl])
         ce_total += float(ce_values(probs, labels[sl]).sum())
         correct += int((probs.argmax(axis=1) == labels[sl]).sum())
         mse_all[sl] = mse_values(images[sl], recon)
-    violations = np.maximum(0.0, mse_all - theta)
+    feasibility = feasibility_from_values(mse_all - theta)
     return {
         "ce_loss": ce_total / n,
         "accuracy": correct / n,
         "mse_loss": float(mse_all.mean()),
-        "mean_violation": float(violations.mean()),
-        "satisfied_fraction": float((mse_all - theta <= threshold_tol).mean()),
+        "mean_violation": feasibility.mean_violation,
+        "satisfied_fraction": feasibility.satisfied_fraction,
         "mse_per_sample": mse_all,
     }
 
 
-def warm_start(
-    task: EncDecTask,
-    params0: Array,
-    epochs: int,
-    batch_size: int = 128,
-    learning_rate: float = 1e-3,
-    rng_seed: int = 0,
-    epoch_hook=None,
-) -> Array:
-    """Pretrain on the classification loss alone.
+def warm_start(task: EncDecTask, params0: Array, config: SGDConfig, epoch_hook=None) -> Array:
+    """Pretrain on the classification loss alone for ``config.budget`` epochs.
 
     Weight decay is held at zero here so branches that receive no loss
     gradient (the decoder) stay exactly at their initialization; Adam would
     otherwise turn pure decay gradients into full-size steps.
     """
-    if epochs == 0:
-        return np.asarray(params0, dtype=float).copy()
-    config = SGDConfig(
-        stepsize=learning_rate,
-        batch_size=batch_size,
-        mode="practical",
-        budget=epochs,
-        adam=AdamParams(weight_decay=0.0),
-        rng_seed=rng_seed,
-        grad_norm="none",
-    )
+    config = replace(config, adam=replace(config.adam, weight_decay=0.0))
     report = sgd_run(task.problem, PenaltySpec("linear", 0.0), params0, config, epoch_hook=epoch_hook)
     return report.candidate

@@ -216,7 +216,10 @@ def desk_runs():
     task = build_enc_dec_task(train, theta=0.01)
     model = task.model
     params0 = model.init_params(np.random.default_rng(derived_seed(seed, 0)))
-    warm = warm_start(task, params0, epochs=5, batch_size=128, learning_rate=1e-3, rng_seed=derived_seed(seed, 1))
+    warm_config = SGDConfig(
+        stepsize=1e-3, batch_size=128, mode="practical", budget=5, rng_seed=derived_seed(seed, 1), grad_norm="none"
+    )
+    warm = warm_start(task, params0, warm_config)
 
     def inner(epochs):
         return SGDConfig(

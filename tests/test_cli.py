@@ -1,10 +1,17 @@
+import builtins
 import dataclasses
+import hashlib
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqpen.cli as cli_mod
+import seqpen.outer as outer_mod
+import seqpen.tasks.encdec as encdec_mod
 from seqpen.cli import main
 from seqpen.tasks.data import write_synthetic_idx
 from seqpen.tasks.qp import qp_registry
@@ -270,9 +277,12 @@ def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
         ({"method": "sequential", "epochs": 0}, "max_outer must be >= 1"),
         ({"learning_rate": -1}, "stepsize must be positive"),
         ({"out_dir": "{tmp}/not_a_dir/out"}, "out_dir"),
+        ({"method": "fixed", "lambda": -1, "warm_start_epochs": 1}, "tau must be finite and >= 0"),
+        ({"warm_start_epochs": -1}, "budget must be >= 0"),
     ],
 )
-def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, keys, message):
+def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, monkeypatch, keys, message):
+    inner_runs = _count_inner_runs(monkeypatch)
     (tmp_path / "not_a_dir").write_text("a file, not a directory\n")
     cfg = dict(
         task="enc_dec",
@@ -289,6 +299,94 @@ def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, k
     assert main(["run", str(write_cfg(tmp_path / "bad.cfg", **cfg))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert inner_runs == []
+
+
+def _count_inner_runs(monkeypatch):
+    """Record every inner run started by the warm start or the outer loop."""
+    calls = []
+
+    def counted(real):
+        def run(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(encdec_mod, "sgd_run", counted(encdec_mod.sgd_run))
+    monkeypatch.setattr(outer_mod, "sgd_run", counted(outer_mod.sgd_run))
+    return calls
+
+
+@pytest.mark.parametrize("stepsize", ["auto", 0.1])
+def test_qp_negative_lambda_exits_2_before_training(tmp_path, capsys, monkeypatch, stepsize):
+    inner_runs = _count_inner_runs(monkeypatch)
+    cfg = write_cfg(
+        tmp_path / "qp.cfg",
+        task="analytic_qp",
+        method="fixed",
+        out_dir=tmp_path / "out",
+        stepsize=stepsize,
+        **{"lambda": -1},
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "tau must be finite and >= 0" in err
+    assert inner_runs == []
+
+
+@pytest.mark.parametrize("keys", [{"train_limit": -1}, {"test_limit": -400}])
+def test_negative_limit_exits_2_before_training(tmp_path, data_root, capsys, monkeypatch, keys):
+    inner_runs = _count_inner_runs(monkeypatch)
+    cfg = dict(
+        task="enc_dec",
+        method="objective_only",
+        out_dir=tmp_path / "out",
+        data_root=data_root,
+        train_limit=64,
+        test_limit=32,
+        epochs=1,
+        warm_start_epochs=1,
+        timeline="false",
+    )
+    cfg.update(keys)
+    assert main(["run", str(write_cfg(tmp_path / "limit.cfg", **cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "limit must be >= 0" in err
+    assert inner_runs == []
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    # one Latin-1 byte, in a comment
+    text = f"# café\ntask = analytic_qp\nmethod = sequential\nout_dir = {tmp_path / 'out'}\n"
+    cfg.write_text(text, encoding="latin-1")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+    # grid counts it as the config error it is, not as an unexpected failure
+    assert main(["grid", str(cfg)]) == 2
+
+
+def test_load_config_reads_the_file_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "out")
+    opened = []
+
+    def counting(real):
+        def open_(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == cfg:
+                opened.append(file)
+            return real(file, *args, **kwargs)
+
+        return open_
+
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    loaded = cli_mod.load_config(cfg)
+    assert len(opened) == 1
+    assert loaded["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert loaded["config_raw"] == {"task": "analytic_qp", "method": "sequential", "out_dir": str(tmp_path / "out")}
 
 
 def test_data_root_env_fallback(tmp_path, data_root, monkeypatch):

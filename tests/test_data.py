@@ -73,6 +73,14 @@ def test_limit_keeps_only_the_kept_rows(idx_pair):
     assert np.array_equal(ds.images, full.images[:3])
 
 
+@pytest.mark.parametrize("limit", [-1, -4])
+def test_negative_limit_rejected(idx_pair, limit):
+    # a negative slice bound would silently drop rows from the end
+    img_path, lbl_path, _, _ = idx_pair
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        load_idx_dataset(img_path, lbl_path, limit=limit)
+
+
 def test_bad_magic(idx_pair, tmp_path):
     img_path, lbl_path, _, _ = idx_pair
     bad = tmp_path / "bad"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqpen import PenaltySpec, constraint_jacobian, full_objective, penalty_grad_full, penalty_value_full
+from seqpen import PenaltySpec, SGDConfig, constraint_jacobian, full_objective, penalty_grad_full, penalty_value_full
 from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset
@@ -118,7 +118,8 @@ def test_warm_start_trains_classifier_and_freezes_decoder(tiny_encdec, seeded_pa
     task = tiny_encdec
     model = task.model
     before = full_objective(task.problem, seeded_params)
-    trained = warm_start(task, seeded_params, epochs=30, batch_size=6, rng_seed=1)
+    config = SGDConfig(stepsize=1e-3, batch_size=6, mode="practical", budget=30, rng_seed=1, grad_norm="none")
+    trained = warm_start(task, seeded_params, config)
     after = full_objective(task.problem, trained)
     assert after < before
     assert np.array_equal(trained[model.decoder_slice], seeded_params[model.decoder_slice])
