@@ -16,15 +16,17 @@ strict: unknown keys, duplicate keys, and keys that do not apply to the
 chosen task/method are rejected with the offending line number.
 
 Exit codes: 0 success, 2 config or data error (a config file that is not
-UTF-8, a value the library rejects, an out_dir that cannot be created, a
-negative train_limit or test_limit, a missing or unreadable dataset, a
-corrupt IDX file), 3 numeric abort (a diverging iterate or a non-finite
-oracle value; the partial trace is still flushed). Every config value,
-lambda and warm_start_epochs included, is turned into the library object it
-feeds before any training starts, so a rejected value never costs a
-training run. The manifest is written before any data is read, so it is
-present in all three cases unless the file cannot be parsed or out_dir
-cannot be created.
+UTF-8, a value the library rejects such as theta = nan or weight_decay = -1,
+a QP x0 that is not finite, an out_dir that cannot be created, a negative
+train_limit or test_limit, a missing or unreadable dataset, a corrupt IDX
+file; also a negative synth-data --train or --test, as a usage error), 3
+numeric abort (a diverging iterate or a non-finite oracle value; the partial
+trace is still flushed). Every config value, lambda and warm_start_epochs
+included, is turned into the library object it feeds before any training
+starts, so a rejected value never costs a training run; the message starts
+with the config key that set it ("lambda: tau must be ..."). The manifest is
+written before any data is read, so it is present in all three cases unless
+the file cannot be parsed or out_dir cannot be created.
 
 All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
@@ -98,12 +100,18 @@ class DataError(Exception):
 
 
 @contextlib.contextmanager
-def _library_checks():
-    """Report a library constructor's rejection of a config value as a config error."""
+def _library_checks(*keys, error=ConfigError, **renamed):
+    """Report a library function's rejection of a config value as ``error``, naming the config key.
+
+    The library's messages start with the rejected parameter's name. ``keys``
+    are parameters named like their config key; ``renamed`` maps a parameter
+    to the key that sets it (``stepsize="learning_rate"``).
+    """
     try:
         yield
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        key = dict(zip(keys, keys), **renamed).get(str(err).split(" ", 1)[0])
+        raise error(f"{key}: {err}" if key else str(err)) from err
 
 
 # --------------------------------------------------------------------------
@@ -130,124 +138,97 @@ def _parse_lines(path: Path, text: str) -> dict:
     return raw
 
 
-def _conv_int(value, where):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+def _converter(parse, expected):
+    """A config value converter; ``parse`` raises ValueError or KeyError on a value it rejects."""
 
+    def conv(value, where):
+        try:
+            return parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
 
-def _conv_float(value, where):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-
-
-def _conv_bool(value, where):
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{where}: expected true/false, got {value!r}")
-
-
-def _conv_floats(value, where):
-    try:
-        return np.array([float(v) for v in value.split(",")])
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated numbers, got {value!r}") from None
+    return conv
 
 
 def _conv_choice(choices):
-    def conv(value, where):
-        if value not in choices:
-            raise ConfigError(f"{where}: expected one of {', '.join(choices)}, got {value!r}")
-        return value
+    return _converter(lambda value: {c: c for c in choices}[value], f"one of {', '.join(choices)}")
 
-    return conv
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_conv_int = _converter(int, "an integer")
+_conv_float = _converter(float, "a number")
+_conv_bool = _converter(lambda value: _BOOLS[value.lower()], "true/false")
+_conv_floats = _converter(lambda value: np.array([float(v) for v in value.split(",")]), "comma-separated numbers")
+_conv_stepsize = _converter(lambda value: "auto" if value == "auto" else float(value), "a number")
 
 
 def _conv_str(value, where):
     return value
 
 
-def _conv_stepsize(value, where):
-    if value == "auto":
-        return "auto"
-    return _conv_float(value, where)
+# Special defaults: a key the user must set, and a key whose default depends
+# on ``scale`` (looked up in SCALE_DEFAULTS). A default of None leaves the key
+# out of the parsed config.
+REQUIRED = object()
+BY_SCALE = object()
 
-
-COMMON_KEYS = {
-    "task": _conv_choice(TASKS),
-    "method": _conv_choice(METHODS),
-    "seed": _conv_int,
-    "out_dir": _conv_str,
+# Every run takes these; ``task``, ``method`` and ``out_dir`` are read first.
+RUN_KEYS = {
+    "task": (_conv_choice(TASKS), REQUIRED),
+    "method": (_conv_choice(METHODS), REQUIRED),
+    "out_dir": (_conv_str, REQUIRED),
+    "seed": (_conv_int, 0),
 }
 
-QP_KEYS = {
-    "qp_name": _conv_str,
-    "x0": _conv_floats,
-    "mode": _conv_choice(("theoretical", "practical")),
-    "stepsize": _conv_stepsize,
-    "batch_size": _conv_int,
-    "budget": _conv_int,
-    "candidate_rule": _conv_choice(("last", "uniform")),
+# key: (converter, default), per task and then per (task, method). Defaults are
+# filled in table order, so ``scale`` precedes the keys that default by scale.
+TASK_KEYS = {
+    "analytic_qp": {
+        "qp_name": (_conv_str, "x_sq_ge_1"),
+        "x0": (_conv_floats, None),
+        "mode": (_conv_choice(("theoretical", "practical")), "theoretical"),
+        "stepsize": (_conv_stepsize, "auto"),
+        "batch_size": (_conv_int, 1),
+        "budget": (_conv_int, 50),
+        "candidate_rule": (_conv_choice(("last", "uniform")), "last"),
+    },
+    "enc_dec": {
+        "data_root": (_conv_str, None),  # falls back to the DATA_ENV variable
+        "scale": (_conv_choice(SCALES), "desk"),
+        "train_limit": (_conv_int, BY_SCALE),
+        "test_limit": (_conv_int, BY_SCALE),
+        "epochs": (_conv_int, BY_SCALE),
+        "warm_start_epochs": (_conv_int, 5),
+        "theta": (_conv_float, 0.01),
+        "batch_size": (_conv_int, 128),
+        "learning_rate": (_conv_float, 1e-3),
+        "weight_decay": (_conv_float, 1e-3),
+        "timeline": (_conv_bool, True),
+    },
 }
 
-ENC_KEYS = {
-    "data_root": _conv_str,
-    "scale": _conv_choice(SCALES),
-    "train_limit": _conv_int,
-    "test_limit": _conv_int,
-    "epochs": _conv_int,
-    "warm_start_epochs": _conv_int,
-    "theta": _conv_float,
-    "batch_size": _conv_int,
-    "learning_rate": _conv_float,
-    "weight_decay": _conv_float,
-    "timeline": _conv_bool,
-}
-
-SEQUENTIAL_KEYS = {
-    "tau0": _conv_float,
-    "gamma": _conv_float,
-    "eps0": _conv_float,
-    "eps_decay": _conv_float,
-    "penalty_kind": _conv_choice(("quadratic", "linear")),
-    "max_outer": _conv_int,
-}
-
-FIXED_KEYS = {"lambda": _conv_float}
-
-QP_DEFAULTS = {
-    "qp_name": "x_sq_ge_1",
-    "mode": "theoretical",
-    "stepsize": "auto",
-    "batch_size": 1,
-    "budget": 50,
-    "candidate_rule": "last",
-    "tau0": 1.0,
-    "gamma": 2.0,
-    "eps0": 1.0,
-    "eps_decay": 0.9,
-    "penalty_kind": "quadratic",
-    "max_outer": 20,
-}
-
-ENC_DEFAULTS = {
-    "scale": "desk",
-    "warm_start_epochs": 5,
-    "theta": 0.01,
-    "batch_size": 128,
-    "learning_rate": 1e-3,
-    "weight_decay": 1e-3,
-    "timeline": True,
-    "tau0": 100.0,
-    "eps0": 1.0,
-    "eps_decay": 0.9,
-    "penalty_kind": "linear",
+_PENALTY_KIND = _conv_choice(("quadratic", "linear"))
+METHOD_KEYS = {
+    ("analytic_qp", "sequential"): {
+        "tau0": (_conv_float, 1.0),
+        "gamma": (_conv_float, 2.0),
+        "eps0": (_conv_float, 1.0),
+        "eps_decay": (_conv_float, 0.9),
+        "penalty_kind": (_PENALTY_KIND, "quadratic"),
+        "max_outer": (_conv_int, 20),
+    },
+    ("enc_dec", "sequential"): {
+        "tau0": (_conv_float, 100.0),
+        "gamma": (_conv_float, BY_SCALE),
+        "eps0": (_conv_float, 1.0),
+        "eps_decay": (_conv_float, 0.9),
+        "penalty_kind": (_PENALTY_KIND, "linear"),
+    },
+    ("analytic_qp", "fixed"): {"lambda": (_conv_float, REQUIRED)},
+    ("enc_dec", "fixed"): {"lambda": (_conv_float, REQUIRED)},
+    ("analytic_qp", "objective_only"): {},
+    ("enc_dec", "objective_only"): {},
 }
 
 SCALE_DEFAULTS = {
@@ -270,55 +251,40 @@ def load_config(path) -> dict:
     raw = _parse_lines(path, text)
     config_raw = {k: v for k, (v, _) in raw.items()}
 
-    def take(key, table):
-        if key not in raw:
-            return None
+    def take(key, conv):
         value, lineno = raw.pop(key)
-        return table[key](value, f"{path}:{lineno}")
+        return conv(value, f"{path}:{lineno}")
 
     cfg = {}
-    for key in ("task", "method"):
-        if key not in raw:
+    for key, (conv, default) in RUN_KEYS.items():
+        if key in raw:
+            cfg[key] = take(key, conv)
+        elif default is REQUIRED:
             raise ConfigError(f"{path}: missing required key {key!r}")
-        cfg[key] = take(key, COMMON_KEYS)
-    if "out_dir" not in raw:
-        raise ConfigError(f"{path}: missing required key 'out_dir'")
-    cfg["out_dir"] = take("out_dir", COMMON_KEYS)
-    cfg["seed"] = take("seed", COMMON_KEYS) if "seed" in raw else 0
+        else:
+            cfg[key] = default
 
-    allowed = dict(QP_KEYS) if cfg["task"] == "analytic_qp" else dict(ENC_KEYS)
-    if cfg["method"] == "sequential":
-        allowed.update(SEQUENTIAL_KEYS if cfg["task"] == "analytic_qp" else
-                       {k: v for k, v in SEQUENTIAL_KEYS.items() if k != "max_outer"})
-    elif cfg["method"] == "fixed":
-        allowed.update(FIXED_KEYS)
-
-    for key in list(raw):
-        if key not in allowed:
-            _, lineno = raw[key]
+    keys = {**TASK_KEYS[cfg["task"]], **METHOD_KEYS[cfg["task"], cfg["method"]]}
+    for key, (_, lineno) in raw.items():
+        if key not in keys:
             raise ConfigError(
                 f"{path}:{lineno}: key {key!r} is unknown or does not apply to "
                 f"task={cfg['task']} method={cfg['method']}"
             )
     for key in list(raw):
-        cfg[key] = take(key, allowed)
+        cfg[key] = take(key, keys[key][0])
 
-    if cfg["method"] == "fixed" and "lambda" not in cfg:
-        raise ConfigError(f"{path}: method 'fixed' requires key 'lambda'")
-
-    defaults = QP_DEFAULTS if cfg["task"] == "analytic_qp" else ENC_DEFAULTS
-    for key, val in defaults.items():
-        if key in allowed:
-            cfg.setdefault(key, val)
-    if cfg["task"] == "enc_dec":
-        for key, val in SCALE_DEFAULTS[cfg["scale"]].items():
-            if key in allowed:
-                cfg.setdefault(key, val)
-        if "data_root" not in cfg:
-            root = os.environ.get(DATA_ENV)
-            if not root:
-                raise ConfigError(f"{path}: set 'data_root' or the {DATA_ENV} environment variable")
-            cfg["data_root"] = root
+    for key, (_, default) in keys.items():
+        if key in cfg or default is None:
+            continue
+        if default is REQUIRED:
+            raise ConfigError(f"{path}: method {cfg['method']!r} requires key {key!r}")
+        cfg[key] = SCALE_DEFAULTS[cfg["scale"]][key] if default is BY_SCALE else default
+    if "data_root" in keys and "data_root" not in cfg:
+        root = os.environ.get(DATA_ENV)
+        if not root:
+            raise ConfigError(f"{path}: set 'data_root' or the {DATA_ENV} environment variable")
+        cfg["data_root"] = root
 
     cfg["config_sha256"] = hashlib.sha256(data).hexdigest()
     cfg["config_raw"] = config_raw
@@ -403,28 +369,31 @@ def _write_trace(out: Path, trace: OuterTrace, dim: int):
 # experiment execution
 
 
-def _method(cfg, inner: SGDConfig, max_outer, stepsize_fn=None):
+def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
     """Build the configured method; returns ``train(problem, x0, epoch_hook=None) -> OuterTrace``.
 
-    Call inside ``_library_checks()`` so the Schedule or the lambda PenaltySpec
-    rejects its values before training. ``stepsize_fn(tau)`` sets the inner stepsize per tau.
+    The Schedule or the lambda PenaltySpec rejects its values here, before
+    training, as a ConfigError. ``max_outer_key`` is the config key that
+    counts outer iterations; ``stepsize_fn(tau)`` sets the inner stepsize per tau.
     """
     if cfg["method"] == "sequential":
-        schedule = Schedule(
-            tau0=cfg["tau0"],
-            gamma=cfg["gamma"],
-            max_outer=max_outer,
-            inner=inner,
-            eps0=cfg["eps0"],
-            eps_decay=cfg["eps_decay"],
-            stepsize_fn=stepsize_fn,
-        )
+        with _library_checks("tau0", "gamma", "eps0", "eps_decay", max_outer=max_outer_key):
+            schedule = Schedule(
+                tau0=cfg["tau0"],
+                gamma=cfg["gamma"],
+                max_outer=cfg[max_outer_key],
+                inner=inner,
+                eps0=cfg["eps0"],
+                eps_decay=cfg["eps_decay"],
+                stepsize_fn=stepsize_fn,
+            )
         return lambda problem, x0, epoch_hook=None: sequential_penalty_train(
             problem, cfg["penalty_kind"], schedule, x0, epoch_hook=epoch_hook
         )
-    lam = PenaltySpec("linear", cfg["lambda"] if cfg["method"] == "fixed" else 0.0).tau
-    if stepsize_fn is not None:
-        inner = dataclasses.replace(inner, stepsize=stepsize_fn(lam))
+    with _library_checks(tau="lambda"):
+        lam = PenaltySpec("linear", cfg["lambda"] if cfg["method"] == "fixed" else 0.0).tau
+        if stepsize_fn is not None:
+            inner = dataclasses.replace(inner, stepsize=stepsize_fn(lam))
     return lambda problem, x0, epoch_hook=None: fixed_penalty_train(problem, lam, inner, x0, epoch_hook=epoch_hook)
 
 
@@ -439,12 +408,14 @@ def _run_qp(cfg):
         x0 = np.zeros(qp.dim)
     elif x0.shape != (qp.dim,):
         raise ConfigError(f"x0 has length {x0.size}, problem dimension is {qp.dim}")
+    elif not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be finite, got {cfg['config_raw']['x0']}")
 
     def auto_stepsize(tau):
         return 1.0 / qp.penalty_lipschitz(tau)
 
     auto = cfg["stepsize"] == "auto"
-    with _library_checks():
+    with _library_checks("stepsize", "batch_size", "budget"):
         inner = SGDConfig(
             stepsize=1.0 if auto else cfg["stepsize"],  # replaced per tau when auto
             batch_size=cfg["batch_size"],
@@ -454,7 +425,7 @@ def _run_qp(cfg):
             candidate_rule=cfg["candidate_rule"] if cfg["mode"] == "theoretical" else None,
             grad_norm="exact",
         )
-        train = _method(cfg, inner, cfg.get("max_outer"), auto_stepsize if auto else None)
+    train = _method(cfg, inner, "max_outer", auto_stepsize if auto else None)
 
     trace = train(problem, x0)
     final = trace.final()
@@ -481,13 +452,17 @@ def _run_enc_dec(cfg):
     train_limit = cfg["train_limit"] or None
     test_limit = cfg["test_limit"] or None
     try:
-        train = load_idx_dataset(*dataset_paths(root, "train"), limit=train_limit, split="train")
-        test = load_idx_dataset(*dataset_paths(root, "test"), limit=test_limit, split="test")
-    except (OSError, ValueError) as err:
-        # IdxError, a negative limit and the dataset's own validation are ValueErrors.
+        # IdxError, a negative limit and the dataset's own validation are ValueErrors;
+        # only the limit's message names a config key.
+        with _library_checks(error=DataError, limit="train_limit"):
+            train = load_idx_dataset(*dataset_paths(root, "train"), limit=train_limit, split="train")
+        with _library_checks(error=DataError, limit="test_limit"):
+            test = load_idx_dataset(*dataset_paths(root, "test"), limit=test_limit, split="test")
+    except OSError as err:
         raise DataError(str(err)) from err
-    with _library_checks():
+    with _library_checks("theta"):
         task = build_enc_dec_task(train, cfg["theta"])
+    with _library_checks("batch_size", "weight_decay", stepsize="learning_rate", budget="epochs"):
         inner = SGDConfig(
             stepsize=cfg["learning_rate"],
             batch_size=cfg["batch_size"],
@@ -497,8 +472,9 @@ def _run_enc_dec(cfg):
             rng_seed=derived_seed(cfg["seed"], 2),
             grad_norm="none",
         )
+    with _library_checks(budget="warm_start_epochs"):
         warm = dataclasses.replace(inner, budget=cfg["warm_start_epochs"], rng_seed=derived_seed(cfg["seed"], 1))
-        train_method = _method(cfg, inner, cfg["epochs"])
+    train_method = _method(cfg, inner, "epochs")
     model = task.model
 
     params0 = model.init_params(np.random.default_rng(derived_seed(cfg["seed"], 0)))
@@ -651,6 +627,17 @@ def cmd_grid(pattern: str, jobs: int) -> int:
     return max(codes)
 
 
+def _count(text: str) -> int:
+    """argparse type for a sample count: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="seqpen", description="Constrained-training benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -668,8 +655,8 @@ def main(argv=None) -> int:
 
     p_synth = sub.add_parser("synth-data", help="write a synthetic digit dataset in IDX format")
     p_synth.add_argument("root")
-    p_synth.add_argument("--train", type=int, default=6000)
-    p_synth.add_argument("--test", type=int, default=1000)
+    p_synth.add_argument("--train", type=_count, default=6000)
+    p_synth.add_argument("--test", type=_count, default=1000)
     p_synth.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)

@@ -50,6 +50,15 @@ class AdamParams:
     eps_hat: float = 1e-8
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps_hat > 0:
+            raise ValueError(f"eps_hat must be positive, got {self.eps_hat}")
+        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+
 
 @dataclass
 class AdamState:

@@ -170,8 +170,8 @@ def build_enc_dec_task(
     decoder_hidden_dim: int = 256,
 ) -> EncDecTask:
     """Wire a dataset into the constrained classification task."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not np.isfinite(theta) or theta <= 0:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     if dataset.num_samples == 0:
         raise ValueError("dataset is empty")
     model = EncDecModel(

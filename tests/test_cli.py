@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -279,9 +280,15 @@ def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
         ({"out_dir": "{tmp}/not_a_dir/out"}, "out_dir"),
         ({"method": "fixed", "lambda": -1, "warm_start_epochs": 1}, "tau must be finite and >= 0"),
         ({"warm_start_epochs": -1}, "budget must be >= 0"),
+        ({"theta": "nan"}, "theta must be positive and finite"),
+        ({"theta": "inf"}, "theta must be positive and finite"),
+        ({"weight_decay": "nan"}, "weight_decay must be finite and >= 0"),
+        ({"weight_decay": -1}, "weight_decay must be finite and >= 0"),
     ],
 )
 def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, monkeypatch, keys, message):
+    # the first key other than method holds the rejected value, and the message names it
+    key = next(k for k in keys if k != "method")
     inner_runs = _count_inner_runs(monkeypatch)
     (tmp_path / "not_a_dir").write_text("a file, not a directory\n")
     cfg = dict(
@@ -298,7 +305,7 @@ def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, m
     cfg.update({k: str(v).format(tmp=tmp_path) for k, v in keys.items()})
     assert main(["run", str(write_cfg(tmp_path / "bad.cfg", **cfg))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    assert err.startswith(f"config error: {key}: ") and message in err
     assert inner_runs == []
 
 
@@ -331,7 +338,16 @@ def test_qp_negative_lambda_exits_2_before_training(tmp_path, capsys, monkeypatc
     )
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "tau must be finite and >= 0" in err
+    assert err.startswith("config error: lambda: ") and "tau must be finite and >= 0" in err
+    assert inner_runs == []
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_qp_non_finite_x0_exits_2_before_training(tmp_path, capsys, monkeypatch, x0):
+    inner_runs = _count_inner_runs(monkeypatch)
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "out", x0=x0)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: x0 must be finite, got {x0}\n"
     assert inner_runs == []
 
 
@@ -352,7 +368,7 @@ def test_negative_limit_exits_2_before_training(tmp_path, data_root, capsys, mon
     cfg.update(keys)
     assert main(["run", str(write_cfg(tmp_path / "limit.cfg", **cfg))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "limit must be >= 0" in err
+    assert err.startswith(f"data error: {next(iter(keys))}: ") and "limit must be >= 0" in err
     assert inner_runs == []
 
 
@@ -387,6 +403,65 @@ def test_load_config_reads_the_file_once(tmp_path, monkeypatch):
     assert len(opened) == 1
     assert loaded["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
     assert loaded["config_raw"] == {"task": "analytic_qp", "method": "sequential", "out_dir": str(tmp_path / "out")}
+
+
+QP_PARSED = {
+    "qp_name": "x_sq_ge_1",
+    "mode": "theoretical",
+    "stepsize": "auto",
+    "batch_size": 1,
+    "budget": 50,
+    "candidate_rule": "last",
+}
+QP_SEQUENTIAL_PARSED = {
+    "tau0": 1.0,
+    "gamma": 2.0,
+    "eps0": 1.0,
+    "eps_decay": 0.9,
+    "penalty_kind": "quadratic",
+    "max_outer": 20,
+}
+ENC_PARSED = {
+    "data_root": "data",
+    "warm_start_epochs": 5,
+    "theta": 0.01,
+    "batch_size": 128,
+    "learning_rate": 0.001,
+    "weight_decay": 0.001,
+    "timeline": True,
+}
+ENC_SCALE_PARSED = {
+    "desk": {"scale": "desk", "train_limit": 6000, "test_limit": 1000, "epochs": 25},
+    "paper": {"scale": "paper", "train_limit": 0, "test_limit": 0, "epochs": 250},
+}
+ENC_SEQUENTIAL_PARSED = {
+    "desk": {"tau0": 100.0, "gamma": 1.1, "eps0": 1.0, "eps_decay": 0.9, "penalty_kind": "linear"},
+    "paper": {"tau0": 100.0, "gamma": 1.01, "eps0": 1.0, "eps_decay": 0.9, "penalty_kind": "linear"},
+}
+METHOD_PARSED = {"sequential": {}, "fixed": {"lambda": 10.0}, "objective_only": {}}
+
+
+@pytest.mark.parametrize(
+    "task, method, scale",
+    [("analytic_qp", method, None) for method in ("sequential", "fixed", "objective_only")]
+    + [("enc_dec", method, scale) for method in ("sequential", "fixed", "objective_only") for scale in ("desk", "paper")],
+)
+def test_minimal_config_parses_to_its_defaults(tmp_path, task, method, scale):
+    keys = {"task": task, "method": method, "out_dir": "out"}
+    if method == "fixed":
+        keys["lambda"] = 10
+    if task == "enc_dec":
+        keys.update(data_root="data", scale=scale)
+    loaded = cli_mod.load_config(write_cfg(tmp_path / "min.cfg", **keys))
+    del loaded["config_sha256"], loaded["config_raw"]
+
+    expected = {"task": task, "method": method, "out_dir": "out", "seed": 0, **METHOD_PARSED[method]}
+    if task == "analytic_qp":
+        expected.update(QP_PARSED, **(QP_SEQUENTIAL_PARSED if method == "sequential" else {}))
+    else:
+        expected.update(ENC_PARSED, **ENC_SCALE_PARSED[scale])
+        expected.update(ENC_SEQUENTIAL_PARSED[scale] if method == "sequential" else {})
+    assert loaded == expected
 
 
 def test_data_root_env_fallback(tmp_path, data_root, monkeypatch):
@@ -424,6 +499,15 @@ def test_synth_data_command(tmp_path):
 
     img, lbl = dataset_paths(tmp_path / "d", "train")
     assert load_idx_dataset(img, lbl).num_samples == 40
+
+
+@pytest.mark.parametrize("option", ["--train", "--test"])
+def test_synth_data_negative_count_is_a_usage_error(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-data", str(tmp_path / "d"), option, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def _enc_cfg(tmp_path, data_root, name="enc"):
@@ -479,3 +563,17 @@ def test_record_oracle_failure_exits_3_with_partial_trace(tmp_path, capsys, monk
     assert "numeric abort" in err and "non-finite constraint value" in err
     _, rows = read_rows(tmp_path / "out" / "trace.csv")
     assert [row["k"] for row in rows] == ["0", "1", "2"]
+
+
+def test_readme_lists_the_keys_each_task_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Keys accepted per task", 1)[1].split("\n\n")[1]
+    documented = {}
+    for bullet in section.split("\n* "):
+        task, *keys = re.findall(r"`([a-z_0-9]+)`", bullet)
+        documented[task] = set(keys)
+    accepted = {
+        task: set(cli_mod.TASK_KEYS[task]).union(*(cli_mod.METHOD_KEYS[task, method] for method in cli_mod.METHODS))
+        for task in cli_mod.TASKS
+    }
+    assert documented == accepted

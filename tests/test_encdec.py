@@ -106,6 +106,12 @@ def test_build_validation(tiny_encdec):
         build_enc_dec_task(ImageDataset(tiny_encdec.images, tiny_encdec.labels), theta=0.0)
 
 
+@pytest.mark.parametrize("theta", [-0.5, np.nan, np.inf])
+def test_build_rejects_a_theta_that_cannot_train(tiny_encdec, theta):
+    with pytest.raises(ValueError, match="theta must be positive and finite"):
+        build_enc_dec_task(ImageDataset(tiny_encdec.images, tiny_encdec.labels), theta=theta)
+
+
 def test_evaluate_metrics_shape(tiny_encdec, seeded_params):
     m = evaluate_enc_dec(tiny_encdec.model, seeded_params, tiny_encdec.images, tiny_encdec.labels, 0.01)
     assert 0.0 <= m["accuracy"] <= 1.0

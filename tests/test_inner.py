@@ -104,6 +104,28 @@ def test_divergence_aborts_with_location(free_quadratic):
     assert err.value.iteration >= 0
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"beta1": 1.0}, "beta1 must lie in \\[0, 1\\)"),
+        ({"beta1": -0.1}, "beta1 must lie in \\[0, 1\\)"),
+        ({"beta2": np.nan}, "beta2 must lie in \\[0, 1\\)"),
+        ({"eps_hat": 0.0}, "eps_hat must be positive"),
+        ({"eps_hat": np.nan}, "eps_hat must be positive"),
+        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0"),
+        ({"weight_decay": np.nan}, "weight_decay must be finite and >= 0"),
+        ({"weight_decay": np.inf}, "weight_decay must be finite and >= 0"),
+    ],
+)
+def test_adam_params_rejects_values_that_cannot_train(fields, message):
+    with pytest.raises(ValueError, match=message):
+        AdamParams(**fields)
+
+
+def test_adam_params_accepts_the_edges():
+    AdamParams(beta1=0.0, beta2=0.0, eps_hat=1e-300, weight_decay=0.0)
+
+
 def test_iteration_budget_values():
     assert iteration_budget(1.0, 1.0, 1.0, 0.1) == 200
     assert iteration_budget(1.0, 1.0, 1.0, 1.0) == 2
