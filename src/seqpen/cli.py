@@ -16,10 +16,11 @@ strict: unknown keys, duplicate keys, and keys that do not apply to the
 chosen task/method are rejected with the offending line number.
 
 Exit codes: 0 success, 2 config or data error (a config file that is not
-UTF-8, a value the library rejects such as theta = nan or weight_decay = -1,
-a QP x0 that is not finite, an out_dir that cannot be created, a negative
-train_limit or test_limit, a missing or unreadable dataset, a corrupt IDX
-file; also a negative synth-data --train or --test, as a usage error), 3
+UTF-8, a value the library rejects such as theta = nan, weight_decay = -1 or
+seed = -1, a QP x0 that is not finite, an out_dir that cannot be created, a
+negative train_limit or test_limit, a missing or unreadable dataset, a
+corrupt IDX file, a train or test split with no images; also a negative
+synth-data --train, --test or --seed, as a usage error), 3
 numeric abort (a diverging iterate or a non-finite oracle value; the partial
 trace is still flushed). Every config value, lambda and warm_start_epochs
 included, is turned into the library object it feeds before any training
@@ -27,6 +28,9 @@ starts, so a rejected value never costs a training run; the message starts
 with the config key that set it ("lambda: tau must be ..."). The manifest is
 written before any data is read, so it is present in all three cases unless
 the file cannot be parsed or out_dir cannot be created.
+
+An enc_dec run evaluates a split once at each point: the outer record, the
+epoch timeline and the final results at the same parameters share the pass.
 
 All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
@@ -415,7 +419,7 @@ def _run_qp(cfg):
         return 1.0 / qp.penalty_lipschitz(tau)
 
     auto = cfg["stepsize"] == "auto"
-    with _library_checks("stepsize", "batch_size", "budget"):
+    with _library_checks("stepsize", "batch_size", "budget", rng_seed="seed"):
         inner = SGDConfig(
             stepsize=1.0 if auto else cfg["stepsize"],  # replaced per tau when auto
             batch_size=cfg["batch_size"],
@@ -461,8 +465,8 @@ def _run_enc_dec(cfg):
     except OSError as err:
         raise DataError(str(err)) from err
     with _library_checks("theta"):
-        task = build_enc_dec_task(train, cfg["theta"])
-    with _library_checks("batch_size", "weight_decay", stepsize="learning_rate", budget="epochs"):
+        tasks = {ds.split: build_enc_dec_task(ds, cfg["theta"]) for ds in (train, test)}
+    with _library_checks("seed", "batch_size", "weight_decay", stepsize="learning_rate", budget="epochs"):
         inner = SGDConfig(
             stepsize=cfg["learning_rate"],
             batch_size=cfg["batch_size"],
@@ -475,18 +479,16 @@ def _run_enc_dec(cfg):
     with _library_checks(budget="warm_start_epochs"):
         warm = dataclasses.replace(inner, budget=cfg["warm_start_epochs"], rng_seed=derived_seed(cfg["seed"], 1))
     train_method = _method(cfg, inner, "epochs")
-    model = task.model
+    task = tasks["train"]
 
-    params0 = model.init_params(np.random.default_rng(derived_seed(cfg["seed"], 0)))
+    params0 = task.model.init_params(np.random.default_rng(derived_seed(cfg["seed"], 0)))
 
     timeline_rows = []
     phase_state = {"epoch": 0, "phase": "warm"}
 
-    splits = (("train", train.images, train.labels), ("test", test.images, test.labels))
-
     def timeline_hook(params):
-        for split_name, images, labels in splits:
-            m = evaluate_enc_dec(model, params, images, labels, cfg["theta"])
+        for split_name, split_task in tasks.items():
+            m = evaluate_enc_dec(split_task, params)
             timeline_rows.append(
                 [phase_state["epoch"], phase_state["phase"], split_name, m["accuracy"], m["satisfied_fraction"]]
             )
@@ -501,13 +503,13 @@ def _run_enc_dec(cfg):
 
     results = []
     hist = []
-    for split_name, images, labels in splits:
-        m = evaluate_enc_dec(model, final_params, images, labels, cfg["theta"])
+    for split_name, split_task in tasks.items():
+        m = evaluate_enc_dec(split_task, final_params)
         results.append(
             [split_name, m["ce_loss"], m["accuracy"], m["mse_loss"], m["mean_violation"], m["satisfied_fraction"]]
         )
         hist.extend([split_name, j, 0, m["mse_per_sample"][j]] for j in range(len(m["mse_per_sample"])))
-    return trace, model.num_params, results, hist, timeline_rows
+    return trace, task.model.num_params, results, hist, timeline_rows
 
 
 def run_experiment(config_path) -> int:
@@ -628,7 +630,7 @@ def cmd_grid(pattern: str, jobs: int) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for a sample count: an integer >= 0."""
+    """argparse type for a sample count or a seed: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -657,7 +659,7 @@ def main(argv=None) -> int:
     p_synth.add_argument("root")
     p_synth.add_argument("--train", type=_count, default=6000)
     p_synth.add_argument("--test", type=_count, default=1000)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_count, default=0)
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -105,6 +105,8 @@ class SGDConfig:
             raise ValueError("batch_size must be >= 1")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.candidate_rule is not None and self.candidate_rule not in CANDIDATE_RULES:
             raise ValueError(f"candidate_rule must be one of {CANDIDATE_RULES}")
         if self.mode == "practical" and self.candidate_rule == "uniform":

@@ -50,6 +50,8 @@ class OuterAbort(RuntimeError):
 
 def derived_seed(base: int, index: int) -> int:
     """Stable per-iteration RNG seed derived from a base seed."""
+    if base < 0:
+        raise ValueError(f"seed must be >= 0, got {base}")
     return int(np.random.SeedSequence([int(base), int(index)]).generate_state(1, np.uint64)[0])
 
 

@@ -117,7 +117,8 @@ class ImageDataset:
 def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train") -> ImageDataset:
     """Load an image/label IDX pair, scaling pixels to [0, 1].
 
-    ``limit`` truncates to the first samples, for desk-scale runs.
+    ``limit`` truncates to the first samples, for desk-scale runs. A file
+    pair with no samples is an ``IdxError`` naming ``split``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -130,6 +131,8 @@ def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train")
     count, rows, cols = dims_i
     if count != dims_l[0]:
         raise IdxCountMismatchError(f"{count} images vs {dims_l[0]} labels")
+    if count == 0:
+        raise IdxError(f"{split} split is empty: {images_path} holds no images")
     # Truncate the uint8 payload before converting, so only the kept rows
     # are ever held as floats.
     pixels = pixels.reshape(count, rows * cols)[:limit]

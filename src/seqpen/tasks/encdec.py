@@ -63,18 +63,6 @@ class EncDecModel:
     def split(self, params: Array):
         return params[self.encoder_slice], params[self.classifier_slice], params[self.decoder_slice]
 
-    def predict(self, params: Array, images) -> Array:
-        pe, pc, _ = self.split(params)
-        codes, _ = self.encoder.forward(pe, images)
-        probs, _ = self.classifier.forward(pc, codes)
-        return probs
-
-    def reconstruct(self, params: Array, images) -> Array:
-        pe, _, pd = self.split(params)
-        codes, _ = self.encoder.forward(pe, images)
-        recon, _ = self.decoder.forward(pd, codes)
-        return recon
-
     def predict_and_reconstruct(self, params: Array, images) -> tuple[Array, Array]:
         """Class probabilities and reconstructions from one encoder pass."""
         pe, pc, pd = self.split(params)
@@ -122,6 +110,19 @@ class EncDecModel:
         return grad
 
 
+def split_values(model: EncDecModel, params: Array, images: Array, labels: Array) -> tuple[Array, Array, Array]:
+    """Per-sample cross entropy, correctness and reconstruction MSE; one encoder pass per ``EVAL_CHUNK`` rows."""
+    n = images.shape[0]
+    ce, correct, mse = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+    for lo in range(0, n, EVAL_CHUNK):
+        sl = slice(lo, lo + EVAL_CHUNK)
+        probs, recon = model.predict_and_reconstruct(params, images[sl])
+        ce[sl] = ce_values(probs, labels[sl])
+        correct[sl] = probs.argmax(axis=1) == labels[sl]
+        mse[sl] = mse_values(images[sl], recon)
+    return ce, correct, mse
+
+
 @dataclass
 class EncDecTask:
     model: EncDecModel
@@ -131,35 +132,45 @@ class EncDecTask:
     problem: FiniteSumProblem = field(init=False)
 
     def __post_init__(self):
-        self.problem = _task_problem(self.model, self.images, self.labels, self.theta)
+        # Closures over the arrays, not the task: a dropped task is freed without the cycle collector.
+        model, images, labels, theta = self.model, self.images, self.labels, self.theta
+        last = None  # (indices, params, values) of the latest pass
 
+        def values(indices, params) -> tuple[Array, Array, Array]:
+            """Read-only ``split_values`` of the samples in ``indices`` at ``params``.
 
-def _task_problem(model: EncDecModel, images: Array, labels: Array, theta: float) -> FiniteSumProblem:
-    n_samples = images.shape[0]
+            The latest pass is reused only when the indices and parameters
+            equal its own by content, so a record, the timeline and the final
+            results at the same point share it. The memo is one tuple, read
+            once and replaced whole, so concurrent callers see a whole pass.
+            """
+            nonlocal last
+            memo = last
+            if memo is not None and np.array_equal(memo[0], indices) and np.array_equal(memo[1], params):
+                return memo[2]
+            rows, x = np.array(indices), np.array(params, dtype=float)
+            vals = split_values(model, x, images[rows], labels[rows])
+            for v in vals:
+                v.flags.writeable = False
+            last = (rows, x, vals)
+            return vals
 
-    def batch_objective(indices, x):
-        probs = model.predict(x, images[indices])
-        return ce_values(probs, labels[indices])
+        def batch_weighted_grad(indices, x, obj_w, con_w):
+            if callable(con_w):
+                weights_of_g = con_w
+                con_w = lambda mse: weights_of_g((mse - theta).reshape(-1, 1))
+            return model.weighted_grad(x, images[indices], labels[indices], obj_w, con_w)
 
-    def batch_constraints(indices, x):
-        recon = model.reconstruct(x, images[indices])
-        return (mse_values(images[indices], recon) - theta).reshape(-1, 1)
-
-    def batch_weighted_grad(indices, x, obj_w, con_w):
-        if callable(con_w):
-            weights_of_g = con_w
-            con_w = lambda mse: weights_of_g((mse - theta).reshape(-1, 1))
-        return model.weighted_grad(x, images[indices], labels[indices], obj_w, con_w)
-
-    return FiniteSumProblem(
-        dim=model.num_params,
-        num_samples=n_samples,
-        num_constraints=1,
-        normalization="mean",
-        batch_objective=batch_objective,
-        batch_constraints=batch_constraints,
-        batch_weighted_grad=batch_weighted_grad,
-    )
+        self.values = values
+        self.problem = FiniteSumProblem(
+            dim=model.num_params,
+            num_samples=images.shape[0],
+            num_constraints=1,
+            normalization="mean",
+            batch_objective=lambda indices, x: values(indices, x)[0],
+            batch_constraints=lambda indices, x: (values(indices, x)[2] - theta).reshape(-1, 1),
+            batch_weighted_grad=batch_weighted_grad,
+        )
 
 
 def build_enc_dec_task(
@@ -172,8 +183,6 @@ def build_enc_dec_task(
     """Wire a dataset into the constrained classification task."""
     if not np.isfinite(theta) or theta <= 0:
         raise ValueError(f"theta must be positive and finite, got {theta}")
-    if dataset.num_samples == 0:
-        raise ValueError("dataset is empty")
     model = EncDecModel(
         input_dim=dataset.images.shape[1],
         hidden_dim=hidden_dim,
@@ -183,26 +192,17 @@ def build_enc_dec_task(
     return EncDecTask(model=model, images=dataset.images, labels=dataset.labels, theta=theta)
 
 
-def evaluate_enc_dec(model: EncDecModel, params: Array, images: Array, labels: Array, theta: float) -> dict:
-    """Table-style metrics for one split: ce, accuracy, mse, violation stats."""
-    n = images.shape[0]
-    ce_total = 0.0
-    correct = 0
-    mse_all = np.empty(n)
-    for lo in range(0, n, EVAL_CHUNK):
-        sl = slice(lo, min(lo + EVAL_CHUNK, n))
-        probs, recon = model.predict_and_reconstruct(params, images[sl])
-        ce_total += float(ce_values(probs, labels[sl]).sum())
-        correct += int((probs.argmax(axis=1) == labels[sl]).sum())
-        mse_all[sl] = mse_values(images[sl], recon)
-    feasibility = feasibility_from_values(mse_all - theta)
+def evaluate_enc_dec(task: EncDecTask, params: Array) -> dict:
+    """Table-style metrics for the task's split: ce, accuracy, mse, violation stats."""
+    ce, correct, mse = task.values(np.arange(task.problem.num_samples), params)
+    feasibility = feasibility_from_values(mse - task.theta)
     return {
-        "ce_loss": ce_total / n,
-        "accuracy": correct / n,
-        "mse_loss": float(mse_all.mean()),
+        "ce_loss": float(ce.mean()),
+        "accuracy": float(correct.mean()),
+        "mse_loss": float(mse.mean()),
         "mean_violation": feasibility.mean_violation,
         "satisfied_fraction": feasibility.satisfied_fraction,
-        "mse_per_sample": mse_all,
+        "mse_per_sample": mse,
     }
 
 

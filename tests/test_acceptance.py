@@ -214,6 +214,7 @@ def desk_runs():
     seed = 0
     train, test = synthetic_digits(6000, 1000, rng_seed=0)
     task = build_enc_dec_task(train, theta=0.01)
+    test_task = build_enc_dec_task(test, theta=0.01)
     model = task.model
     params0 = model.init_params(np.random.default_rng(derived_seed(seed, 0)))
     warm_config = SGDConfig(
@@ -236,8 +237,8 @@ def desk_runs():
 
     def record(name, params):
         results[name] = {
-            "train": evaluate_enc_dec(model, params, train.images, train.labels, 0.01),
-            "test": evaluate_enc_dec(model, params, test.images, test.labels, 0.01),
+            "train": evaluate_enc_dec(task, params),
+            "test": evaluate_enc_dec(test_task, params),
         }
 
     record("objective_only", fixed_penalty_train(task.problem, 0.0, inner(25), warm).final().candidate)

@@ -12,6 +12,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# mlp.forward_rows of one tiny desk run (256 train and 128 test digits, one
+# warm-start and one training epoch): each sample of a pass through the
+# encoder, the classifier or the decoder counts once. Training costs
+# 2 x 256 (warm start: no decoder) + 3 x 256 = 1,280, and an evaluation pass
+# 3 rows per sample. desk_seq evaluates both splits once per epoch for the
+# timeline (2 x 3 x 384), and its record and final results reuse those passes;
+# desk_fixed evaluates the training split for its record and the test split
+# for the results (3 x 384). A second pass over a split at the same
+# parameters raises the count.
+FORWARD_ROWS = {"desk_seq": 3584, "desk_fixed": 2432}
+
 
 @pytest.mark.parametrize("workload", ["desk_seq", "desk_fixed", "qp_theory"])
 def test_traced_workload_runs_clean(workload):
@@ -21,3 +32,5 @@ def test_traced_workload_runs_clean(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    if workload in FORWARD_ROWS:
+        assert result["metrics"]["mlp.forward_rows"]["value"] == FORWARD_ROWS[workload]

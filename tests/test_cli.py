@@ -284,6 +284,7 @@ def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
         ({"theta": "inf"}, "theta must be positive and finite"),
         ({"weight_decay": "nan"}, "weight_decay must be finite and >= 0"),
         ({"weight_decay": -1}, "weight_decay must be finite and >= 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ],
 )
 def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, monkeypatch, keys, message):
@@ -339,6 +340,15 @@ def test_qp_negative_lambda_exits_2_before_training(tmp_path, capsys, monkeypatc
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: lambda: ") and "tau must be finite and >= 0" in err
+    assert inner_runs == []
+
+
+@pytest.mark.parametrize("method", ["sequential", "objective_only"])
+def test_qp_negative_seed_exits_2_before_training(tmp_path, capsys, monkeypatch, method):
+    inner_runs = _count_inner_runs(monkeypatch)
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method=method, out_dir=tmp_path / "out", seed=-1)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: seed: rng_seed must be >= 0, got -1\n"
     assert inner_runs == []
 
 
@@ -501,7 +511,7 @@ def test_synth_data_command(tmp_path):
     assert load_idx_dataset(img, lbl).num_samples == 40
 
 
-@pytest.mark.parametrize("option", ["--train", "--test"])
+@pytest.mark.parametrize("option", ["--train", "--test", "--seed"])
 def test_synth_data_negative_count_is_a_usage_error(tmp_path, capsys, option):
     with pytest.raises(SystemExit) as exc:
         main(["synth-data", str(tmp_path / "d"), option, "-1"])
@@ -531,6 +541,18 @@ def test_missing_dataset_is_a_data_error(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "train-images-idx3-ubyte" in err
+    assert (tmp_path / "enc_out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_empty_split_is_a_data_error_before_training(tmp_path, capsys, monkeypatch, split):
+    inner_runs = _count_inner_runs(monkeypatch)
+    root = tmp_path / "idx"
+    write_synthetic_idx(root, num_train=0 if split == "train" else 64, num_test=0 if split == "test" else 32)
+    assert main(["run", str(_enc_cfg(tmp_path, root))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {split} split is empty: ") and "holds no images" in err
+    assert inner_runs == []
     assert (tmp_path / "enc_out" / "manifest.json").exists()
 
 

@@ -1,11 +1,23 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from seqpen import PenaltySpec, SGDConfig, constraint_jacobian, full_objective, penalty_grad_full, penalty_value_full
+import seqpen.tasks.encdec as encdec_mod
+from seqpen import (
+    PenaltySpec,
+    SGDConfig,
+    constraint_jacobian,
+    fixed_penalty_train,
+    full_objective,
+    penalty_grad_full,
+    penalty_value_full,
+)
 from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset
-from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, warm_start
+from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
 from seqpen.tasks.mlp import ce_values, mse_values
 
 
@@ -24,9 +36,8 @@ def test_problem_wiring(tiny_encdec, seeded_params):
     prob = task.problem
     assert prob.normalization == "mean"
     assert prob.num_constraints == 1
-    probs = task.model.predict(params, task.images[3:4])
+    probs, recon = task.model.predict_and_reconstruct(params, task.images[3:4])
     assert prob.objective([3], params)[0] == pytest.approx(float(ce_values(probs, task.labels[3:4])[0]))
-    recon = task.model.reconstruct(params, task.images[3:4])
     expected_g = float(mse_values(task.images[3:4], recon)[0]) - task.theta
     assert prob.constraints([3], params)[0, 0] == pytest.approx(expected_g)
 
@@ -81,7 +92,7 @@ def test_decoder_zeroed_paths(tiny_encdec, seeded_params):
     params[model.decoder_slice] = 0.0
 
     # constant reconstruction: sigmoid(0) = 0.5 for every pixel of every sample
-    recon = model.reconstruct(params, task.images[:5])
+    _, recon = model.predict_and_reconstruct(params, task.images[:5])
     assert np.allclose(recon, 0.5)
 
     # the constraint cannot see the classifier head
@@ -113,11 +124,100 @@ def test_build_rejects_a_theta_that_cannot_train(tiny_encdec, theta):
 
 
 def test_evaluate_metrics_shape(tiny_encdec, seeded_params):
-    m = evaluate_enc_dec(tiny_encdec.model, seeded_params, tiny_encdec.images, tiny_encdec.labels, 0.01)
+    m = evaluate_enc_dec(tiny_encdec, seeded_params)
     assert 0.0 <= m["accuracy"] <= 1.0
     assert 0.0 <= m["satisfied_fraction"] <= 1.0
     assert m["mse_per_sample"].shape == (tiny_encdec.problem.num_samples,)
     assert m["mean_violation"] == pytest.approx(np.maximum(0.0, m["mse_per_sample"] - 0.01).mean())
+
+
+def _fresh_task(tiny_encdec):
+    """A task over tiny_encdec's data whose memo no other test has touched."""
+    dataset = ImageDataset(tiny_encdec.images, tiny_encdec.labels)
+    return build_enc_dec_task(dataset, theta=0.01, hidden_dim=14, code_dim=6, decoder_hidden_dim=10)
+
+
+def _count_passes(monkeypatch):
+    """Record the rows of every evaluation pass the task runs."""
+    rows = []
+
+    def counted(model, params, images, labels):
+        rows.append(len(images))
+        return split_values(model, params, images, labels)
+
+    monkeypatch.setattr(encdec_mod, "split_values", counted)
+    return rows
+
+
+def test_values_rerun_after_in_place_parameter_change(tiny_encdec, seeded_params, monkeypatch):
+    task = _fresh_task(tiny_encdec)
+    idx = np.arange(task.problem.num_samples)
+    params = seeded_params.copy()
+    passes = _count_passes(monkeypatch)
+    before = task.problem.objective(idx, params).copy()
+    assert np.array_equal(task.problem.objective(idx, params.copy()), before)
+    assert len(passes) == 1
+    params[task.model.classifier_slice] += 0.5  # same array object, new contents
+    after = task.problem.objective(idx, params)
+    assert len(passes) == 2
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, split_values(task.model, params, task.images, task.labels)[0])
+
+
+def test_values_for_other_indices_run_their_own_pass(tiny_encdec, seeded_params, monkeypatch):
+    task = _fresh_task(tiny_encdec)
+    passes = _count_passes(monkeypatch)
+    first = task.values(np.array([0, 1, 2]), seeded_params)
+    second = task.values(np.array([3, 4, 5]), seeded_params)
+    assert passes == [3, 3]
+    for got, want in zip(second, split_values(task.model, seeded_params, task.images[3:6], task.labels[3:6])):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(first[0], second[0])
+    # equal contents in another container are served from the memo
+    assert task.values([3, 4, 5], seeded_params.copy()) is second
+    assert passes == [3, 3]
+
+
+def test_writing_into_returned_values_cannot_change_later_results(tiny_encdec, seeded_params):
+    task = _fresh_task(tiny_encdec)
+    idx = np.arange(task.problem.num_samples)
+    expected = [v.copy() for v in task.values(idx, seeded_params)]
+    for arr in (*task.values(idx, seeded_params), task.problem.objective(idx, seeded_params),
+                evaluate_enc_dec(task, seeded_params)["mse_per_sample"]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 123.0
+    g = task.problem.constraints(idx, seeded_params)
+    g_before = g.copy()
+    g += 1.0  # a fresh array: the caller may write into it
+    assert np.array_equal(task.problem.constraints(idx, seeded_params), g_before)
+    for got, want in zip(task.values(idx, seeded_params), expected):
+        assert np.array_equal(got, want)
+
+
+def test_record_objective_and_constraints_cost_one_pass(tiny_encdec, seeded_params, monkeypatch):
+    task = _fresh_task(tiny_encdec)
+    n = task.problem.num_samples
+    passes = _count_passes(monkeypatch)
+    config = SGDConfig(stepsize=1e-3, batch_size=5, mode="practical", budget=1, rng_seed=3, grad_norm="none")
+    rec = fixed_penalty_train(task.problem, 10.0, config, seeded_params).final()
+    assert passes == [n]  # training reads no values; the record reads f and g from one pass
+    ce, _, mse = split_values(task.model, rec.candidate, task.images, task.labels)
+    assert rec.objective_value == float(task.problem.agg_scale * ce.sum())
+    assert rec.feasibility.max_violation == float(np.maximum(0.0, mse - 0.01).max())
+
+
+def test_dropped_task_is_freed_without_the_cycle_collector(tiny_encdec, seeded_params):
+    # a task holds its split and its latest pass; runs that build a task each
+    # must not keep the old ones alive until the collector happens to run
+    task = _fresh_task(tiny_encdec)
+    evaluate_enc_dec(task, seeded_params)
+    ref = weakref.ref(task)
+    gc.disable()
+    try:
+        del task
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_warm_start_trains_classifier_and_freezes_decoder(tiny_encdec, seeded_params):
@@ -141,7 +241,7 @@ def test_paper_architecture_dimensions_and_directional_gradients(tiny_digits):
     assert model.classifier.num_params == 20 * 10 + 10
     assert model.decoder.num_params == 20 * 256 + 256 + 256 * 784 + 784
     params = model.init_params(np.random.default_rng(0))
-    probs = model.predict(params, train.images[:16])
+    probs, _ = model.predict_and_reconstruct(params, train.images[:16])
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     # full-size parameter space: audit the fused gradient along random directions
