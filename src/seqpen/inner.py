@@ -33,6 +33,10 @@ MODES = ("theoretical", "practical")
 CANDIDATE_RULES = ("uniform", "last")
 GRAD_NORM_MODES = ("exact", "none")
 
+# Coordinates per block of the practical-mode Adam step: the block's slices of
+# z, m, v and the gradient plus two scratch buffers stay in cache together.
+ADAM_BLOCK = 16384
+
 
 class InnerSolverError(RuntimeError):
     """An iterate left the finite range; carries where it happened."""
@@ -267,36 +271,43 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
     trace = [penalty_value_full(problem, spec, z)] if config.track_penalty else []
     clip_count = 0
     steps = 0
-    # The Adam step runs in place through two scratch buffers. It performs
-    # the same operations, in the same order, as the textbook expressions
+    # The Adam step runs in place, one ADAM_BLOCK of coordinates at a time,
+    # through two block-sized scratch buffers. Per coordinate it performs the
+    # same operations, in the same order, as the textbook expressions
     #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
     #   z = z - lr (m / c1) / (sqrt(v / c2) + eps),
     # so the iterates are bit-identical to them.
-    g = np.empty(problem.dim)
-    tmp = np.empty(problem.dim)
+    g_buf = np.empty(min(ADAM_BLOCK, problem.dim))
+    tmp_buf = np.empty_like(g_buf)
     for _ in range(config.budget):
         for batch in epoch_batches(n_samples, config.batch_size, rng):
             gsum = penalty_grad_batch(problem, spec, batch, z)
             scale = (1.0 / batch.size) if problem.normalization == "mean" else n_samples / batch.size
-            np.multiply(gsum, scale, out=g)
-            if adam.weight_decay:
-                np.multiply(z, adam.weight_decay, out=tmp)
-                g += tmp
             state.step += 1
-            state.m *= adam.beta1
-            np.multiply(g, 1.0 - adam.beta1, out=tmp)
-            state.m += tmp
-            state.v *= adam.beta2
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - adam.beta2
-            state.v += tmp
-            np.divide(state.m, 1.0 - adam.beta1**state.step, out=g)
-            g *= config.stepsize
-            np.divide(state.v, 1.0 - adam.beta2**state.step, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += adam.eps_hat
-            g /= tmp
-            z -= g
+            c1 = 1.0 - adam.beta1**state.step
+            c2 = 1.0 - adam.beta2**state.step
+            for lo in range(0, problem.dim, ADAM_BLOCK):
+                blk = slice(lo, lo + ADAM_BLOCK)
+                zb, mb, vb = z[blk], state.m[blk], state.v[blk]
+                g, tmp = g_buf[: zb.size], tmp_buf[: zb.size]
+                np.multiply(gsum[blk], scale, out=g)
+                if adam.weight_decay:
+                    np.multiply(zb, adam.weight_decay, out=tmp)
+                    g += tmp
+                mb *= adam.beta1
+                np.multiply(g, 1.0 - adam.beta1, out=tmp)
+                mb += tmp
+                vb *= adam.beta2
+                np.multiply(g, g, out=tmp)
+                tmp *= 1.0 - adam.beta2
+                vb += tmp
+                np.divide(mb, c1, out=g)
+                g *= config.stepsize
+                np.divide(vb, c2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += adam.eps_hat
+                g /= tmp
+                zb -= g
             if config.clip_box is not None:
                 z, clip_count = _clip(z, config.clip_box, clip_count)
             _check_finite(z, steps)

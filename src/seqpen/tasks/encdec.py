@@ -90,36 +90,45 @@ class EncDecModel:
             con_weights = con_weights(mse_values(images, recon))
         con_w = np.asarray(con_weights, dtype=float).ravel()
 
-        grad = np.zeros(self.num_params)
+        grad = np.empty(self.num_params)
+        g_enc, g_cls, g_dec = self.split(grad)
         grad_codes = np.zeros_like(codes)
         if obj_w.any():
             probs, cls_cache = self.classifier.forward(pc, codes)
             d_probs = obj_w[:, None] * ce_grad(probs, labels)
-            g_cls, g_codes = self.classifier.backward(pc, cls_cache, d_probs)
-            grad[self.classifier_slice] = g_cls
+            _, g_codes = self.classifier.backward(pc, cls_cache, d_probs, out=g_cls)
             grad_codes += g_codes
+        else:
+            g_cls.fill(0.0)
         if con_w.any():
             if recon is None:
                 recon, dec_cache = self.decoder.forward(pd, codes)
             d_recon = con_w[:, None] * mse_grad(images, recon)
-            g_dec, g_codes = self.decoder.backward(pd, dec_cache, d_recon)
-            grad[self.decoder_slice] = g_dec
+            _, g_codes = self.decoder.backward(pd, dec_cache, d_recon, out=g_dec)
             grad_codes += g_codes
-        g_enc, _ = self.encoder.backward(pe, enc_cache, grad_codes)
-        grad[self.encoder_slice] = g_enc
+        else:
+            g_dec.fill(0.0)
+        self.encoder.backward(pe, enc_cache, grad_codes, out=g_enc, input_grad=False)
         return grad
 
 
-def split_values(model: EncDecModel, params: Array, images: Array, labels: Array) -> tuple[Array, Array, Array]:
-    """Per-sample cross entropy, correctness and reconstruction MSE; one encoder pass per ``EVAL_CHUNK`` rows."""
-    n = images.shape[0]
+def split_values(
+    model: EncDecModel, params: Array, images: Array, labels: Array, rows: Array
+) -> tuple[Array, Array, Array]:
+    """Per-sample cross entropy, correctness and reconstruction MSE of ``images[rows]``.
+
+    The rows are gathered and run through one encoder pass ``EVAL_CHUNK`` at
+    a time, so a pass never copies the whole split.
+    """
+    n = len(rows)
     ce, correct, mse = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
     for lo in range(0, n, EVAL_CHUNK):
         sl = slice(lo, lo + EVAL_CHUNK)
-        probs, recon = model.predict_and_reconstruct(params, images[sl])
-        ce[sl] = ce_values(probs, labels[sl])
-        correct[sl] = probs.argmax(axis=1) == labels[sl]
-        mse[sl] = mse_values(images[sl], recon)
+        chunk_images, chunk_labels = images[rows[sl]], labels[rows[sl]]
+        probs, recon = model.predict_and_reconstruct(params, chunk_images)
+        ce[sl] = ce_values(probs, chunk_labels)
+        correct[sl] = probs.argmax(axis=1) == chunk_labels
+        mse[sl] = mse_values(chunk_images, recon)
     return ce, correct, mse
 
 
@@ -149,7 +158,7 @@ class EncDecTask:
             if memo is not None and np.array_equal(memo[0], indices) and np.array_equal(memo[1], params):
                 return memo[2]
             rows, x = np.array(indices), np.array(params, dtype=float)
-            vals = split_values(model, x, images[rows], labels[rows])
+            vals = split_values(model, x, images, labels, rows)
             for v in vals:
                 v.flags.writeable = False
             last = (rows, x, vals)

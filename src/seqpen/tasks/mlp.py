@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,29 +34,30 @@ class LayerSpec:
 
 
 def _apply_activation(kind: str, z: Array) -> Array:
-    if kind == "identity":
-        return z
+    """Apply the activation to ``z`` in place and return it."""
     if kind == "relu":
-        return np.maximum(0.0, z)
-    if kind == "sigmoid":
+        np.maximum(0.0, z, out=z)
+    elif kind == "sigmoid":
         # 0.5 * (1 + tanh(z / 2)): overflow-free for any z, no masking.
-        out = z * 0.5
-        np.tanh(out, out=out)
-        out += 1.0
-        out *= 0.5
-        return out
-    # softmax, rowwise, shifted for stability
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+        z *= 0.5
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+    elif kind == "softmax":
+        # rowwise, shifted for stability
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
-def _activation_backward(kind: str, z: Array, a: Array, grad_a: Array) -> Array:
+def _activation_backward(kind: str, a: Array, grad_a: Array) -> Array:
     if kind == "identity":
         return grad_a
     if kind == "relu":
-        # Derivative at the kink z == 0 is taken as 0.
-        return grad_a * (z > 0)
+        # Derivative at the kink is taken as 0. a > 0 exactly where the
+        # pre-activation z > 0 (NaN and -0.0 included), since a = max(0, z).
+        return grad_a * (a > 0)
     if kind == "sigmoid":
         return grad_a * a * (1.0 - a)
     # softmax: J^T v = a * (v - <v, a>) rowwise
@@ -66,12 +68,11 @@ def _activation_backward(kind: str, z: Array, a: Array, grad_a: Array) -> Array:
 class _Cache:
     """Forward activations retained for one backward pass."""
 
-    __slots__ = ("params", "inputs", "pre", "post")
+    __slots__ = ("params", "inputs", "post")
 
-    def __init__(self, params, inputs, pre, post):
+    def __init__(self, params, inputs, post):
         self.params = params
         self.inputs = inputs
-        self.pre = pre
         self.post = post
 
 
@@ -117,37 +118,43 @@ class Mlp:
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         if inputs.shape[1] != self.input_dim:
             raise ValueError(f"input width {inputs.shape[1]} does not match first layer fan_in {self.input_dim}")
-        pre, post = [], []
+        post = []
         a = inputs
         for spec, (w, b) in zip(self.layers, self.unpack(params)):
-            z = a @ w + b
-            a = _apply_activation(spec.activation, z)
-            pre.append(z)
-            post.append(a)
-        return a, _Cache(params, inputs, pre, post)
+            a = np.matmul(a, w)
+            a += b
+            post.append(_apply_activation(spec.activation, a))
+        return a, _Cache(params, inputs, post)
 
-    def backward(self, params: Array, cache: _Cache, grad_out) -> tuple[Array, Array]:
+    def backward(
+        self, params: Array, cache: _Cache, grad_out, out=None, input_grad=True
+    ) -> tuple[Array, Optional[Array]]:
         """Gradients of a scalar loss given d(loss)/d(output).
 
         Returns (flat parameter gradient, gradient w.r.t. the inputs). The
-        cache must come from a forward pass with the same parameters.
+        parameter gradient is written into ``out`` when given (a float64
+        vector of length ``num_params``, every entry overwritten) and into a
+        new array otherwise. With ``input_grad=False`` the input gradient is
+        not computed and is returned as None. The cache must come from a
+        forward pass with the same parameters.
         """
         if cache.params is not params and not np.array_equal(cache.params, params):
             raise ValueError("stale cache: backward called with different parameters than forward")
         grad_a = np.atleast_2d(np.asarray(grad_out, dtype=float))
         if grad_a.shape != cache.post[-1].shape:
             raise ValueError(f"grad_out shape {grad_a.shape} does not match output shape {cache.post[-1].shape}")
-        grad_params = np.zeros(self.num_params)
+        if out is not None and (out.dtype != np.float64 or not out.flags.c_contiguous):
+            raise ValueError("out must be a contiguous float64 vector")
+        grad_params = np.empty(self.num_params) if out is None else out
         weights = self.unpack(params)
+        grads = self.unpack(grad_params)
         for idx in range(len(self.layers) - 1, -1, -1):
-            spec = self.layers[idx]
-            z, a = cache.pre[idx], cache.post[idx]
             layer_in = cache.inputs if idx == 0 else cache.post[idx - 1]
-            grad_z = _activation_backward(spec.activation, z, a, grad_a)
-            w_lo, w_hi, b_hi = self._slices[idx]
-            grad_params[w_lo:w_hi] = (layer_in.T @ grad_z).ravel()
-            grad_params[w_hi:b_hi] = grad_z.sum(axis=0)
-            grad_a = grad_z @ weights[idx][0].T
+            grad_z = _activation_backward(self.layers[idx].activation, cache.post[idx], grad_a)
+            grad_w, grad_b = grads[idx]
+            np.matmul(layer_in.T, grad_z, out=grad_w)
+            np.sum(grad_z, axis=0, out=grad_b)
+            grad_a = grad_z @ weights[idx][0].T if idx > 0 or input_grad else None
         return grad_params, grad_a
 
 

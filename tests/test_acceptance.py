@@ -115,10 +115,11 @@ def _relu_margin(model, params, images) -> float:
     codes, enc_cache = model.encoder.forward(pe, images)
     _, dec_cache = model.decoder.forward(pd, codes)
     margin = np.inf
-    for net, cache in ((model.encoder, enc_cache), (model.decoder, dec_cache)):
-        for spec, z in zip(net.layers, cache.pre):
+    for net, p, cache in ((model.encoder, pe, enc_cache), (model.decoder, pd, dec_cache)):
+        layer_ins = [cache.inputs, *cache.post[:-1]]
+        for spec, (w, b), layer_in in zip(net.layers, net.unpack(p), layer_ins):
             if spec.activation == "relu":
-                margin = min(margin, float(np.abs(z).min()))
+                margin = min(margin, float(np.abs(layer_in @ w + b).min()))
     return margin
 
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,8 +18,8 @@ from seqpen import (
 from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset
-from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
-from seqpen.tasks.mlp import ce_values, mse_values
+from seqpen.tasks.encdec import EncDecModel, build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
+from seqpen.tasks.mlp import ce_grad, ce_values, mse_grad, mse_values
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +142,9 @@ def _count_passes(monkeypatch):
     """Record the rows of every evaluation pass the task runs."""
     rows = []
 
-    def counted(model, params, images, labels):
-        rows.append(len(images))
-        return split_values(model, params, images, labels)
+    def counted(model, params, images, labels, indices):
+        rows.append(len(indices))
+        return split_values(model, params, images, labels, indices)
 
     monkeypatch.setattr(encdec_mod, "split_values", counted)
     return rows
@@ -161,7 +162,7 @@ def test_values_rerun_after_in_place_parameter_change(tiny_encdec, seeded_params
     after = task.problem.objective(idx, params)
     assert len(passes) == 2
     assert not np.array_equal(after, before)
-    assert np.array_equal(after, split_values(task.model, params, task.images, task.labels)[0])
+    assert np.array_equal(after, split_values(task.model, params, task.images, task.labels, idx)[0])
 
 
 def test_values_for_other_indices_run_their_own_pass(tiny_encdec, seeded_params, monkeypatch):
@@ -170,7 +171,7 @@ def test_values_for_other_indices_run_their_own_pass(tiny_encdec, seeded_params,
     first = task.values(np.array([0, 1, 2]), seeded_params)
     second = task.values(np.array([3, 4, 5]), seeded_params)
     assert passes == [3, 3]
-    for got, want in zip(second, split_values(task.model, seeded_params, task.images[3:6], task.labels[3:6])):
+    for got, want in zip(second, split_values(task.model, seeded_params, task.images, task.labels, np.arange(3, 6))):
         assert np.array_equal(got, want)
     assert not np.array_equal(first[0], second[0])
     # equal contents in another container are served from the memo
@@ -201,7 +202,7 @@ def test_record_objective_and_constraints_cost_one_pass(tiny_encdec, seeded_para
     config = SGDConfig(stepsize=1e-3, batch_size=5, mode="practical", budget=1, rng_seed=3, grad_norm="none")
     rec = fixed_penalty_train(task.problem, 10.0, config, seeded_params).final()
     assert passes == [n]  # training reads no values; the record reads f and g from one pass
-    ce, _, mse = split_values(task.model, rec.candidate, task.images, task.labels)
+    ce, _, mse = split_values(task.model, rec.candidate, task.images, task.labels, np.arange(n))
     assert rec.objective_value == float(task.problem.agg_scale * ce.sum())
     assert rec.feasibility.max_violation == float(np.maximum(0.0, mse - 0.01).max())
 
@@ -254,3 +255,136 @@ def test_paper_architecture_dimensions_and_directional_gradients(tiny_digits):
         v /= np.linalg.norm(v)
         fd = directional_diff(lambda p: penalty_value_full(prob, spec, p), params, v, rel_step=1e-7)
         assert abs(float(grad @ v) - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+def _reference_forward(net, params, inputs):
+    """Out-of-place forward pass keeping pre- and post-activations."""
+    pre, post, a = [], [], inputs
+    for spec, (w, b) in zip(net.layers, net.unpack(params)):
+        z = a @ w + b
+        if spec.activation == "relu":
+            a = np.maximum(0.0, z)
+        elif spec.activation == "sigmoid":
+            a = z * 0.5
+            np.tanh(a, out=a)
+            a += 1.0
+            a *= 0.5
+        elif spec.activation == "softmax":
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+        else:
+            a = z
+        pre.append(z)
+        post.append(a)
+    return inputs, pre, post
+
+
+def _reference_backward(net, params, cache, grad_a):
+    """Backward pass into fresh zeros, input gradient always computed."""
+    inputs, pre, post = cache
+    grad = np.zeros(net.num_params)
+    weights, grads = net.unpack(params), net.unpack(grad)
+    for idx in range(len(net.layers) - 1, -1, -1):
+        kind, z, a = net.layers[idx].activation, pre[idx], post[idx]
+        if kind == "relu":
+            grad_z = grad_a * (z > 0)
+        elif kind == "sigmoid":
+            grad_z = grad_a * a * (1.0 - a)
+        elif kind == "softmax":
+            grad_z = a * (grad_a - (grad_a * a).sum(axis=1, keepdims=True))
+        else:
+            grad_z = grad_a
+        layer_in = inputs if idx == 0 else post[idx - 1]
+        grads[idx][0][...] = layer_in.T @ grad_z
+        grads[idx][1][...] = grad_z.sum(axis=0)
+        grad_a = grad_z @ weights[idx][0].T
+    return grad, grad_a
+
+
+def _reference_weighted_grad(model, params, images, labels, obj_w, con_w):
+    pe, pc, pd = model.split(params)
+    enc = _reference_forward(model.encoder, pe, images)
+    codes = enc[2][-1]
+    dec = None
+    if callable(con_w):
+        dec = _reference_forward(model.decoder, pd, codes)
+        con_w = con_w(mse_values(images, dec[2][-1]))
+    con_w = np.asarray(con_w, dtype=float).ravel()
+    grad = np.zeros(model.num_params)
+    grad_codes = np.zeros_like(codes)
+    if obj_w.any():
+        cls = _reference_forward(model.classifier, pc, codes)
+        g_cls, g_codes = _reference_backward(model.classifier, pc, cls, obj_w[:, None] * ce_grad(cls[2][-1], labels))
+        grad[model.classifier_slice] = g_cls
+        grad_codes += g_codes
+    if con_w.any():
+        if dec is None:
+            dec = _reference_forward(model.decoder, pd, codes)
+        d_recon = con_w[:, None] * mse_grad(images, dec[2][-1])
+        g_dec, g_codes = _reference_backward(model.decoder, pd, dec, d_recon)
+        grad[model.decoder_slice] = g_dec
+        grad_codes += g_codes
+    grad[model.encoder_slice] = _reference_backward(model.encoder, pe, enc, grad_codes)[0]
+    return grad
+
+
+@pytest.mark.parametrize("case", ["callable", "zero_con_w", "zero_obj_w", "short_batch"])
+def test_weighted_grad_is_bit_identical_to_the_out_of_place_reference(case):
+    model = EncDecModel()
+    rng = np.random.default_rng(17)
+    params = model.init_params(rng)
+    rows = 80 if case == "short_batch" else 128
+    images, labels = rng.random((rows, 784)), rng.integers(0, 10, size=rows)
+    obj_w = np.zeros(rows) if case == "zero_obj_w" else rng.random(rows)
+    con_w = np.zeros(rows) if case == "zero_con_w" else rng.random(rows)
+    if case == "callable":
+        con_w = lambda mse: 100.0 * (mse > np.median(mse))
+    # a call with both branches on first, whose freed gradient the next call's
+    # buffer reuses, so a slice left unwritten shows
+    model.weighted_grad(params, images, labels, np.ones(rows), np.ones(rows))
+    got = model.weighted_grad(params, images, labels, obj_w, con_w)
+    want = _reference_weighted_grad(model, params, images, labels, obj_w, con_w)
+    assert np.array_equal(got, want)
+    if case == "zero_con_w":
+        assert np.all(got[model.decoder_slice] == 0.0)
+    if case == "zero_obj_w":
+        assert np.all(got[model.classifier_slice] == 0.0)
+
+
+def test_weighted_grad_makes_no_full_size_temporaries():
+    # One constrained call at the desk shapes (413,174 parameters, 3.3 MB per
+    # parameter-size array, batch 128). It peaks at 7.1 MB: the gradient plus
+    # batch-size activations. The bound sits 1.9 MB above that, so one more
+    # parameter-size array fails it; the three zero-filled gradients and the
+    # unused input gradient of the out-of-place formulation peaked at 12.3 MB.
+    model = EncDecModel()
+    rng = np.random.default_rng(3)
+    params = model.init_params(rng)
+    images, labels = rng.random((128, 784)), rng.integers(0, 10, size=128)
+    obj_w, con_w = np.ones(128), lambda mse: np.full(mse.shape, 100.0)
+    model.weighted_grad(params, images, labels, obj_w, con_w)
+    tracemalloc.start()
+    try:
+        model.weighted_grad(params, images, labels, obj_w, con_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.0e6
+
+
+def test_full_split_pass_does_not_copy_the_split(monkeypatch):
+    # Small chunks and a narrow network keep a pass's own arrays far below
+    # the split's 12.5 MB of images, so a copy of the split shows.
+    monkeypatch.setattr(encdec_mod, "EVAL_CHUNK", 64)
+    rng = np.random.default_rng(8)
+    images = rng.random((2000, 784))
+    dataset = ImageDataset(images, rng.integers(0, 10, size=2000))
+    task = build_enc_dec_task(dataset, theta=0.03, hidden_dim=32, code_dim=8, decoder_hidden_dim=32)
+    params = task.model.init_params(rng)
+    tracemalloc.start()
+    try:
+        evaluate_enc_dec(task, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 2

@@ -10,6 +10,7 @@ from seqpen import (
     iteration_budget,
     sgd_run,
 )
+import seqpen.inner as inner_mod
 from seqpen.inner import AdamState
 from seqpen.penalties import penalty_grad_batch
 from seqpen.problems import epoch_batches
@@ -237,35 +238,41 @@ def _reference_adam_run(prob, spec, x0, cfg, state):
     return z, (m, v, step)
 
 
-def test_in_place_adam_matches_out_of_place_reference(tiny_encdec):
+def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
     prob = tiny_encdec.problem
+    # the blocked step runs over several blocks and a short last one
+    monkeypatch.setattr(inner_mod, "ADAM_BLOCK", 64)
+    assert prob.dim > 64 and prob.dim % 64 != 0
     params0 = tiny_encdec.model.init_params(np.random.default_rng(6))
     spec = PenaltySpec("quadratic", 30.0)
-    cfg = SGDConfig(
-        stepsize=1e-2, batch_size=5, mode="practical", budget=3, adam=AdamParams(weight_decay=1e-2), rng_seed=9,
-        grad_norm="none",
-    )
-    zeros = np.zeros(prob.dim)
-    ref_z, (ref_m, ref_v, ref_step) = _reference_adam_run(prob, spec, params0, cfg, (zeros, zeros, 0))
-    x0 = params0.copy()
-    rep = sgd_run(prob, spec, x0, cfg)
-    assert ref_step == rep.opt_state.step == 9
-    assert np.array_equal(rep.candidate, ref_z)
-    assert np.array_equal(rep.opt_state.m, ref_m)
-    assert np.array_equal(rep.opt_state.v, ref_v)
-    assert np.array_equal(x0, params0)
+    for weight_decay in (1e-2, 0.0):
+        cfg = SGDConfig(
+            stepsize=1e-2, batch_size=5, mode="practical", budget=3, adam=AdamParams(weight_decay=weight_decay),
+            rng_seed=9, grad_norm="none",
+        )
+        zeros = np.zeros(prob.dim)
+        ref_z, (ref_m, ref_v, ref_step) = _reference_adam_run(prob, spec, params0, cfg, (zeros, zeros, 0))
+        x0 = params0.copy()
+        rep = sgd_run(prob, spec, x0, cfg)
+        assert ref_step == rep.opt_state.step == 9
+        assert np.array_equal(rep.candidate, ref_z)
+        assert np.array_equal(rep.opt_state.m, ref_m)
+        assert np.array_equal(rep.opt_state.v, ref_v)
+        assert np.array_equal(x0, params0)
 
-    # continuing from a saved state leaves the caller's state untouched
-    state = AdamState(rep.opt_state.m.copy(), rep.opt_state.v.copy(), rep.opt_state.step)
-    saved = state.copy()
-    start = rep.candidate.copy()
-    cont = sgd_run(prob, spec, start, cfg, opt_state=state)
-    ref_z2, (ref_m2, ref_v2, _) = _reference_adam_run(prob, spec, rep.candidate, cfg, (saved.m, saved.v, saved.step))
-    assert np.array_equal(cont.candidate, ref_z2)
-    assert np.array_equal(cont.opt_state.m, ref_m2)
-    assert np.array_equal(cont.opt_state.v, ref_v2)
-    assert np.array_equal(state.m, saved.m) and np.array_equal(state.v, saved.v) and state.step == saved.step
-    assert np.array_equal(start, rep.candidate)
+        # continuing from a saved state leaves the caller's state untouched
+        state = AdamState(rep.opt_state.m.copy(), rep.opt_state.v.copy(), rep.opt_state.step)
+        saved = state.copy()
+        start = rep.candidate.copy()
+        cont = sgd_run(prob, spec, start, cfg, opt_state=state)
+        ref_z2, (ref_m2, ref_v2, _) = _reference_adam_run(
+            prob, spec, rep.candidate, cfg, (saved.m, saved.v, saved.step)
+        )
+        assert np.array_equal(cont.candidate, ref_z2)
+        assert np.array_equal(cont.opt_state.m, ref_m2)
+        assert np.array_equal(cont.opt_state.v, ref_v2)
+        assert np.array_equal(state.m, saved.m) and np.array_equal(state.v, saved.v) and state.step == saved.step
+        assert np.array_equal(start, rep.candidate)
 
 
 def test_epoch_hook_gets_arrays_that_do_not_change_later(free_quadratic):

@@ -73,9 +73,23 @@ def test_backward_matches_finite_differences():
     for trial in range(3):
         params = net.init_params(np.random.default_rng(10 + trial))
         out, cache = net.forward(params, inputs)
-        analytic, _ = net.backward(params, cache, ce_grad(out, target))
+        analytic, grad_in = net.backward(params, cache, ce_grad(out, target))
         fd = central_diff_gradient(loss, params, rel_step=1e-6)
         assert gradient_rel_error(analytic, fd) <= 1e-6
+        assert grad_in.shape == inputs.shape
+        # written into the caller's buffer, every entry overwritten; no input gradient unless asked
+        buf = np.full(net.num_params, np.nan)
+        written, no_grad_in = net.backward(params, cache, ce_grad(out, target), out=buf, input_grad=False)
+        assert written is buf and no_grad_in is None
+        assert np.array_equal(buf, analytic)
+
+
+def test_backward_rejects_an_output_buffer_it_cannot_write_through():
+    net = Mlp([LayerSpec(2, 2, "identity")])
+    params = net.init_params(np.random.default_rng(3))
+    _, cache = net.forward(params, np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="contiguous float64"):
+        net.backward(params, cache, np.ones((1, 2)), out=np.zeros(2 * net.num_params)[::2])
 
 
 def test_stale_cache_rejected():
@@ -148,7 +162,7 @@ def test_sigmoid_extremes_without_warnings_and_close_to_masked_form():
     z = np.concatenate([[-800.0, 800.0, -40.0, 40.0, 0.0], np.random.default_rng(0).normal(scale=6.0, size=2000)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a = _apply_activation("sigmoid", z.reshape(5, -1))
+        a = _apply_activation("sigmoid", z.reshape(5, -1).copy())  # applied in place
     assert a.shape == (5, 401)
     assert np.abs(a.ravel() - masked_sigmoid(z)).max() <= 1e-15
     assert a.ravel()[0] == 0.0 and a.ravel()[1] == 1.0 and a.ravel()[4] == 0.5
