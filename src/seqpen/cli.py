@@ -481,8 +481,6 @@ def _run_enc_dec(cfg):
     train_method = _method(cfg, inner, "epochs")
     task = tasks["train"]
 
-    params0 = task.model.init_params(np.random.default_rng(derived_seed(cfg["seed"], 0)))
-
     timeline_rows = []
     phase_state = {"epoch": 0, "phase": "warm"}
 
@@ -496,7 +494,9 @@ def _run_enc_dec(cfg):
 
     hook = timeline_hook if cfg["timeline"] else None
 
-    params = warm_start(task, params0, warm, epoch_hook=hook)
+    # No name holds the initial parameters, so they are freed when the warm start returns.
+    init_rng = np.random.default_rng(derived_seed(cfg["seed"], 0))
+    params = warm_start(task, task.model.init_params(init_rng), warm, epoch_hook=hook)
     phase_state["phase"] = "train"
     trace = train_method(task.problem, params, epoch_hook=hook)
     final_params = trace.final().candidate

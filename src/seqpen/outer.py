@@ -126,7 +126,8 @@ class OuterTrace:
 
 def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     # One pass over the training set for f and one for g; every recorded
-    # quantity is derived from these two arrays.
+    # quantity is derived from these two arrays. The candidate is kept
+    # uncopied: each inner run returns a fresh array and never touches it again.
     x = report.candidate
     f = objective_values(problem, x)
     g = constraint_values(problem, x)
@@ -135,7 +136,7 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
         k=k,
         tau=spec.tau,
         eps=eps,
-        candidate=x.copy(),
+        candidate=x,
         penalty_value=penalty_value_from_values(problem, spec, f, g),
         objective_value=float(problem.agg_scale * f.sum()),
         grad_norm=report.grad_norm_estimate,
@@ -162,7 +163,7 @@ def sequential_penalty_train(
     """
     if kind not in PENALTY_KINDS:
         raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {kind!r}")
-    x = as_params(problem, x0).copy()
+    x = as_params(problem, x0)
     trace = OuterTrace(kind=kind)
     opt_state = None
     for k in range(schedule.max_outer):
@@ -203,7 +204,7 @@ def fixed_penalty_train(
     """
     if not np.isfinite(lam) or lam < 0:
         raise ValueError("lambda must be finite and >= 0")
-    x = as_params(problem, x0).copy()
+    x = as_params(problem, x0)
     spec = PenaltySpec("linear", lam)
     trace = OuterTrace(kind="linear", stopped="budget")
     try:

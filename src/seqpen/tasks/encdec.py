@@ -23,7 +23,7 @@ from seqpen.inner import SGDConfig, sgd_run
 from seqpen.penalties import PenaltySpec
 from seqpen.problems import Array, FiniteSumProblem, feasibility_from_values
 from seqpen.tasks.data import ImageDataset
-from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, mse_grad, mse_values
+from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, residual_mse, residual_mse_grad
 
 # Rows per forward pass when evaluating a whole split.
 EVAL_CHUNK = 512
@@ -84,10 +84,11 @@ class EncDecModel:
         obj_w = np.asarray(obj_weights, dtype=float).ravel()
         pe, pc, pd = self.split(params)
         codes, enc_cache = self.encoder.forward(pe, images)
-        recon = None
+        residual = None  # recon - images, computed once
         if callable(con_weights):
             recon, dec_cache = self.decoder.forward(pd, codes)
-            con_weights = con_weights(mse_values(images, recon))
+            residual = recon - images
+            con_weights = con_weights(residual_mse(residual))
         con_w = np.asarray(con_weights, dtype=float).ravel()
 
         grad = np.empty(self.num_params)
@@ -101,9 +102,12 @@ class EncDecModel:
         else:
             g_cls.fill(0.0)
         if con_w.any():
-            if recon is None:
+            if residual is None:
                 recon, dec_cache = self.decoder.forward(pd, codes)
-            d_recon = con_w[:, None] * mse_grad(images, recon)
+                residual = recon - images
+            # con_w[:, None] * mse_grad(images, recon), built in the residual
+            d_recon = residual_mse_grad(residual)
+            d_recon *= con_w[:, None]
             _, g_codes = self.decoder.backward(pd, dec_cache, d_recon, out=g_dec)
             grad_codes += g_codes
         else:
@@ -118,7 +122,8 @@ def split_values(
     """Per-sample cross entropy, correctness and reconstruction MSE of ``images[rows]``.
 
     The rows are gathered and run through one encoder pass ``EVAL_CHUNK`` at
-    a time, so a pass never copies the whole split.
+    a time, so a pass never copies the whole split, and each chunk's MSE is
+    computed in place in its reconstruction.
     """
     n = len(rows)
     ce, correct, mse = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
@@ -128,7 +133,9 @@ def split_values(
         probs, recon = model.predict_and_reconstruct(params, chunk_images)
         ce[sl] = ce_values(probs, chunk_labels)
         correct[sl] = probs.argmax(axis=1) == chunk_labels
-        mse[sl] = mse_values(chunk_images, recon)
+        recon -= chunk_images
+        mse[sl] = residual_mse(recon, out=recon)
+        del probs, recon  # freed before the next chunk's pass allocates its own
     return ce, correct, mse
 
 
@@ -151,12 +158,14 @@ class EncDecTask:
             The latest pass is reused only when the indices and parameters
             equal its own by content, so a record, the timeline and the final
             results at the same point share it. The memo is one tuple, read
-            once and replaced whole, so concurrent callers see a whole pass.
+            once and replaced whole, so concurrent callers see a whole pass
+            or none; it releases the previous pass before computing the next.
             """
             nonlocal last
             memo = last
             if memo is not None and np.array_equal(memo[0], indices) and np.array_equal(memo[1], params):
                 return memo[2]
+            last = memo = None
             rows, x = np.array(indices), np.array(params, dtype=float)
             vals = split_values(model, x, images, labels, rows)
             for v in vals:

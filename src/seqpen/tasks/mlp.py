@@ -51,18 +51,24 @@ def _apply_activation(kind: str, z: Array) -> Array:
     return z
 
 
-def _activation_backward(kind: str, a: Array, grad_a: Array) -> Array:
+def _activation_backward(kind: str, a: Array, grad_a: Array, overwrite: bool) -> Array:
+    """d(loss)/d(pre-activation), written into ``grad_a`` with ``overwrite``; else ``grad_a`` is only read."""
+    out = grad_a if overwrite else None
     if kind == "identity":
         return grad_a
     if kind == "relu":
         # Derivative at the kink is taken as 0. a > 0 exactly where the
         # pre-activation z > 0 (NaN and -0.0 included), since a = max(0, z).
-        return grad_a * (a > 0)
+        return np.multiply(grad_a, a > 0, out=out)
     if kind == "sigmoid":
-        return grad_a * a * (1.0 - a)
+        grad_z = np.multiply(grad_a, a, out=out)
+        grad_z *= 1.0 - a
+        return grad_z
     # softmax: J^T v = a * (v - <v, a>) rowwise
     dot = (grad_a * a).sum(axis=1, keepdims=True)
-    return a * (grad_a - dot)
+    grad_z = np.subtract(grad_a, dot, out=out)
+    grad_z *= a
+    return grad_z
 
 
 class _Cache:
@@ -136,7 +142,9 @@ class Mlp:
         vector of length ``num_params``, every entry overwritten) and into a
         new array otherwise. With ``input_grad=False`` the input gradient is
         not computed and is returned as None. The cache must come from a
-        forward pass with the same parameters.
+        forward pass with the same parameters. ``grad_out`` is only read;
+        below the top layer the activation backward works in place on the
+        gradients this pass allocated itself.
         """
         if cache.params is not params and not np.array_equal(cache.params, params):
             raise ValueError("stale cache: backward called with different parameters than forward")
@@ -150,7 +158,8 @@ class Mlp:
         grads = self.unpack(grad_params)
         for idx in range(len(self.layers) - 1, -1, -1):
             layer_in = cache.inputs if idx == 0 else cache.post[idx - 1]
-            grad_z = _activation_backward(self.layers[idx].activation, cache.post[idx], grad_a)
+            below_top = idx < len(self.layers) - 1
+            grad_z = _activation_backward(self.layers[idx].activation, cache.post[idx], grad_a, overwrite=below_top)
             grad_w, grad_b = grads[idx]
             np.matmul(layer_in.T, grad_z, out=grad_w)
             np.sum(grad_z, axis=0, out=grad_b)
@@ -183,19 +192,32 @@ def ce_loss(probs, label) -> float:
     return float(ce_values(probs, label)[0])
 
 
+def residual_mse(diff: Array, out: Optional[Array] = None) -> Array:
+    """Per-row MSE from the residual ``outputs - targets``; its square goes into ``out``, which may be ``diff``."""
+    square = np.multiply(diff, diff, out=out)
+    return square.mean(axis=1)
+
+
+def residual_mse_grad(diff: Array) -> Array:
+    """d(mse)/d(outputs) from the residual ``outputs - targets``, written into ``diff``."""
+    diff *= 2.0
+    diff /= diff.shape[1]
+    return diff
+
+
 def mse_values(targets: Array, outputs: Array) -> Array:
     """Per-row mean squared error over pixels."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
     diff = outputs - targets
-    return (diff * diff).mean(axis=1)
+    return residual_mse(diff, out=diff)
 
 
 def mse_grad(targets: Array, outputs: Array) -> Array:
     """d(mse)/d(outputs), rows independent."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    return 2.0 * (outputs - targets) / targets.shape[1]
+    return residual_mse_grad(outputs - targets)
 
 
 def mse_loss(target, output) -> float:

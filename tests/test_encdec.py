@@ -19,7 +19,7 @@ from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_r
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset
 from seqpen.tasks.encdec import EncDecModel, build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
-from seqpen.tasks.mlp import ce_grad, ce_values, mse_grad, mse_values
+from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, mse_grad, mse_values
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,21 @@ def test_record_objective_and_constraints_cost_one_pass(tiny_encdec, seeded_para
     assert rec.feasibility.max_violation == float(np.maximum(0.0, mse - 0.01).max())
 
 
+def test_values_releases_the_previous_pass_before_the_next(tiny_encdec, seeded_params, monkeypatch):
+    task = _fresh_task(tiny_encdec)
+    idx = np.arange(task.problem.num_samples)
+    first = weakref.ref(task.values(idx, seeded_params)[0])
+    alive = []
+
+    def probed(*args):
+        alive.append(first() is not None)
+        return split_values(*args)
+
+    monkeypatch.setattr(encdec_mod, "split_values", probed)
+    task.values(idx, 0.5 * seeded_params)
+    assert alive == [False]
+
+
 def test_dropped_task_is_freed_without_the_cycle_collector(tiny_encdec, seeded_params):
     # a task holds its split and its latest pass; runs that build a task each
     # must not keep the old ones alive until the collector happens to run
@@ -353,9 +368,12 @@ def test_weighted_grad_is_bit_identical_to_the_out_of_place_reference(case):
 
 def test_weighted_grad_makes_no_full_size_temporaries():
     # One constrained call at the desk shapes (413,174 parameters, 3.3 MB per
-    # parameter-size array, batch 128). It peaks at 7.1 MB: the gradient plus
-    # batch-size activations. The bound sits 1.9 MB above that, so one more
-    # parameter-size array fails it; the three zero-filled gradients and the
+    # parameter-size array, batch 128, 0.8 MB per decoder-output-size array).
+    # It peaks at 7.13 MB inside the decoder's backward: the gradient, the
+    # batch activations, d_recon and the sigmoid backward's two temporaries.
+    # The bound sits 0.47 MB above that, so one more parameter-size array, or
+    # one more decoder-output-size temporary at the peak (a sigmoid backward
+    # in three temporaries), fails it; the three zero-filled gradients and the
     # unused input gradient of the out-of-place formulation peaked at 12.3 MB.
     model = EncDecModel()
     rng = np.random.default_rng(3)
@@ -369,7 +387,7 @@ def test_weighted_grad_makes_no_full_size_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.0e6
+    assert peak < 7.6e6
 
 
 def test_full_split_pass_does_not_copy_the_split(monkeypatch):
@@ -388,3 +406,43 @@ def test_full_split_pass_does_not_copy_the_split(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < images.nbytes / 2
+
+
+def test_full_split_pass_holds_one_chunk_at_a_time():
+    # One full-split pass at the desk shapes: 2,000 rows in EVAL_CHUNK = 512
+    # row chunks, 3.2 MB per chunk of images or reconstructions. It peaks at
+    # 7.7 MB: one gathered chunk, its reconstruction and the hidden layers.
+    # The bound sits 1.3 MB above that, so one more chunk-size array fails it.
+    # An MSE built in two temporaries while the previous chunk's
+    # reconstruction is still alive peaked at 12.9 MB.
+    model = EncDecModel()
+    rng = np.random.default_rng(4)
+    params = model.init_params(rng)
+    images, labels = rng.random((2000, 784)), rng.integers(0, 10, size=2000)
+    rows = np.arange(2000)
+    split_values(model, params, images, labels, rows)
+    tracemalloc.start()
+    try:
+        split_values(model, params, images, labels, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.0e6
+
+
+@pytest.mark.parametrize("top", ["identity", "relu", "sigmoid", "softmax"])
+def test_backward_reads_grad_out_without_writing_it(top):
+    # every activation once below the top layer, where the backward works in place
+    net = Mlp([LayerSpec(9, 8, "relu"), LayerSpec(8, 7, "sigmoid"), LayerSpec(7, 6, "softmax"),
+               LayerSpec(6, 5, "identity"), LayerSpec(5, 4, top)])
+    rng = np.random.default_rng(21)
+    params = net.init_params(rng)
+    inputs = rng.normal(size=(11, 9))
+    grad_out = rng.normal(size=(11, 4))
+    saved = grad_out.copy()
+    _, cache = net.forward(params, inputs)
+    got, got_inputs = net.backward(params, cache, grad_out)
+    assert np.array_equal(grad_out, saved)
+    want, want_inputs = _reference_backward(net, params, _reference_forward(net, params, inputs), saved)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_inputs, want_inputs)

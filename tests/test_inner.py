@@ -13,7 +13,7 @@ from seqpen import (
 import seqpen.inner as inner_mod
 from seqpen.inner import AdamState
 from seqpen.penalties import penalty_grad_batch
-from seqpen.problems import epoch_batches
+from seqpen.problems import FiniteSumProblem, epoch_batches
 from seqpen.tasks.qp import build_analytic_qp
 
 
@@ -284,3 +284,32 @@ def test_epoch_hook_gets_arrays_that_do_not_change_later(free_quadratic):
     assert values == sorted(values, reverse=True) and len(set(values)) == 3
     assert values[-1] == rep.candidate[0]
     assert kept[-1] is not rep.candidate
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and inf / inf precede the abort
+@pytest.mark.parametrize("bad, first", [([250, 290], 250), ([290, 130, 250], 130), ([299], 299)])
+def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatch, bad, first):
+    # without a clip box the Adam step checks each block as it finishes it;
+    # the error must name the step and the first bad coordinate of the whole
+    # iterate, not of a block, also when the bad entries sit in late blocks
+    monkeypatch.setattr(inner_mod, "ADAM_BLOCK", 64)
+    dim, calls = 300, []
+
+    def weighted_grad(indices, x, obj_w, con_w):
+        calls.append(len(indices))
+        g = np.ones(dim)
+        if len(calls) == 3:
+            g[bad] = [np.nan, np.inf, -np.inf][: len(bad)]
+        return g
+
+    problem = FiniteSumProblem(
+        dim=dim, num_samples=4, num_constraints=1, normalization="mean",
+        batch_objective=lambda indices, x: np.zeros(len(indices)),
+        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_weighted_grad=weighted_grad,
+    )
+    cfg = SGDConfig(stepsize=0.1, batch_size=2, mode="practical", budget=3, rng_seed=0, grad_norm="none")
+    with pytest.raises(InnerSolverError, match=f"iteration 2, coordinate {first}$") as err:
+        sgd_run(problem, PenaltySpec("linear", 1.0), np.zeros(dim), cfg)
+    assert (err.value.iteration, err.value.coordinate) == (2, first)
+    assert len(calls) == 3

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from seqpen import (
     sgd_run,
 )
 from seqpen.inner import InnerReport
+from seqpen.tasks.data import ImageDataset
+from seqpen.tasks.encdec import build_enc_dec_task
 from seqpen.tasks.qp import qp_registry
 
 
@@ -287,3 +290,28 @@ def test_record_oracle_failure_aborts_with_partial_trace():
         fixed_penalty_train(prob, 0.0, exact_inner(), np.array([2.0]))
     assert isinstance(err.value.cause, OracleError)
     assert err.value.outer_index == 0 and err.value.partial.records == []
+
+
+def test_practical_sequential_run_holds_no_redundant_parameter_copies():
+    # Two outer iterations of one practical epoch each at the desk network
+    # shapes (413,174 parameters, 3.3 MB per parameter-size array) on 256
+    # samples. The run peaks at 34.7 MB in the second iteration's second
+    # step, which holds nine parameter-size arrays: the Adam moments of both
+    # iterations, the iterate, the first candidate, the memo's parameters and
+    # two minibatch gradients. The bound sits 1.6 MB above that, so one more
+    # parameter-size array fails it; copying each candidate into its record
+    # peaked at 38.0 MB.
+    rng = np.random.default_rng(5)
+    task = build_enc_dec_task(ImageDataset(rng.random((256, 784)), rng.integers(0, 10, size=256)), theta=0.03)
+    x0 = task.model.init_params(rng)
+    inner = SGDConfig(stepsize=1e-3, batch_size=128, mode="practical", budget=1, rng_seed=1, grad_norm="none")
+    sched = Schedule(tau0=100.0, gamma=1.1, max_outer=2, inner=inner)
+    sequential_penalty_train(task.problem, "linear", sched, x0)
+    tracemalloc.start()
+    try:
+        trace = sequential_penalty_train(task.problem, "linear", sched, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 2
+    assert peak < 36.3e6
