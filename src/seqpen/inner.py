@@ -160,10 +160,9 @@ def grad_norm_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float
     return float(np.linalg.norm(penalty_grad_full(problem, spec, x)))
 
 
-def _check_finite(z: Array, iteration: int, offset: int = 0):
-    """Raise at the first non-finite entry; ``z`` may be a block starting at coordinate ``offset``."""
+def _check_finite(z: Array, iteration: int):
     if not np.isfinite(z).all():
-        coord = offset + int(np.flatnonzero(~np.isfinite(z))[0])
+        coord = int(np.flatnonzero(~np.isfinite(z))[0])
         raise InnerSolverError(
             f"non-finite iterate at iteration {iteration}, coordinate {coord}",
             iteration=iteration,
@@ -277,8 +276,7 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
     # same operations, in the same order, as the textbook expressions
     #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
     #   z = z - lr (m / c1) / (sqrt(v / c2) + eps),
-    # so the iterates are bit-identical to them. Without a clip box each block
-    # is checked for finiteness while it is still in cache.
+    # so the iterates are bit-identical to them.
     g_buf = np.empty(min(ADAM_BLOCK, problem.dim))
     tmp_buf = np.empty_like(g_buf)
     for _ in range(config.budget):
@@ -310,11 +308,9 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
                 tmp += adam.eps_hat
                 g /= tmp
                 zb -= g
-                if config.clip_box is None:
-                    _check_finite(zb, steps, offset=lo)
             if config.clip_box is not None:
                 z, clip_count = _clip(z, config.clip_box, clip_count)
-                _check_finite(z, steps)
+            _check_finite(z, steps)
             steps += 1
         # The last batch gradient is not held through the epoch hook. Within an
         # epoch each one lives until the next replaces it: freed right after its

@@ -159,11 +159,13 @@ class Mlp:
         for idx in range(len(self.layers) - 1, -1, -1):
             layer_in = cache.inputs if idx == 0 else cache.post[idx - 1]
             below_top = idx < len(self.layers) - 1
-            grad_z = _activation_backward(self.layers[idx].activation, cache.post[idx], grad_a, overwrite=below_top)
+            # one name for the running gradient, so each layer's is freed as
+            # soon as the next one down exists
+            grad_a = _activation_backward(self.layers[idx].activation, cache.post[idx], grad_a, overwrite=below_top)
             grad_w, grad_b = grads[idx]
-            np.matmul(layer_in.T, grad_z, out=grad_w)
-            np.sum(grad_z, axis=0, out=grad_b)
-            grad_a = grad_z @ weights[idx][0].T if idx > 0 or input_grad else None
+            np.matmul(layer_in.T, grad_a, out=grad_w)
+            np.sum(grad_a, axis=0, out=grad_b)
+            grad_a = grad_a @ weights[idx][0].T if idx > 0 or input_grad else None
         return grad_params, grad_a
 
 

@@ -375,6 +375,10 @@ def test_weighted_grad_makes_no_full_size_temporaries():
     # one more decoder-output-size temporary at the peak (a sigmoid backward
     # in three temporaries), fails it; the three zero-filled gradients and the
     # unused input gradient of the out-of-place formulation peaked at 12.3 MB.
+    # The out-of-place activation backward meets this bound too: numpy's
+    # temporary elision already ran its top-layer sigmoid in two temporaries,
+    # so test_backward_below_the_top_layer_holds_two_gradients guards the
+    # in-place part.
     model = EncDecModel()
     rng = np.random.default_rng(3)
     params = model.init_params(rng)
@@ -388,6 +392,36 @@ def test_weighted_grad_makes_no_full_size_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 7.6e6
+
+
+def test_backward_below_the_top_layer_holds_two_gradients():
+    # Wide layers under a narrow top and a small parameter vector, written
+    # into a caller buffer, so the layer gradients (1,024 x 512, 4.19 MB
+    # each) make the peak. Working in place below the top layer, a pass holds
+    # two of them at once: the sigmoid backward's gradient and its (1 - a),
+    # or a layer's gradient and the next one down. It peaks at 8.39 MB; the
+    # bound sits 1.61 MB above, so one more layer gradient fails it (a
+    # previous layer's gradient kept alive read 12.59 MB), while the relu
+    # mask (0.5 MB) fits. The out-of-place activation backward peaked at
+    # 16.78 MB.
+    rows, width = 1024, 512
+    net = Mlp([
+        LayerSpec(32, width, "sigmoid"),
+        LayerSpec(width, width, "relu"),
+        LayerSpec(width, width, "sigmoid"),
+        LayerSpec(width, 8, "identity"),
+    ])
+    rng = np.random.default_rng(6)
+    params = net.init_params(rng)
+    _, cache = net.forward(params, rng.standard_normal((rows, 32)))
+    grad_out, out = rng.standard_normal((rows, 8)), np.empty(net.num_params)
+    tracemalloc.start()
+    try:
+        net.backward(params, cache, grad_out, out=out, input_grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.0e6
 
 
 def test_full_split_pass_does_not_copy_the_split(monkeypatch):

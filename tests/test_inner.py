@@ -289,9 +289,9 @@ def test_epoch_hook_gets_arrays_that_do_not_change_later(free_quadratic):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and inf / inf precede the abort
 @pytest.mark.parametrize("bad, first", [([250, 290], 250), ([290, 130, 250], 130), ([299], 299)])
 def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatch, bad, first):
-    # without a clip box the Adam step checks each block as it finishes it;
-    # the error must name the step and the first bad coordinate of the whole
-    # iterate, not of a block, also when the bad entries sit in late blocks
+    # the blocked Adam step must still abort at the step that made the iterate
+    # non-finite and name its first bad coordinate, also when the bad entries
+    # sit in late blocks and the earliest of them is not the first written
     monkeypatch.setattr(inner_mod, "ADAM_BLOCK", 64)
     dim, calls = 300, []
 
