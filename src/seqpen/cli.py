@@ -11,9 +11,9 @@ Commands:
 * ``seqpen synth-data <root>``: generate a synthetic digit dataset in IDX
   format so the image task runs without any download.
 
-Config files are flat ``key = value`` text with ``#`` comments. Parsing is
-strict: unknown keys, duplicate keys, and keys that do not apply to the
-chosen task/method are rejected with the offending line number.
+Config files are flat ``key = value`` text with whole-line ``#`` comments.
+Parsing is strict: unknown keys, duplicate keys, and keys that do not apply
+to the chosen task/method are rejected with the offending line number.
 
 Exit codes: 0 success, 2 config or data error (a config file that is not
 UTF-8, a value the library rejects such as theta = nan, weight_decay = -1 or
@@ -21,8 +21,9 @@ seed = -1, a QP x0 that is not finite, an out_dir that cannot be created, a
 negative train_limit or test_limit, a missing or unreadable dataset, a
 corrupt IDX file, a train or test split with no images; also a negative
 synth-data --train, --test or --seed, as a usage error), 3
-numeric abort (a diverging iterate or a non-finite oracle value; the partial
-trace is still flushed). Every config value, lambda and warm_start_epochs
+numeric abort (a diverging iterate, in the warm start or in training, or a
+non-finite oracle value; trace.csv and timeline.csv are still flushed with
+the rows gathered so far). Every config value, lambda and warm_start_epochs
 included, is turned into the library object it feeds before any training
 starts, so a rejected value never costs a training run; the message starts
 with the config key that set it ("lambda: tau must be ..."). The manifest is
@@ -46,6 +47,7 @@ import dataclasses
 import glob as globmod
 import hashlib
 import json
+import operator
 import os
 import sys
 import traceback
@@ -54,20 +56,13 @@ from pathlib import Path
 import numpy as np
 
 import seqpen
-from seqpen.inner import AdamParams, SGDConfig
-from seqpen.outer import (
-    OuterAbort,
-    OuterTrace,
-    Schedule,
-    derived_seed,
-    fixed_penalty_train,
-    sequential_penalty_train,
-)
-from seqpen.penalties import PenaltySpec
+from seqpen.inner import CANDIDATE_RULES, MODES, AdamParams, InnerSolverError, SGDConfig
+from seqpen.outer import OuterAbort, Schedule, derived_seed, fixed_penalty_train, sequential_penalty_train
+from seqpen.penalties import PENALTY_KINDS, PenaltySpec
 from seqpen.tasks.data import dataset_paths, load_idx_dataset, write_synthetic_idx
 from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, warm_start
 from seqpen.tasks.qp import qp_registry
-from seqpen.problems import constraint_values
+from seqpen.problems import OracleError, constraint_values
 
 SCHEMA = "seqpen-run-v1"
 DATA_ENV = "SEQPEN_DATA"
@@ -78,19 +73,21 @@ METHODS = ("sequential", "fixed", "objective_only")
 SCALES = ("desk", "paper")
 
 RESULTS_HEADER = ["split", "ce_loss", "accuracy", "mse_loss", "mean_violation", "satisfied_fraction"]
-TRACE_HEADER = [
+# trace.csv: one column per OuterRecord attribute path, named by its last
+# part, then x0, x1, ... when the candidate has at most MAX_TRACE_DIM entries.
+TRACE_COLUMNS = (
     "k",
     "tau",
     "eps",
     "penalty_value",
     "objective_value",
     "grad_norm",
-    "mean_violation",
-    "max_violation",
-    "satisfied_fraction",
+    "feasibility.mean_violation",
+    "feasibility.max_violation",
+    "feasibility.satisfied_fraction",
     "multiplier_max",
     "multiplier_mean",
-]
+)
 HIST_HEADER = ["split", "sample", "constraint", "value"]
 TIMELINE_HEADER = ["epoch", "phase", "split", "accuracy", "satisfied_fraction"]
 
@@ -191,11 +188,11 @@ TASK_KEYS = {
     "analytic_qp": {
         "qp_name": (_conv_str, "x_sq_ge_1"),
         "x0": (_conv_floats, None),
-        "mode": (_conv_choice(("theoretical", "practical")), "theoretical"),
+        "mode": (_conv_choice(MODES), "theoretical"),
         "stepsize": (_conv_stepsize, "auto"),
         "batch_size": (_conv_int, 1),
         "budget": (_conv_int, 50),
-        "candidate_rule": (_conv_choice(("last", "uniform")), "last"),
+        "candidate_rule": (_conv_choice(CANDIDATE_RULES), "last"),
     },
     "enc_dec": {
         "data_root": (_conv_str, None),  # falls back to the DATA_ENV variable
@@ -212,7 +209,7 @@ TASK_KEYS = {
     },
 }
 
-_PENALTY_KIND = _conv_choice(("quadratic", "linear"))
+_PENALTY_KIND = _conv_choice(PENALTY_KINDS)
 METHOD_KEYS = {
     ("analytic_qp", "sequential"): {
         "tau0": (_conv_float, 1.0),
@@ -341,32 +338,13 @@ def _write_manifest(out: Path, cfg):
         f.write("\n")
 
 
-def _trace_rows(trace: OuterTrace, with_candidate: bool):
-    rows = []
-    for rec in trace.records:
-        row = [
-            rec.k,
-            rec.tau,
-            rec.eps,
-            rec.penalty_value,
-            rec.objective_value,
-            rec.grad_norm,
-            rec.feasibility.mean_violation,
-            rec.feasibility.max_violation,
-            rec.feasibility.satisfied_fraction,
-            rec.multiplier_max,
-            rec.multiplier_mean,
-        ]
-        if with_candidate:
-            row.extend(rec.candidate.tolist())
-        rows.append(row)
-    return rows
-
-
-def _write_trace(out: Path, trace: OuterTrace, dim: int):
+def _write_trace(out: Path, records, dim: int):
     with_candidate = dim <= MAX_TRACE_DIM
-    header = list(TRACE_HEADER) + ([f"x{i}" for i in range(dim)] if with_candidate else [])
-    write_csv(out / "trace.csv", header, _trace_rows(trace, with_candidate))
+    header = [column.rpartition(".")[2] for column in TRACE_COLUMNS]
+    header += [f"x{i}" for i in range(dim)] if with_candidate else []
+    values = operator.attrgetter(*TRACE_COLUMNS)
+    rows = [[*values(rec), *(rec.candidate.tolist() if with_candidate else ())] for rec in records]
+    write_csv(out / "trace.csv", header, rows)
 
 
 # --------------------------------------------------------------------------
@@ -429,26 +407,18 @@ def _run_qp(cfg):
             candidate_rule=cfg["candidate_rule"] if cfg["mode"] == "theoretical" else None,
             grad_norm="exact",
         )
-    train = _method(cfg, inner, "max_outer", auto_stepsize if auto else None)
+    train_method = _method(cfg, inner, "max_outer", auto_stepsize if auto else None)
 
-    trace = train(problem, x0)
-    final = trace.final()
-    g = constraint_values(problem, final.candidate)
-    results = [
-        [
-            "train",
-            final.objective_value,
-            float("nan"),
-            float(g.mean()),
-            final.feasibility.mean_violation,
-            final.feasibility.satisfied_fraction,
-        ]
-    ]
-    hist = [["train", j, i, g[j, i]] for j in range(g.shape[0]) for i in range(g.shape[1])]
-    timeline = [
-        [rec.k, "train", "train", float("nan"), rec.feasibility.satisfied_fraction] for rec in trace.records
-    ]
-    return trace, qp.dim, results, hist, timeline
+    def timeline_rows(records):
+        return [[rec.k, "train", "train", float("nan"), rec.feasibility.satisfied_fraction] for rec in records]
+
+    def result_rows(final):
+        g = constraint_values(problem, final.candidate)
+        row = ["train", final.objective_value, float("nan"), float(g.mean())]
+        row += [final.feasibility.mean_violation, final.feasibility.satisfied_fraction]
+        return [row], [["train", j, i, g[j, i]] for j in range(g.shape[0]) for i in range(g.shape[1])]
+
+    return qp.dim, lambda: train_method(problem, x0), timeline_rows, result_rows
 
 
 def _run_enc_dec(cfg):
@@ -480,40 +450,43 @@ def _run_enc_dec(cfg):
         warm = dataclasses.replace(inner, budget=cfg["warm_start_epochs"], rng_seed=derived_seed(cfg["seed"], 1))
     train_method = _method(cfg, inner, "epochs")
     task = tasks["train"]
-
-    timeline_rows = []
-    phase_state = {"epoch": 0, "phase": "warm"}
+    init_rng = np.random.default_rng(derived_seed(cfg["seed"], 0))
+    timeline = []
 
     def timeline_hook(params):
+        # The hook fires once per epoch, the warm start's epochs first.
+        epoch = len(timeline) // len(tasks)
+        phase = "warm" if epoch < cfg["warm_start_epochs"] else "train"
         for split_name, split_task in tasks.items():
             m = evaluate_enc_dec(split_task, params)
-            timeline_rows.append(
-                [phase_state["epoch"], phase_state["phase"], split_name, m["accuracy"], m["satisfied_fraction"]]
-            )
-        phase_state["epoch"] += 1
+            timeline.append([epoch, phase, split_name, m["accuracy"], m["satisfied_fraction"]])
 
     hook = timeline_hook if cfg["timeline"] else None
 
-    # No name holds the initial parameters, so they are freed when the warm start returns.
-    init_rng = np.random.default_rng(derived_seed(cfg["seed"], 0))
-    params = warm_start(task, task.model.init_params(init_rng), warm, epoch_hook=hook)
-    phase_state["phase"] = "train"
-    trace = train_method(task.problem, params, epoch_hook=hook)
-    final_params = trace.final().candidate
+    def run():
+        # No name holds the initial parameters, so they are freed when the warm start returns.
+        params = warm_start(task, task.model.init_params(init_rng), warm, epoch_hook=hook)
+        return train_method(task.problem, params, epoch_hook=hook)
 
-    results = []
-    hist = []
-    for split_name, split_task in tasks.items():
-        m = evaluate_enc_dec(split_task, final_params)
-        results.append(
-            [split_name, m["ce_loss"], m["accuracy"], m["mse_loss"], m["mean_violation"], m["satisfied_fraction"]]
-        )
-        hist.extend([split_name, j, 0, m["mse_per_sample"][j]] for j in range(len(m["mse_per_sample"])))
-    return trace, task.model.num_params, results, hist, timeline_rows
+    def result_rows(final):
+        results, hist = [], []
+        for split_name, split_task in tasks.items():
+            m = evaluate_enc_dec(split_task, final.candidate)
+            results.append([split_name, *(m[key] for key in RESULTS_HEADER[1:])])
+            hist.extend([split_name, j, 0, mse] for j, mse in enumerate(m["mse_per_sample"]))
+        return results, hist
+
+    return task.model.num_params, run, lambda records: timeline, result_rows
 
 
 def run_experiment(config_path) -> int:
-    """Run one configured experiment; returns the process exit code."""
+    """Run one configured experiment; returns the process exit code.
+
+    The runner builds every library object before training and returns the
+    problem dimension, the training call and the row builders for the
+    artifacts. This function alone writes trace.csv and timeline.csv, from the
+    finished trace or from the rows gathered before a numeric abort.
+    """
     try:
         cfg = load_config(config_path)
         out = Path(cfg["out_dir"])
@@ -521,28 +494,30 @@ def run_experiment(config_path) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"out_dir: {err}") from err
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    _write_manifest(out, cfg)
-    try:
-        trace, dim, results, hist, timeline = (_run_qp if cfg["task"] == "analytic_qp" else _run_enc_dec)(cfg)
+        _write_manifest(out, cfg)
+        dim, train, timeline_rows, result_rows = (_run_qp if cfg["task"] == "analytic_qp" else _run_enc_dec)(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
+    records, abort = [], None
+    try:
+        records = train().records
     except OuterAbort as err:
-        # Flush whatever the outer loop recorded before the abort.
-        dim = err.partial.records[0].candidate.size if err.partial.records else MAX_TRACE_DIM + 1
-        _write_trace(out, err.partial, dim)
-        print(f"numeric abort: {err}", file=sys.stderr)
+        records, abort = err.partial.records, err
+    except (InnerSolverError, OracleError) as err:
+        # The outer loop reports its own failures as OuterAbort; this one came from the warm start.
+        abort = f"warm start aborted: {err}"
+    _write_trace(out, records, dim)
+    write_csv(out / "timeline.csv", TIMELINE_HEADER, timeline_rows(records))
+    if abort is not None:
+        print(f"numeric abort: {abort}", file=sys.stderr)
         return 3
-    _write_trace(out, trace, dim)
+    results, hist = result_rows(records[-1])
     write_csv(out / "results.csv", RESULTS_HEADER, results)
     write_csv(out / "violations_hist.csv", HIST_HEADER, hist)
-    write_csv(out / "timeline.csv", TIMELINE_HEADER, timeline)
     print(f"wrote {out}")
     return 0
 
@@ -561,9 +536,13 @@ def _load_run(run_dir: Path):
         problems.append(str(results_path))
     if problems:
         raise ConfigError("missing run artifacts: " + ", ".join(problems))
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ConfigError(f"{manifest_path}: {err}") from err
     lines = results_path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ConfigError(f"{results_path}: empty file")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return manifest, header, rows

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from seqpen.inner import InnerReport, InnerSolverError, SGDConfig, sgd_run
-from seqpen.penalties import PENALTY_KINDS, PenaltySpec, constraint_weights, penalty_value_from_values
+from seqpen.penalties import PenaltySpec, constraint_weights, penalty_value_from_values
 from seqpen.problems import (
     Array,
     FeasibilityStats,
@@ -148,6 +148,19 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     )
 
 
+def _outer_step(problem, spec, k, eps, x, config, trace, epoch_hook, opt_state=None) -> InnerReport:
+    """Run outer iteration ``k`` from ``x`` and append its record to ``trace``.
+
+    A failure of the inner run or of the record aborts with the trace so far.
+    """
+    try:
+        report = sgd_run(problem, spec, x, config, opt_state=opt_state, epoch_hook=epoch_hook)
+        trace.records.append(_make_record(problem, spec, k, eps, report))
+    except (InnerSolverError, OracleError) as err:
+        raise OuterAbort(k, trace, err) from err
+    return report
+
+
 def sequential_penalty_train(
     problem: FiniteSumProblem,
     kind: str,
@@ -161,8 +174,7 @@ def sequential_penalty_train(
     the inner runs are derived per iteration from the configured seed so
     epochs do not repeat the same shuffles.
     """
-    if kind not in PENALTY_KINDS:
-        raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {kind!r}")
+    PenaltySpec(kind, schedule.tau0)  # rejects an unknown kind before any inner run
     x = as_params(problem, x0)
     trace = OuterTrace(kind=kind)
     opt_state = None
@@ -175,14 +187,9 @@ def sequential_penalty_train(
             config = replace(config, stepsize=schedule.stepsize_fn(tau))
         if schedule.budget_fn is not None:
             config = replace(config, budget=int(schedule.budget_fn(tau, eps, x)))
-        try:
-            report = sgd_run(problem, spec, x, config, opt_state=opt_state, epoch_hook=epoch_hook)
-            rec = _make_record(problem, spec, k, eps, report)
-        except (InnerSolverError, OracleError) as err:
-            raise OuterAbort(k, trace, err) from err
-        x = report.candidate
-        opt_state = report.opt_state
-        trace.records.append(rec)
+        report = _outer_step(problem, spec, k, eps, x, config, trace, epoch_hook, opt_state)
+        x, opt_state = report.candidate, report.opt_state
+        rec = trace.final()
         if rec.grad_norm <= eps and rec.feasibility.max_violation <= schedule.feasibility_tol:
             trace.stopped = "tolerance"
             break
@@ -207,9 +214,5 @@ def fixed_penalty_train(
     x = as_params(problem, x0)
     spec = PenaltySpec("linear", lam)
     trace = OuterTrace(kind="linear", stopped="budget")
-    try:
-        report = sgd_run(problem, spec, x, inner, epoch_hook=epoch_hook)
-        trace.records.append(_make_record(problem, spec, 0, float("nan"), report))
-    except (InnerSolverError, OracleError) as err:
-        raise OuterAbort(0, trace, err) from err
+    _outer_step(problem, spec, 0, float("nan"), x, inner, trace, epoch_hook)
     return trace

@@ -43,19 +43,14 @@ class IdxCountMismatchError(IdxError):
     """Image and label files declare different sample counts."""
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as f:
-        head = f.read(2)
-        rest = f.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    return raw
-
-
 def read_idx(path) -> tuple[int, tuple, Array]:
-    """Parse one IDX file into (magic, dims, flat uint8 payload)."""
-    raw = _read_bytes(path)
+    """Parse one IDX file into (magic, dims, flat uint8 payload).
+
+    The file is read once; the payload is a read-only view of those bytes.
+    """
+    raw = Path(path).read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
     if len(raw) < 4:
         raise IdxTruncatedError(f"{path}: shorter than an IDX header")
     (magic,) = struct.unpack(">i", raw[:4])
@@ -69,10 +64,9 @@ def read_idx(path) -> tuple[int, tuple, Array]:
     if any(d < 0 for d in dims):
         raise IdxMagicError(f"{path}: negative dimension in header")
     expected = int(np.prod(dims)) if ndim else 0
-    payload = raw[header_len:]
-    if len(payload) < expected:
-        raise IdxTruncatedError(f"{path}: payload holds {len(payload)} bytes, header declares {expected}")
-    return magic, dims, np.frombuffer(payload[:expected], dtype=np.uint8)
+    if len(raw) - header_len < expected:
+        raise IdxTruncatedError(f"{path}: payload holds {len(raw) - header_len} bytes, header declares {expected}")
+    return magic, dims, np.frombuffer(raw, dtype=np.uint8, count=expected, offset=header_len)
 
 
 def idx_header_bytes(magic: int, dims) -> bytes:

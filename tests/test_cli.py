@@ -123,6 +123,20 @@ def test_numeric_abort_exit_3_with_trace(tmp_path, capsys):
     assert (tmp_path / "boom" / "trace.csv").exists()
 
 
+def test_qp_abort_at_the_first_outer_iteration_writes_the_full_trace_header(tmp_path, capsys):
+    common = dict(task="analytic_qp", method="sequential", max_outer=4)
+    done = write_cfg(tmp_path / "done.cfg", out_dir=tmp_path / "done", **common)
+    boom = write_cfg(tmp_path / "boom.cfg", out_dir=tmp_path / "boom", stepsize=1e12, budget=3000, **common)
+    assert main(["run", str(done)]) == 0
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(boom)]) == 3
+    assert "outer iteration 0 aborted" in capsys.readouterr().err
+    header, rows = read_rows(tmp_path / "boom" / "trace.csv")
+    assert rows == []
+    assert header == read_rows(tmp_path / "done" / "trace.csv")[0]
+    assert "x0" in header
+
+
 def test_run_twice_byte_identical(tmp_path):
     cfg = write_cfg(
         tmp_path / "qp.cfg",
@@ -585,6 +599,108 @@ def test_record_oracle_failure_exits_3_with_partial_trace(tmp_path, capsys, monk
     assert "numeric abort" in err and "non-finite constraint value" in err
     _, rows = read_rows(tmp_path / "out" / "trace.csv")
     assert [row["k"] for row in rows] == ["0", "1", "2"]
+
+
+def _diverging_enc_cfg(tmp_path, data_root, warm_start_epochs):
+    # One Adam step per epoch moves every weight by about the learning rate,
+    # so the first step stays finite and the second overflows.
+    return write_cfg(
+        tmp_path / "diverge.cfg",
+        task="enc_dec",
+        method="sequential",
+        out_dir=tmp_path / "diverge",
+        data_root=data_root,
+        train_limit=256,
+        test_limit=64,
+        epochs=2,
+        warm_start_epochs=warm_start_epochs,
+        batch_size=256,
+        learning_rate=1e308,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_warm_start_exits_3_with_its_timeline(tmp_path, data_root, capsys):
+    cfg = _diverging_enc_cfg(tmp_path, data_root, warm_start_epochs=4)
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric abort: warm start aborted: non-finite iterate" in err
+    out = tmp_path / "diverge"
+    header, rows = read_rows(out / "trace.csv")
+    assert header[:3] == ["k", "tau", "eps"] and rows == []
+    _, timeline = read_rows(out / "timeline.csv")
+    assert [(row["epoch"], row["phase"], row["split"]) for row in timeline] == [
+        ("0", "warm", "train"),
+        ("0", "warm", "test"),
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "timeline.csv", "trace.csv"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_after_the_warm_start_exits_3_with_its_timeline(tmp_path, data_root, capsys):
+    cfg = _diverging_enc_cfg(tmp_path, data_root, warm_start_epochs=1)
+    assert main(["run", str(cfg)]) == 3
+    assert "numeric abort: outer iteration 0 aborted" in capsys.readouterr().err
+    _, timeline = read_rows(tmp_path / "diverge" / "timeline.csv")
+    assert [(row["epoch"], row["phase"]) for row in timeline] == [("0", "warm"), ("0", "warm")]
+
+
+def test_enc_dec_abort_in_training_flushes_every_timeline_row_so_far(tmp_path, data_root, capsys, monkeypatch):
+    keys = dict(
+        task="enc_dec",
+        method="sequential",
+        data_root=data_root,
+        train_limit=128,
+        test_limit=32,
+        epochs=3,
+        warm_start_epochs=1,
+    )
+    assert main(["run", str(write_cfg(tmp_path / "done.cfg", out_dir=tmp_path / "done", **keys))]) == 0
+    real_make_record = outer_mod._make_record
+
+    def make_record(problem, spec, k, eps, report):
+        if k == 1:
+            raise outer_mod.OracleError("non-finite objective value for sample 0")
+        return real_make_record(problem, spec, k, eps, report)
+
+    monkeypatch.setattr(outer_mod, "_make_record", make_record)
+    assert main(["run", str(write_cfg(tmp_path / "boom.cfg", out_dir=tmp_path / "boom", **keys))]) == 3
+    assert "numeric abort: outer iteration 1 aborted" in capsys.readouterr().err
+    done, boom = tmp_path / "done", tmp_path / "boom"
+    # the warm epoch and the first two training epochs; the abort came in the second one's record
+    timeline = (done / "timeline.csv").read_text(encoding="utf-8").splitlines()
+    assert (boom / "timeline.csv").read_text(encoding="utf-8").splitlines() == timeline[:7]
+    trace = (done / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert (boom / "trace.csv").read_text(encoding="utf-8").splitlines() == trace[:2]
+
+
+def test_compare_empty_results_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "qa", max_outer=2)
+    assert main(["run", str(cfg)]) == 0
+    (tmp_path / "qa" / "results.csv").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "qa")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'qa' / 'results.csv'}: ")
+
+
+def test_compare_corrupt_manifest_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "qa", max_outer=2)
+    assert main(["run", str(cfg)]) == 0
+    manifest = tmp_path / "qa" / "manifest.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "qa")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+
+def test_readme_example_config_parses(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example `experiment.cfg` for the image task:", 1)[1].split("```")[1]
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text(example.lstrip("\n"), encoding="utf-8")
+    monkeypatch.setenv("SEQPEN_DATA", str(tmp_path / "data"))
+    parsed = cli_mod.load_config(cfg)
+    assert (parsed["task"], parsed["method"], parsed["scale"]) == ("enc_dec", "sequential", "desk")
 
 
 def test_readme_lists_the_keys_each_task_accepts():

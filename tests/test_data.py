@@ -1,4 +1,5 @@
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,24 @@ def test_truncated_payload(idx_pair, tmp_path):
     header_only.write_bytes(img_path.read_bytes()[:6])
     with pytest.raises(IdxTruncatedError):
         read_idx(header_only)
+
+
+def test_read_idx_holds_the_file_once(tmp_path):
+    # 600 images of 64x64 pixels, a 2.46 MB file: reading it into one buffer
+    # and viewing the payload there peaks at about the file size, while
+    # joining two reads or slicing off the header adds a second copy.
+    pixels = np.random.default_rng(1).integers(0, 256, size=(600, 64, 64), dtype=np.uint8)
+    path = tmp_path / "imgs"
+    write_idx(path, IMAGE_MAGIC, pixels.shape, pixels)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, dims, data = read_idx(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == pixels.shape and np.array_equal(data, pixels.ravel())
+    assert peak < 1.5 * size
 
 
 def test_count_mismatch(idx_pair, tmp_path):

@@ -183,6 +183,15 @@ def test_fixed_penalty_large_lambda_reaches_feasibility():
     assert trace.final().candidate[0] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_unknown_penalty_kind_rejected_before_any_inner_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(outer_mod, "sgd_run", lambda *args, **kwargs: calls.append("sgd_run"))
+    sched = qp_schedule(stepsize_fn=lambda tau: calls.append("stepsize_fn") or 1.0)
+    with pytest.raises(ValueError, match="penalty kind must be one of .* got 'cubic'"):
+        sequential_penalty_train(qp_problem(), "cubic", sched, np.array([0.0]))
+    assert calls == []
+
+
 def test_fixed_penalty_rejects_negative_lambda():
     with pytest.raises(ValueError, match="lambda"):
         fixed_penalty_train(qp_problem(), -1.0, exact_inner(), np.array([0.0]))
