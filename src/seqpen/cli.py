@@ -3,8 +3,12 @@
 Commands:
 
 * ``seqpen run <config>``: run one experiment, writing CSV artifacts and a
-  manifest into the configured output directory.
-* ``seqpen compare <dirs...>``: print an aligned summary table across runs.
+  manifest into the configured output directory. The run artifacts an
+  earlier run left there are removed right after the new manifest is
+  written, so a failed run never leaves an older run's results beside it.
+* ``seqpen compare <dirs...>``: print an aligned summary table across runs;
+  exit 1 when a directory lacks its manifest or results, or its manifest is
+  not a JSON object holding task, method and label.
 * ``seqpen grid <config-glob> [--jobs K]``: run many configs in worker
   processes, each writing to its own directory; a failing config does not
   stop the others, and the exit code is the largest of theirs.
@@ -65,6 +69,7 @@ from seqpen.tasks.qp import qp_registry
 from seqpen.problems import OracleError, constraint_values
 
 SCHEMA = "seqpen-run-v1"
+RUN_ARTIFACTS = ("trace.csv", "timeline.csv", "results.csv", "violations_hist.csv")
 DATA_ENV = "SEQPEN_DATA"
 MAX_TRACE_DIM = 16
 
@@ -352,7 +357,7 @@ def _write_trace(out: Path, records, dim: int):
 
 
 def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
-    """Build the configured method; returns ``train(problem, x0, epoch_hook=None) -> OuterTrace``.
+    """Build the configured method; returns ``train(problem, x0, hook=None) -> OuterTrace``.
 
     The Schedule or the lambda PenaltySpec rejects its values here, before
     training, as a ConfigError. ``max_outer_key`` is the config key that
@@ -369,14 +374,14 @@ def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
                 eps_decay=cfg["eps_decay"],
                 stepsize_fn=stepsize_fn,
             )
-        return lambda problem, x0, epoch_hook=None: sequential_penalty_train(
-            problem, cfg["penalty_kind"], schedule, x0, epoch_hook=epoch_hook
+        return lambda problem, x0, hook=None: sequential_penalty_train(
+            problem, cfg["penalty_kind"], schedule, x0, hook=hook
         )
     with _library_checks(tau="lambda"):
         lam = PenaltySpec("linear", cfg["lambda"] if cfg["method"] == "fixed" else 0.0).tau
         if stepsize_fn is not None:
             inner = dataclasses.replace(inner, stepsize=stepsize_fn(lam))
-    return lambda problem, x0, epoch_hook=None: fixed_penalty_train(problem, lam, inner, x0, epoch_hook=epoch_hook)
+    return lambda problem, x0, hook=None: fixed_penalty_train(problem, lam, inner, x0, hook=hook)
 
 
 def _run_qp(cfg):
@@ -465,8 +470,8 @@ def _run_enc_dec(cfg):
 
     def run():
         # No name holds the initial parameters, so they are freed when the warm start returns.
-        params = warm_start(task, task.model.init_params(init_rng), warm, epoch_hook=hook)
-        return train_method(task.problem, params, epoch_hook=hook)
+        params = warm_start(task, task.model.init_params(init_rng), warm, hook=hook)
+        return train_method(task.problem, params, hook=hook)
 
     def result_rows(final):
         results, hist = [], []
@@ -485,7 +490,9 @@ def run_experiment(config_path) -> int:
     The runner builds every library object before training and returns the
     problem dimension, the training call and the row builders for the
     artifacts. This function alone writes trace.csv and timeline.csv, from the
-    finished trace or from the rows gathered before a numeric abort.
+    finished trace or from the rows gathered before a numeric abort. Right
+    after the manifest it removes the artifacts an earlier run left in
+    out_dir, so none of them outlives a failed run.
     """
     try:
         cfg = load_config(config_path)
@@ -495,6 +502,8 @@ def run_experiment(config_path) -> int:
         except OSError as err:
             raise ConfigError(f"out_dir: {err}") from err
         _write_manifest(out, cfg)
+        for name in RUN_ARTIFACTS:
+            (out / name).unlink(missing_ok=True)
         dim, train, timeline_rows, result_rows = (_run_qp if cfg["task"] == "analytic_qp" else _run_enc_dec)(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -540,6 +549,8 @@ def _load_run(run_dir: Path):
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as err:  # not UTF-8, or not JSON
         raise ConfigError(f"{manifest_path}: {err}") from err
+    if not isinstance(manifest, dict) or not {"task", "method", "label"} <= manifest.keys():
+        raise ConfigError(f"{manifest_path}: not a run manifest (an object with task, method and label)")
     lines = results_path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{results_path}: empty file")

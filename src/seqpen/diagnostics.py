@@ -254,8 +254,7 @@ def sgc_estimate(
             warnings.warn("skipping probe with near-zero full penalty gradient", RuntimeWarning)
             skipped += 1
             continue
-        est_scale = 1.0 if problem.normalization == "mean" else float(n_s)
-        mean_sq = float((per_sample * per_sample).sum()) / n_s * est_scale**2
+        mean_sq = float((per_sample * per_sample).sum()) / n_s * problem.estimator_scale(1) ** 2
         ratios.append(mean_sq / full_sq)
     if not ratios:
         raise ValueError("all probe points had near-zero full gradients; no ratio defined")

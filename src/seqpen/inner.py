@@ -11,9 +11,8 @@ Two modes:
   within an epoch), candidate = last iterate. This is the regime used for
   the network experiments.
 
-Sampled gradients are scaled to be unbiased estimates of the full penalty
-gradient: batch mean under ``mean`` normalization, batch sum times
-N / batch_size under ``sum`` normalization.
+Sampled gradients are scaled by ``FiniteSumProblem.estimator_scale`` to be
+unbiased estimates of the full penalty gradient.
 
 Runs are bit-deterministic given (problem, spec, x0, config).
 """
@@ -26,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from seqpen.penalties import PenaltySpec, penalty_grad_batch, penalty_grad_full, penalty_value_full
+from seqpen.penalties import PenaltySpec, penalty_grad_batch, penalty_grad_full
 from seqpen.problems import Array, FiniteSumProblem, as_params, epoch_batches
 
 MODES = ("theoretical", "practical")
@@ -83,9 +82,9 @@ class SGDConfig:
     ``budget`` counts iterations in theoretical mode and epochs in practical
     mode. ``clip_box`` is an optional (lo, hi) per-coordinate projection
     standing in for the compact-set containment the theory assumes; the
-    report counts how often it activated. ``candidate_rule`` defaults to
-    uniform iterate sampling in theoretical mode and to the last iterate in
-    practical mode.
+    report counts how often it activated. ``candidate_rule`` is read in
+    theoretical mode only, where it defaults to uniform iterate sampling;
+    practical mode always returns the last iterate.
     """
 
     stepsize: float
@@ -96,8 +95,6 @@ class SGDConfig:
     adam: AdamParams = field(default_factory=AdamParams)
     rng_seed: int = 0
     candidate_rule: Optional[str] = None
-    track_penalty: bool = False
-    track_iterates: bool = False
     grad_norm: str = "exact"
 
     def __post_init__(self):
@@ -118,11 +115,6 @@ class SGDConfig:
         if self.grad_norm not in GRAD_NORM_MODES:
             raise ValueError(f"grad_norm must be one of {GRAD_NORM_MODES}")
 
-    def resolved_candidate_rule(self) -> str:
-        if self.candidate_rule is not None:
-            return self.candidate_rule
-        return "uniform" if self.mode == "theoretical" else "last"
-
 
 @dataclass
 class InnerReport:
@@ -132,10 +124,8 @@ class InnerReport:
     iterate_count: int
     grad_norm_estimate: float
     sampled_index: Optional[int]
-    trace: list
     clip_activations: int
     opt_state: Optional[AdamState] = None
-    iterates: Optional[list] = None
 
 
 def iteration_budget(rho: float, L: float, gap: float, eps: float) -> int:
@@ -190,26 +180,28 @@ def sgd_run(
     x0,
     config: SGDConfig,
     opt_state: Optional[AdamState] = None,
-    epoch_hook: Optional[Callable[[Array], None]] = None,
+    hook: Optional[Callable[[Array], None]] = None,
 ) -> InnerReport:
     """Run the configured solver on the penalty subproblem from x0.
 
-    ``opt_state`` and ``epoch_hook`` apply to practical mode only: the state
-    continues a previous Adam run, and the hook fires with the current
-    parameters after every epoch.
+    ``hook(z)`` fires after every unit of ``config.budget``: after each
+    iteration in theoretical mode (once the iterate is clipped and checked
+    finite) and after each epoch in practical mode. It receives a copy of the
+    current iterate that the run never writes again. ``opt_state`` applies
+    to practical mode only and continues a previous Adam run.
     """
     x0 = as_params(problem, x0)
     _check_finite(x0, -1)
     if config.mode == "theoretical":
-        return _run_theoretical(problem, spec, x0, config)
-    return _run_practical(problem, spec, x0, config, opt_state, epoch_hook)
+        return _run_theoretical(problem, spec, x0, config, hook)
+    return _run_practical(problem, spec, x0, config, opt_state, hook)
 
 
-def _run_theoretical(problem, spec, x0, config: SGDConfig) -> InnerReport:
+def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
     rng = np.random.default_rng(config.rng_seed)
     n_samples = problem.num_samples
     budget = config.budget
-    rule = config.resolved_candidate_rule()
+    rule = config.candidate_rule or "uniform"
     # The sampling pool is the first `budget` iterates z^0 .. z^{budget-1}
     # (just z^0 for an empty run); the index is drawn up front so only the
     # chosen iterate needs to be retained.
@@ -219,16 +211,11 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig) -> InnerReport:
         sampled_index = int(rng.integers(pool))
 
     full_batch = config.batch_size >= n_samples
-    if full_batch:
-        batch = np.arange(n_samples)
-        scale = problem.agg_scale
-    else:
-        scale = (1.0 / config.batch_size) if problem.normalization == "mean" else n_samples / config.batch_size
+    batch = np.arange(n_samples) if full_batch else None
+    scale = problem.estimator_scale(min(config.batch_size, n_samples))
 
     z = x0.copy()
     candidate = x0.copy()
-    trace = [penalty_value_full(problem, spec, z)] if config.track_penalty else []
-    iterates = [z.copy()] if config.track_iterates else None
     clip_count = 0
     for t in range(budget):
         if sampled_index == t:
@@ -240,10 +227,8 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig) -> InnerReport:
         if config.clip_box is not None:
             z, clip_count = _clip(z, config.clip_box, clip_count)
         _check_finite(z, t)
-        if config.track_penalty:
-            trace.append(penalty_value_full(problem, spec, z))
-        if iterates is not None:
-            iterates.append(z.copy())
+        if hook is not None:
+            hook(z.copy())
     if rule == "last":
         candidate = z.copy()
         sampled_index = None
@@ -253,13 +238,11 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig) -> InnerReport:
         iterate_count=budget + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, candidate, config),
         sampled_index=sampled_index,
-        trace=trace,
         clip_activations=clip_count,
-        iterates=iterates,
     )
 
 
-def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) -> InnerReport:
+def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> InnerReport:
     rng = np.random.default_rng(config.rng_seed)
     n_samples = problem.num_samples
     adam = config.adam
@@ -268,7 +251,6 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
         raise ValueError("opt_state does not match the problem dimension")
 
     z = x0.copy()
-    trace = [penalty_value_full(problem, spec, z)] if config.track_penalty else []
     clip_count = 0
     steps = 0
     # The Adam step runs in place, one ADAM_BLOCK of coordinates at a time,
@@ -282,7 +264,7 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
     for _ in range(config.budget):
         for batch in epoch_batches(n_samples, config.batch_size, rng):
             gsum = penalty_grad_batch(problem, spec, batch, z)
-            scale = (1.0 / batch.size) if problem.normalization == "mean" else n_samples / batch.size
+            scale = problem.estimator_scale(batch.size)
             state.step += 1
             c1 = 1.0 - adam.beta1**state.step
             c2 = 1.0 - adam.beta2**state.step
@@ -312,21 +294,18 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, epoch_hook) 
                 z, clip_count = _clip(z, config.clip_box, clip_count)
             _check_finite(z, steps)
             steps += 1
-        # The last batch gradient is not held through the epoch hook. Within an
+        # The last batch gradient is not held through the hook. Within an
         # epoch each one lives until the next replaces it: freed right after its
         # step, it would go back to the OS and be faulted in again every step.
         gsum = None
-        if config.track_penalty:
-            trace.append(penalty_value_full(problem, spec, z))
-        if epoch_hook is not None:
-            epoch_hook(z.copy())
+        if hook is not None:
+            hook(z.copy())
 
     return InnerReport(
         candidate=z,
         iterate_count=steps + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, z, config),
         sampled_index=None,
-        trace=trace,
         clip_activations=clip_count,
         opt_state=state,
     )

@@ -114,7 +114,6 @@ class OuterRecord:
 
 @dataclass
 class OuterTrace:
-    kind: str
     records: list = field(default_factory=list)
     stopped: str = "max_outer"
 
@@ -148,13 +147,13 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     )
 
 
-def _outer_step(problem, spec, k, eps, x, config, trace, epoch_hook, opt_state=None) -> InnerReport:
+def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -> InnerReport:
     """Run outer iteration ``k`` from ``x`` and append its record to ``trace``.
 
     A failure of the inner run or of the record aborts with the trace so far.
     """
     try:
-        report = sgd_run(problem, spec, x, config, opt_state=opt_state, epoch_hook=epoch_hook)
+        report = sgd_run(problem, spec, x, config, opt_state=opt_state, hook=hook)
         trace.records.append(_make_record(problem, spec, k, eps, report))
     except (InnerSolverError, OracleError) as err:
         raise OuterAbort(k, trace, err) from err
@@ -166,17 +165,18 @@ def sequential_penalty_train(
     kind: str,
     schedule: Schedule,
     x0,
-    epoch_hook: Optional[Callable[[Array], None]] = None,
+    hook: Optional[Callable[[Array], None]] = None,
 ) -> OuterTrace:
     """Run the outer loop; returns the per-iteration trace.
 
     Each inner run starts exactly at the previous candidate. RNG seeds for
     the inner runs are derived per iteration from the configured seed so
-    epochs do not repeat the same shuffles.
+    epochs do not repeat the same shuffles. ``hook`` is passed to every
+    inner run (see ``sgd_run``).
     """
     PenaltySpec(kind, schedule.tau0)  # rejects an unknown kind before any inner run
     x = as_params(problem, x0)
-    trace = OuterTrace(kind=kind)
+    trace = OuterTrace()
     opt_state = None
     for k in range(schedule.max_outer):
         tau = schedule.tau_at(k)
@@ -187,7 +187,7 @@ def sequential_penalty_train(
             config = replace(config, stepsize=schedule.stepsize_fn(tau))
         if schedule.budget_fn is not None:
             config = replace(config, budget=int(schedule.budget_fn(tau, eps, x)))
-        report = _outer_step(problem, spec, k, eps, x, config, trace, epoch_hook, opt_state)
+        report = _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state)
         x, opt_state = report.candidate, report.opt_state
         rec = trace.final()
         if rec.grad_norm <= eps and rec.feasibility.max_violation <= schedule.feasibility_tol:
@@ -201,7 +201,7 @@ def fixed_penalty_train(
     lam: float,
     inner: SGDConfig,
     x0,
-    epoch_hook: Optional[Callable[[Array], None]] = None,
+    hook: Optional[Callable[[Array], None]] = None,
 ) -> OuterTrace:
     """Single inner run on the objective plus lambda times the violation measure.
 
@@ -213,6 +213,6 @@ def fixed_penalty_train(
         raise ValueError("lambda must be finite and >= 0")
     x = as_params(problem, x0)
     spec = PenaltySpec("linear", lam)
-    trace = OuterTrace(kind="linear", stopped="budget")
-    _outer_step(problem, spec, 0, float("nan"), x, inner, trace, epoch_hook)
+    trace = OuterTrace(stopped="budget")
+    _outer_step(problem, spec, 0, float("nan"), x, inner, trace, hook)
     return trace

@@ -98,6 +98,13 @@ class FiniteSumProblem:
         """Factor turning a plain sum over samples into the problem's aggregate."""
         return 1.0 if self.normalization == "sum" else 1.0 / self.num_samples
 
+    def estimator_scale(self, batch_size: int) -> float:
+        """Factor turning a sum over ``batch_size`` sampled terms into an unbiased estimate of the aggregate.
+
+        For the full batch it equals ``agg_scale``.
+        """
+        return 1.0 / batch_size if self.normalization == "mean" else self.num_samples / batch_size
+
     def with_normalization(self, normalization: str) -> "FiniteSumProblem":
         return replace(self, normalization=normalization)
 

@@ -47,8 +47,6 @@ class EncDecModel:
         self.decoder = Mlp(
             [LayerSpec(code_dim, decoder_hidden_dim, "relu"), LayerSpec(decoder_hidden_dim, input_dim, "sigmoid")]
         )
-        self.input_dim = input_dim
-        self.num_classes = num_classes
         e, c, d = self.encoder.num_params, self.classifier.num_params, self.decoder.num_params
         self.encoder_slice = slice(0, e)
         self.classifier_slice = slice(e, e + c)
@@ -224,7 +222,7 @@ def evaluate_enc_dec(task: EncDecTask, params: Array) -> dict:
     }
 
 
-def warm_start(task: EncDecTask, params0: Array, config: SGDConfig, epoch_hook=None) -> Array:
+def warm_start(task: EncDecTask, params0: Array, config: SGDConfig, hook=None) -> Array:
     """Pretrain on the classification loss alone for ``config.budget`` epochs.
 
     Weight decay is held at zero here so branches that receive no loss
@@ -232,5 +230,5 @@ def warm_start(task: EncDecTask, params0: Array, config: SGDConfig, epoch_hook=N
     otherwise turn pure decay gradients into full-size steps.
     """
     config = replace(config, adam=replace(config.adam, weight_decay=0.0))
-    report = sgd_run(task.problem, PenaltySpec("linear", 0.0), params0, config, epoch_hook=epoch_hook)
+    report = sgd_run(task.problem, PenaltySpec("linear", 0.0), params0, config, hook=hook)
     return report.candidate

@@ -323,10 +323,10 @@ def test_criterion_5_penalty_identities():
         batch_size=1,
         budget=300,
         candidate_rule="last",
-        track_penalty=True,
     )
-    rep = sgd_run(qp.problem, spec, np.array([-0.5]), cfg)
-    diffs = np.diff(rep.trace)
+    iterates = [np.array([-0.5])]
+    sgd_run(qp.problem, spec, iterates[0], cfg, hook=iterates.append)
+    diffs = np.diff([penalty_value_full(qp.problem, spec, z) for z in iterates])
     assert (diffs <= 1e-12).all()
     elapsed = time.perf_counter() - t0
     report(5, elapsed < 10.0, f"identity residual={worst_identity:.1e} (<=1e-12), monotone descent, {elapsed:.1f}s")

@@ -137,6 +137,18 @@ def test_qp_abort_at_the_first_outer_iteration_writes_the_full_trace_header(tmp_
     assert "x0" in header
 
 
+def test_abort_into_a_finished_run_dir_leaves_none_of_its_results(tmp_path, capsys):
+    common = dict(task="analytic_qp", method="sequential", max_outer=4, out_dir=tmp_path / "out")
+    assert main(["run", str(write_cfg(tmp_path / "done.cfg", **common))]) == 0
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(write_cfg(tmp_path / "boom.cfg", stepsize=1e12, budget=3000, **common))]) == 3
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "timeline.csv", "trace.csv"]
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: missing run artifacts: ")
+
+
 def test_run_twice_byte_identical(tmp_path):
     cfg = write_cfg(
         tmp_path / "qp.cfg",
@@ -570,6 +582,14 @@ def test_empty_split_is_a_data_error_before_training(tmp_path, capsys, monkeypat
     assert (tmp_path / "enc_out" / "manifest.json").exists()
 
 
+def test_data_error_into_a_finished_run_dir_leaves_only_the_manifest(tmp_path, data_root, capsys):
+    assert main(["run", str(_enc_cfg(tmp_path, data_root))]) == 0
+    (tmp_path / "empty").mkdir()
+    assert main(["run", str(_enc_cfg(tmp_path, tmp_path / "empty"))]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "enc_out").iterdir()] == ["manifest.json"]
+
+
 def test_corrupt_idx_file_is_a_data_error(tmp_path, capsys):
     root = tmp_path / "idx"
     write_synthetic_idx(root, num_train=64, num_test=32, rng_seed=0)
@@ -691,6 +711,21 @@ def test_compare_corrupt_manifest_is_an_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(tmp_path / "qa")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+
+@pytest.mark.parametrize(
+    "manifest_of",
+    [lambda m: [], lambda m: {k: v for k, v in m.items() if k != "label"}],
+    ids=["list", "no_label"],
+)
+def test_compare_rejects_a_manifest_that_is_not_a_run_manifest(tmp_path, capsys, manifest_of):
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "qa", max_outer=2)
+    assert main(["run", str(cfg)]) == 0
+    manifest = tmp_path / "qa" / "manifest.json"
+    manifest.write_text(json.dumps(manifest_of(json.loads(manifest.read_text(encoding="utf-8")))), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "qa")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: not a run manifest")
 
 
 def test_readme_example_config_parses(tmp_path, monkeypatch):

@@ -11,8 +11,8 @@ from seqpen import (
     sgd_run,
 )
 import seqpen.inner as inner_mod
-from seqpen.inner import AdamState
-from seqpen.penalties import penalty_grad_batch
+from seqpen.inner import MODES, AdamState
+from seqpen.penalties import penalty_grad_batch, penalty_value_full
 from seqpen.problems import FiniteSumProblem, epoch_batches
 from seqpen.tasks.qp import build_analytic_qp
 
@@ -29,14 +29,19 @@ def constrained_qp():
     return build_analytic_qp([[2.0]], [0.0], [[-1.0]], [-1.0]).problem
 
 
+def _penalty_path(problem, spec, x0, cfg, **kwargs):
+    """Run sgd_run and return its report with the iterates and penalty values from x0 on."""
+    iterates = [np.asarray(x0, dtype=float)]
+    rep = sgd_run(problem, spec, x0, cfg, hook=iterates.append, **kwargs)
+    return rep, iterates, [penalty_value_full(problem, spec, z) for z in iterates]
+
+
 def test_hand_iterated_descent(free_quadratic):
     # gradient step on x^2 with eta = 0.25 halves the iterate each time
-    cfg = SGDConfig(
-        stepsize=0.25, batch_size=1, budget=3, candidate_rule="last", track_penalty=True, track_iterates=True
-    )
-    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg)
-    assert np.concatenate(rep.iterates) == pytest.approx([1.0, 0.5, 0.25, 0.125])
-    assert rep.trace == pytest.approx([1.0, 0.25, 0.0625, 0.015625])
+    cfg = SGDConfig(stepsize=0.25, batch_size=1, budget=3, candidate_rule="last")
+    rep, iterates, trace = _penalty_path(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg)
+    assert np.concatenate(iterates) == pytest.approx([1.0, 0.5, 0.25, 0.125])
+    assert trace == pytest.approx([1.0, 0.25, 0.0625, 0.015625])
     assert rep.candidate[0] == pytest.approx(0.125)
     assert rep.iterate_count == 4
 
@@ -61,11 +66,11 @@ def test_uniform_candidate_near_penalty_minimizer(constrained_qp):
 
 def test_determinism(constrained_qp):
     spec = PenaltySpec("quadratic", 10.0)
-    cfg = SGDConfig(stepsize=1e-3, batch_size=1, budget=500, rng_seed=42, track_penalty=True)
-    rep1 = sgd_run(constrained_qp, spec, np.array([0.3]), cfg)
-    rep2 = sgd_run(constrained_qp, spec, np.array([0.3]), cfg)
+    cfg = SGDConfig(stepsize=1e-3, batch_size=1, budget=500, rng_seed=42)
+    rep1, _, trace1 = _penalty_path(constrained_qp, spec, np.array([0.3]), cfg)
+    rep2, _, trace2 = _penalty_path(constrained_qp, spec, np.array([0.3]), cfg)
     assert np.array_equal(rep1.candidate, rep2.candidate)
-    assert rep1.trace == rep2.trace
+    assert trace1 == trace2
     assert rep1.sampled_index == rep2.sampled_index
     assert rep1.grad_norm_estimate == rep2.grad_norm_estimate
 
@@ -74,9 +79,9 @@ def test_full_batch_descent_is_monotone(constrained_qp):
     tau = 50.0
     spec = PenaltySpec("quadratic", tau)
     smoothness = 2.0 + tau  # exact for this QP
-    cfg = SGDConfig(stepsize=1.0 / smoothness, batch_size=1, budget=200, track_penalty=True, candidate_rule="last")
-    rep = sgd_run(constrained_qp, spec, np.array([-1.0]), cfg)
-    diffs = np.diff(rep.trace)
+    cfg = SGDConfig(stepsize=1.0 / smoothness, batch_size=1, budget=200, candidate_rule="last")
+    _, _, trace = _penalty_path(constrained_qp, spec, np.array([-1.0]), cfg)
+    diffs = np.diff(trace)
     assert (diffs <= 1e-12).all()
 
 
@@ -86,11 +91,10 @@ def test_clip_box_contains_iterates(free_quadratic):
         batch_size=1,
         budget=50,
         clip_box=(np.array([-0.5]), np.array([0.5])),
-        track_iterates=True,
         candidate_rule="last",
     )
-    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([0.5]), cfg)
-    for z in rep.iterates:
+    rep, iterates, _ = _penalty_path(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([0.5]), cfg)
+    for z in iterates:
         assert -0.5 <= z[0] <= 0.5
     # eta = 1.2 on x^2 expands (factor -1.4 per step), so the box must keep clipping
     assert rep.clip_activations > 0
@@ -191,15 +195,17 @@ def test_practical_mode_deterministic_and_threads_state(tiny_encdec):
 
 
 def test_practical_mode_descends_on_average(free_quadratic):
-    cfg = SGDConfig(stepsize=0.05, batch_size=1, mode="practical", budget=200, track_penalty=True)
-    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([2.0]), cfg)
-    assert rep.trace[-1] < rep.trace[0] * 1e-3
+    cfg = SGDConfig(stepsize=0.05, batch_size=1, mode="practical", budget=200)
+    _, _, trace = _penalty_path(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([2.0]), cfg)
+    assert trace[-1] < trace[0] * 1e-3
 
 
-def test_epoch_hook_called_per_epoch(free_quadratic):
+@pytest.mark.parametrize("mode", MODES)
+def test_hook_called_per_budget_unit(free_quadratic, mode):
+    # one call per epoch in practical mode, per iteration in theoretical mode
     seen = []
-    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode="practical", budget=3)
-    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, epoch_hook=lambda z: seen.append(z[0]))
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
+    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=lambda z: seen.append(z[0]))
     assert len(seen) == 3
     assert seen == sorted(seen, reverse=True)
 
@@ -275,10 +281,11 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
         assert np.array_equal(start, rep.candidate)
 
 
-def test_epoch_hook_gets_arrays_that_do_not_change_later(free_quadratic):
+@pytest.mark.parametrize("mode", MODES)
+def test_hook_gets_arrays_that_do_not_change_later(free_quadratic, mode):
     kept = []
-    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode="practical", budget=3)
-    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, epoch_hook=kept.append)
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
+    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=kept.append)
     assert len({id(z) for z in kept}) == 3
     values = [z[0] for z in kept]
     assert values == sorted(values, reverse=True) and len(set(values)) == 3

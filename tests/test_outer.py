@@ -60,8 +60,11 @@ def test_schedule_validation():
 
 def test_qp_sequential_converges_to_kkt():
     prob = qp_problem()
-    trace = sequential_penalty_train(prob, "quadratic", qp_schedule(), np.array([0.0]))
+    hooked = []
+    trace = sequential_penalty_train(prob, "quadratic", qp_schedule(), np.array([0.0]), hook=hooked.append)
     assert len(trace.records) == 20
+    # the hook reaches every theoretical-mode inner run, once per iteration
+    assert len(hooked) == sum(rec.iterate_count - 1 for rec in trace.records)
     final = trace.final()
     assert abs(final.candidate[0] - 1.0) <= 1e-3
     assert final.multiplier_max == pytest.approx(2.0, rel=0.05)
@@ -259,8 +262,7 @@ def test_record_makes_one_objective_and_one_constraint_pass(tiny_encdec):
         batch_constraints=_counting(base.batch_constraints, calls, "g"),
     )
     x = tiny_encdec.model.init_params(np.random.default_rng(7))
-    report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5, sampled_index=None, trace=[],
-                         clip_activations=0)
+    report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5, sampled_index=None, clip_activations=0)
     for kind in ("quadratic", "linear"):
         spec = PenaltySpec(kind, 3.0)
         calls.clear()

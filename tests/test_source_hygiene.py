@@ -1,0 +1,52 @@
+"""Source hygiene: no unused imports and no unreferenced private definitions.
+
+The project has no linter, so these checks read the ``ast`` of every module
+under ``src/seqpen``. The package ``__init__`` modules only re-export names
+and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "seqpen"
+MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in MODULES:
+        tree = _parse(path)
+        used = _used_names(tree)
+        unused += [f"{path.relative_to(SRC)}: {name}" for name in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_every_private_module_level_definition_is_referenced():
+    unreferenced = []
+    for path in MODULES:
+        tree = _parse(path)
+        used = _used_names(tree)
+        defined = (
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        )
+        unreferenced += [f"{path.relative_to(SRC)}: {name}" for name in defined if name not in used]
+    assert unreferenced == []
