@@ -36,12 +36,10 @@ from seqpen.outer import (
     sequential_penalty_train,
 )
 from seqpen.diagnostics import (
-    ActiveSet,
     ElicqReport,
     KKTReport,
     SGCEstimate,
     SmoothnessEstimate,
-    active_set,
     elicq_check,
     kkt_residual,
     sgc_estimate,

@@ -551,7 +551,10 @@ def _load_run(run_dir: Path):
         raise ConfigError(f"{manifest_path}: {err}") from err
     if not isinstance(manifest, dict) or not {"task", "method", "label"} <= manifest.keys():
         raise ConfigError(f"{manifest_path}: not a run manifest (an object with task, method and label)")
-    lines = results_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = results_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{results_path}: {err}") from err
     if not lines:
         raise ConfigError(f"{results_path}: empty file")
     header = lines[0].split(",")

@@ -1,8 +1,8 @@
 """Optimality and regularity diagnostics.
 
-KKT residuals, active sets, an extended-LICQ rank check that also covers
-infeasible points, and probe-based estimators for the two constants that
-drive the inner iteration budget: the penalty smoothness constant and the
+KKT residuals, an extended-LICQ rank check that also covers infeasible
+points, and probe-based estimators for the two constants that drive the
+inner iteration budget: the penalty smoothness constant and the
 strong-growth ratio.
 
 Multipliers follow the problem's aggregation convention: the stationarity
@@ -33,15 +33,6 @@ from seqpen.problems import (
     constraint_values,
     objective_grad_full,
 )
-
-
-@dataclass
-class ActiveSet:
-    """Constraint indices (sample, constraint) split by status at a point."""
-
-    active: list
-    violated: list
-    act_tol: float
 
 
 @dataclass(frozen=True)
@@ -95,16 +86,6 @@ class SGCEstimate:
     rho_est: float
     ratios: tuple
     num_skipped: int
-
-
-def active_set(problem: FiniteSumProblem, x, act_tol: float = 1e-6) -> ActiveSet:
-    """Classify constraints as active (|g| <= act_tol) or violated (g > act_tol)."""
-    if act_tol < 0:
-        raise ValueError("act_tol must be >= 0")
-    g = constraint_values(problem, x)
-    active = [(int(j), int(i)) for j, i in np.argwhere(np.abs(g) <= act_tol)]
-    violated = [(int(j), int(i)) for j, i in np.argwhere(g > act_tol)]
-    return ActiveSet(active=active, violated=violated, act_tol=act_tol)
 
 
 def kkt_residual(problem: FiniteSumProblem, x, lambdas) -> KKTReport:

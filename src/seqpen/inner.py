@@ -80,18 +80,15 @@ class SGDConfig:
     """Configuration for one inner run.
 
     ``budget`` counts iterations in theoretical mode and epochs in practical
-    mode. ``clip_box`` is an optional (lo, hi) per-coordinate projection
-    standing in for the compact-set containment the theory assumes; the
-    report counts how often it activated. ``candidate_rule`` is read in
-    theoretical mode only, where it defaults to uniform iterate sampling;
-    practical mode always returns the last iterate.
+    mode. ``candidate_rule`` is read in theoretical mode only, where it
+    defaults to uniform iterate sampling; practical mode always returns the
+    last iterate.
     """
 
     stepsize: float
     batch_size: int
     mode: str = "theoretical"
     budget: int = 0
-    clip_box: Optional[tuple] = None
     adam: AdamParams = field(default_factory=AdamParams)
     rng_seed: int = 0
     candidate_rule: Optional[str] = None
@@ -124,7 +121,6 @@ class InnerReport:
     iterate_count: int
     grad_norm_estimate: float
     sampled_index: Optional[int]
-    clip_activations: int
     opt_state: Optional[AdamState] = None
 
 
@@ -160,14 +156,6 @@ def _check_finite(z: Array, iteration: int):
         )
 
 
-def _clip(z: Array, box, count: int) -> tuple[Array, int]:
-    lo, hi = box
-    clipped = np.clip(z, lo, hi)
-    if not np.array_equal(clipped, z):
-        count += 1
-    return clipped, count
-
-
 def _report_grad_norm(problem, spec, x, config: SGDConfig) -> float:
     if config.grad_norm == "none":
         return float("nan")
@@ -185,10 +173,10 @@ def sgd_run(
     """Run the configured solver on the penalty subproblem from x0.
 
     ``hook(z)`` fires after every unit of ``config.budget``: after each
-    iteration in theoretical mode (once the iterate is clipped and checked
-    finite) and after each epoch in practical mode. It receives a copy of the
-    current iterate that the run never writes again. ``opt_state`` applies
-    to practical mode only and continues a previous Adam run.
+    iteration in theoretical mode (once the iterate is checked finite) and
+    after each epoch in practical mode. It receives a copy of the current
+    iterate that the run never writes again. ``opt_state`` applies to
+    practical mode only and continues a previous Adam run.
     """
     x0 = as_params(problem, x0)
     _check_finite(x0, -1)
@@ -216,7 +204,6 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
 
     z = x0.copy()
     candidate = x0.copy()
-    clip_count = 0
     for t in range(budget):
         if sampled_index == t:
             candidate = z.copy()
@@ -224,8 +211,6 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
             batch = rng.integers(0, n_samples, size=config.batch_size)
         g = scale * penalty_grad_batch(problem, spec, batch, z)
         z = z - config.stepsize * g
-        if config.clip_box is not None:
-            z, clip_count = _clip(z, config.clip_box, clip_count)
         _check_finite(z, t)
         if hook is not None:
             hook(z.copy())
@@ -238,7 +223,6 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
         iterate_count=budget + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, candidate, config),
         sampled_index=sampled_index,
-        clip_activations=clip_count,
     )
 
 
@@ -251,7 +235,6 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
         raise ValueError("opt_state does not match the problem dimension")
 
     z = x0.copy()
-    clip_count = 0
     steps = 0
     # The Adam step runs in place, one ADAM_BLOCK of coordinates at a time,
     # through two block-sized scratch buffers. Per coordinate it performs the
@@ -290,8 +273,6 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
                 tmp += adam.eps_hat
                 g /= tmp
                 zb -= g
-            if config.clip_box is not None:
-                z, clip_count = _clip(z, config.clip_box, clip_count)
             _check_finite(z, steps)
             steps += 1
         # The last batch gradient is not held through the hook. Within an
@@ -306,6 +287,5 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
         iterate_count=steps + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, z, config),
         sampled_index=None,
-        clip_activations=clip_count,
         opt_state=state,
     )

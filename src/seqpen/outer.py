@@ -109,7 +109,6 @@ class OuterRecord:
     multiplier_max: float
     multiplier_mean: float
     iterate_count: int
-    clip_activations: int
 
 
 @dataclass
@@ -143,7 +142,6 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
         multiplier_max=float(lam.max()),
         multiplier_mean=float(lam.mean()),
         iterate_count=report.iterate_count,
-        clip_activations=report.clip_activations,
     )
 
 

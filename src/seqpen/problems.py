@@ -20,7 +20,7 @@ a fixed order, so results are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,9 +104,6 @@ class FiniteSumProblem:
         For the full batch it equals ``agg_scale``.
         """
         return 1.0 / batch_size if self.normalization == "mean" else self.num_samples / batch_size
-
-    def with_normalization(self, normalization: str) -> "FiniteSumProblem":
-        return replace(self, normalization=normalization)
 
     def objective(self, indices, x) -> Array:
         """Objective values f_j(x) for the samples in ``indices``."""

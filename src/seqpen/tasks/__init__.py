@@ -1,7 +1,7 @@
 """Concrete problems: analytic QPs with certified KKT solutions, the
 encoder/classifier/decoder network task, and dataset handling."""
 
-from seqpen.tasks.mlp import LayerSpec, Mlp, ce_values, ce_grad, ce_loss, mse_values, mse_grad, mse_loss
+from seqpen.tasks.mlp import LayerSpec, Mlp, ce_values, ce_grad, mse_values, mse_grad
 from seqpen.tasks.qp import AnalyticQP, QPCertificationError, build_analytic_qp, qp_registry
 from seqpen.tasks.encdec import EncDecModel, EncDecTask, build_enc_dec_task, evaluate_enc_dec, warm_start
 from seqpen.tasks.data import (
@@ -24,10 +24,8 @@ __all__ = [
     "Mlp",
     "ce_values",
     "ce_grad",
-    "ce_loss",
     "mse_values",
     "mse_grad",
-    "mse_loss",
     "AnalyticQP",
     "QPCertificationError",
     "build_analytic_qp",

@@ -74,11 +74,8 @@ def idx_header_bytes(magic: int, dims) -> bytes:
     return struct.pack(">i", magic) + b"".join(struct.pack(">i", d) for d in dims)
 
 
-def write_idx(path, magic: int, dims, data, compress: bool = False):
+def write_idx(path, magic: int, dims, data):
     payload = idx_header_bytes(magic, dims) + np.asarray(data, dtype=np.uint8).tobytes()
-    if compress:
-        # mtime pinned so identical inputs produce identical bytes
-        payload = gzip.compress(payload, mtime=0)
     with open(path, "wb") as f:
         f.write(payload)
 

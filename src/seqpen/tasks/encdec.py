@@ -30,7 +30,7 @@ EVAL_CHUNK = 512
 
 
 class EncDecModel:
-    """Encoder trunk with a softmax classification head and a sigmoid decoder head."""
+    """Encoder trunk with a 10-class softmax classification head and a sigmoid decoder head."""
 
     def __init__(
         self,
@@ -38,12 +38,11 @@ class EncDecModel:
         hidden_dim: int = 256,
         code_dim: int = 20,
         decoder_hidden_dim: int = 256,
-        num_classes: int = 10,
     ):
         self.encoder = Mlp(
             [LayerSpec(input_dim, hidden_dim, "relu"), LayerSpec(hidden_dim, code_dim, "relu")]
         )
-        self.classifier = Mlp([LayerSpec(code_dim, num_classes, "softmax")])
+        self.classifier = Mlp([LayerSpec(code_dim, 10, "softmax")])
         self.decoder = Mlp(
             [LayerSpec(code_dim, decoder_hidden_dim, "relu"), LayerSpec(decoder_hidden_dim, input_dim, "sigmoid")]
         )

@@ -94,7 +94,6 @@ class Mlp:
                 raise ValueError(f"layer widths do not chain: {prev.fan_out} -> {nxt.fan_in}")
         self.layers = layers
         self.input_dim = layers[0].fan_in
-        self.output_dim = layers[-1].fan_out
         self._slices = []
         offset = 0
         for spec in layers:
@@ -190,10 +189,6 @@ def ce_grad(probs: Array, labels) -> Array:
     return grad
 
 
-def ce_loss(probs, label) -> float:
-    return float(ce_values(probs, label)[0])
-
-
 def residual_mse(diff: Array, out: Optional[Array] = None) -> Array:
     """Per-row MSE from the residual ``outputs - targets``; its square goes into ``out``, which may be ``diff``."""
     square = np.multiply(diff, diff, out=out)
@@ -220,7 +215,3 @@ def mse_grad(targets: Array, outputs: Array) -> Array:
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
     return residual_mse_grad(outputs - targets)
-
-
-def mse_loss(target, output) -> float:
-    return float(mse_values(target, output)[0])

@@ -43,10 +43,6 @@ class AnalyticQP:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    @property
-    def num_constraints(self) -> int:
-        return self.A.shape[0]
-
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.Q @ x + self.b @ x)

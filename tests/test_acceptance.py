@@ -30,7 +30,7 @@ from seqpen import (
     violation_vector,
 )
 from seqpen.cli import main
-from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
+from gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.inner import AdamParams
 from seqpen.outer import derived_seed, fixed_penalty_train
 from seqpen.penalties import penalty_grad_batch

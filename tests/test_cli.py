@@ -703,6 +703,16 @@ def test_compare_empty_results_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'qa' / 'results.csv'}: ")
 
 
+def test_compare_non_utf8_results_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "qa", max_outer=2)
+    assert main(["run", str(cfg)]) == 0
+    results = tmp_path / "qa" / "results.csv"
+    results.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "qa")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {results}: ")
+
+
 def test_compare_corrupt_manifest_is_an_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "qa", max_outer=2)
     assert main(["run", str(cfg)]) == 0

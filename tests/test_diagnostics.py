@@ -4,7 +4,6 @@ import pytest
 from seqpen import (
     FiniteSumProblem,
     PenaltySpec,
-    active_set,
     elicq_check,
     kkt_residual,
     multiplier_estimate,
@@ -85,10 +84,10 @@ def test_stationarity_equals_penalty_gradient_identity(normalization):
 
 
 # ---------------------------------------------------------------------------
-# active set and E-LICQ
+# E-LICQ
 
 
-def test_active_set_partition():
+def test_elicq_excludes_slack_constraints():
     vals = np.array([0.0, 0.5, -0.5])
 
     prob = FiniteSumProblem(
@@ -100,10 +99,10 @@ def test_active_set_partition():
         sample_constraints=lambda j, x: vals,
         sample_constraint_jacobian=lambda j, x: np.eye(3, 2),
     )
-    s = active_set(prob, np.zeros(2), act_tol=1e-6)
-    assert s.active == [(0, 0)]
-    assert s.violated == [(0, 1)]
-    assert set(s.active).isdisjoint(s.violated)
+    rep = elicq_check(prob, np.zeros(2), act_tol=1e-6)
+    # the active row g = 0 and the violated row g = 0.5 count; the slack row g = -0.5 does not
+    assert rep.num_active_plus == 2
+    assert rep.holds
 
 
 def test_elicq_single_nonzero_gradient():

@@ -15,7 +15,7 @@ from seqpen import (
     penalty_grad_full,
     penalty_value_full,
 )
-from seqpen.gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
+from gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset
 from seqpen.tasks.encdec import EncDecModel, build_enc_dec_task, evaluate_enc_dec, split_values, warm_start

@@ -85,21 +85,6 @@ def test_full_batch_descent_is_monotone(constrained_qp):
     assert (diffs <= 1e-12).all()
 
 
-def test_clip_box_contains_iterates(free_quadratic):
-    cfg = SGDConfig(
-        stepsize=1.2,
-        batch_size=1,
-        budget=50,
-        clip_box=(np.array([-0.5]), np.array([0.5])),
-        candidate_rule="last",
-    )
-    rep, iterates, _ = _penalty_path(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([0.5]), cfg)
-    for z in iterates:
-        assert -0.5 <= z[0] <= 0.5
-    # eta = 1.2 on x^2 expands (factor -1.4 per step), so the box must keep clipping
-    assert rep.clip_activations > 0
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes the abort
 def test_divergence_aborts_with_location(free_quadratic):
     cfg = SGDConfig(stepsize=1e12, batch_size=1, budget=400, candidate_rule="last")

@@ -262,7 +262,7 @@ def test_record_makes_one_objective_and_one_constraint_pass(tiny_encdec):
         batch_constraints=_counting(base.batch_constraints, calls, "g"),
     )
     x = tiny_encdec.model.init_params(np.random.default_rng(7))
-    report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5, sampled_index=None, clip_activations=0)
+    report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5, sampled_index=None)
     for kind in ("quadratic", "linear"):
         spec = PenaltySpec(kind, 3.0)
         calls.clear()

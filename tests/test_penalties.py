@@ -12,7 +12,7 @@ from seqpen import (
     penalty_value_full,
     violation_vector,
 )
-from seqpen.gradcheck import central_diff_gradient, gradient_rel_error
+from gradcheck import central_diff_gradient, gradient_rel_error
 from seqpen.penalties import constraint_weights, penalty_grad_batch, penalty_value_from_values
 
 from conftest import make_random_problem, make_scalar_problem
@@ -35,7 +35,7 @@ def test_spec_validation():
 def penalty_value_sample(prob, spec, j, x):
     """Penalty term p_j(x) of one sample."""
     f, g = prob.objective([j], x), prob.constraints([j], x)
-    return penalty_value_from_values(prob.with_normalization("sum"), spec, f, g)
+    return penalty_value_from_values(replace(prob, normalization="sum"), spec, f, g)
 
 
 def test_penalty_value_sample_hand_cases(qp1d):

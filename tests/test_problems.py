@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from seqpen import (
     objective_grad_full,
     violation_vector,
 )
-from seqpen.gradcheck import central_diff_gradient, gradient_rel_error
+from gradcheck import central_diff_gradient, gradient_rel_error
 
 from conftest import make_random_problem, make_scalar_problem
 
@@ -51,7 +53,7 @@ def test_aggregation_linearity():
     for _ in range(5):
         x = rng.normal(size=4)
         total = full_objective(prob, x)
-        mean = full_objective(prob.with_normalization("mean"), x)
+        mean = full_objective(replace(prob, normalization="mean"), x)
         assert total == pytest.approx(prob.num_samples * mean, rel=1e-12)
 
 

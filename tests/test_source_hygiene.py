@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unreferenced private definitions.
+"""Source hygiene: no unused imports and no unreferenced definitions.
 
 The project has no linter, so these checks read the ``ast`` of every module
 under ``src/seqpen``. The package ``__init__`` modules only re-export names
@@ -6,10 +6,13 @@ and are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "seqpen"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "seqpen"
 MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _parse(path):
@@ -46,7 +49,37 @@ def test_every_private_module_level_definition_is_referenced():
         defined = (
             node.name
             for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            if isinstance(node, DEFINITIONS) and node.name.startswith("_")
         )
         unreferenced += [f"{path.relative_to(SRC)}: {name}" for name in defined if name not in used]
+    assert unreferenced == []
+
+
+def _users() -> dict:
+    """Text of every file that may name a library definition.
+
+    The two re-export modules are left out: re-exporting a name is not a use.
+    """
+    paths = [
+        path
+        for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        if not (path.name == "__init__.py" and SRC in path.parents)
+    ]
+    return {path: path.read_text(encoding="utf-8") for path in paths + [ROOT / "README.md"]}
+
+
+def test_every_public_module_level_definition_is_referenced():
+    users = _users()
+    unreferenced = []
+    for path in MODULES:
+        for node in _parse(path).body:
+            if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = users[path].splitlines()
+            del own[node.lineno - 1]  # the def or class line itself
+            texts = ["\n".join(own)] + [text for other, text in users.items() if other != path]
+            if not any(word.search(text) for text in texts):
+                unreferenced.append(f"{path.relative_to(SRC)}: {node.name}")
     assert unreferenced == []
