@@ -19,7 +19,6 @@ from seqpen.penalties import (
     penalty_value_full,
 )
 from seqpen.inner import (
-    AdamParams,
     InnerReport,
     InnerSolverError,
     SGDConfig,

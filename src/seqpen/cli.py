@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 import seqpen
-from seqpen.inner import CANDIDATE_RULES, MODES, AdamParams, InnerSolverError, SGDConfig
+from seqpen.inner import CANDIDATE_RULES, MODES, InnerSolverError, SGDConfig
 from seqpen.outer import OuterAbort, Schedule, derived_seed, fixed_penalty_train, sequential_penalty_train
 from seqpen.penalties import PENALTY_KINDS, PenaltySpec
 from seqpen.tasks.data import dataset_paths, load_idx_dataset, write_synthetic_idx
@@ -447,7 +447,7 @@ def _run_enc_dec(cfg):
             batch_size=cfg["batch_size"],
             mode="practical",
             budget=1 if cfg["method"] == "sequential" else cfg["epochs"],
-            adam=AdamParams(weight_decay=cfg["weight_decay"]),
+            weight_decay=cfg["weight_decay"],
             rng_seed=derived_seed(cfg["seed"], 2),
             grad_norm="none",
         )

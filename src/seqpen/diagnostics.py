@@ -34,6 +34,13 @@ from seqpen.problems import (
     objective_grad_full,
 )
 
+# Singular values at or below RANK_TOL times the largest count as zero in
+# the extended-LICQ rank check.
+RANK_TOL = 1e-8
+# A full penalty gradient with norm at or below ZERO_TOL makes the
+# strong-growth ratio undefined; such probes are skipped.
+ZERO_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class KKTReport:
@@ -103,18 +110,13 @@ def kkt_residual(problem: FiniteSumProblem, x, lambdas) -> KKTReport:
     )
 
 
-def elicq_check(
-    problem: FiniteSumProblem,
-    x,
-    act_tol: float = 1e-6,
-    rank_tol: float = 1e-8,
-) -> ElicqReport:
+def elicq_check(problem: FiniteSumProblem, x, act_tol: float = 1e-6) -> ElicqReport:
     """Rank check of the active-plus-violated constraint gradients at x.
 
     Stacks the gradients of all constraints with g >= -act_tol and tests
     whether they are numerically linearly independent (singular values above
-    rank_tol times the largest). Vacuously true when no constraint is active
-    or violated.
+    ``RANK_TOL`` times the largest). Vacuously true when no constraint is
+    active or violated.
     """
     x = as_params(problem, x)
     g = constraint_values(problem, x)
@@ -129,7 +131,7 @@ def elicq_check(
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[0] == 0.0:
         return ElicqReport(holds=False, num_active_plus=mat.shape[0], min_singular_value=0.0)
-    rank = int((sv > rank_tol * sv[0]).sum())
+    rank = int((sv > RANK_TOL * sv[0]).sum())
     return ElicqReport(
         holds=rank == mat.shape[0],
         num_active_plus=mat.shape[0],
@@ -140,11 +142,7 @@ def elicq_check(
 def _probe_points(lo: Array, hi: Array, num_probes: int, rng: np.random.Generator) -> Array:
     # Box corners lo and hi are always probed so that 1-D sup examples with
     # extrema on the boundary are recovered exactly.
-    pts = [lo, hi]
-    if num_probes > 2:
-        pts.append(lo + (hi - lo) * rng.random((num_probes - 2, lo.size)))
-        return np.vstack([np.atleast_2d(p) for p in pts])
-    return np.vstack([lo, hi])
+    return np.vstack([lo, hi, lo + (hi - lo) * rng.random((num_probes - 2, lo.size))])
 
 
 def smoothness_estimate(
@@ -210,18 +208,13 @@ def suggested_stepsize(estimate: SmoothnessEstimate, rho: float = 1.0, safety: f
     return 1.0 / (safety * rho * estimate.penalty_lipschitz)
 
 
-def sgc_estimate(
-    problem: FiniteSumProblem,
-    spec: PenaltySpec,
-    probe_points: Sequence,
-    zero_tol: float = 1e-10,
-) -> SGCEstimate:
+def sgc_estimate(problem: FiniteSumProblem, spec: PenaltySpec, probe_points: Sequence) -> SGCEstimate:
     """Strong-growth ratio estimated by exact enumeration over samples.
 
     At each probe x the ratio E_j ||est_j||^2 / ||grad P||^2 is computed,
     where est_j is the unbiased single-sample gradient estimator under the
-    problem's normalization. Probes where the full gradient is numerically
-    zero are skipped with a warning (the ratio is undefined there).
+    problem's normalization. Probes where the full gradient norm is at most
+    ``ZERO_TOL`` are skipped with a warning (the ratio is undefined there).
     """
     ratios = []
     skipped = 0
@@ -231,7 +224,7 @@ def sgc_estimate(
         per_sample = np.stack([penalty_grad_batch(problem, spec, [j], x) for j in range(n_s)])
         full = problem.agg_scale * per_sample.sum(axis=0)
         full_sq = float(full @ full)
-        if np.sqrt(full_sq) <= zero_tol:
+        if np.sqrt(full_sq) <= ZERO_TOL:
             warnings.warn("skipping probe with near-zero full penalty gradient", RuntimeWarning)
             skipped += 1
             continue

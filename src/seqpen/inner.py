@@ -20,7 +20,7 @@ Runs are bit-deterministic given (problem, spec, x0, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +31,10 @@ from seqpen.problems import Array, FiniteSumProblem, as_params, epoch_batches
 MODES = ("theoretical", "practical")
 CANDIDATE_RULES = ("uniform", "last")
 GRAD_NORM_MODES = ("exact", "none")
+
+# Adam's moment decay rates and denominator offset, at the values of
+# Kingma & Ba (arXiv:1412.6980), Alg. 1.
+BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 
 # Coordinates per block of the practical-mode Adam step: the block's slices of
 # z, m, v and the gradient plus two scratch buffers stay in cache together.
@@ -44,23 +48,6 @@ class InnerSolverError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.coordinate = coordinate
-
-
-@dataclass(frozen=True)
-class AdamParams:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps_hat > 0:
-            raise ValueError(f"eps_hat must be positive, got {self.eps_hat}")
-        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -82,19 +69,22 @@ class SGDConfig:
     ``budget`` counts iterations in theoretical mode and epochs in practical
     mode. ``candidate_rule`` is read in theoretical mode only, where it
     defaults to uniform iterate sampling; practical mode always returns the
-    last iterate.
+    last iterate. ``weight_decay`` is read in practical mode only, where it
+    adds ``weight_decay * z`` to each sampled gradient before the Adam step.
     """
 
     stepsize: float
     batch_size: int
     mode: str = "theoretical"
     budget: int = 0
-    adam: AdamParams = field(default_factory=AdamParams)
+    weight_decay: float = 0.0
     rng_seed: int = 0
     candidate_rule: Optional[str] = None
     grad_norm: str = "exact"
 
     def __post_init__(self):
+        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not np.isfinite(self.stepsize) or self.stepsize <= 0:
@@ -229,7 +219,6 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
 def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> InnerReport:
     rng = np.random.default_rng(config.rng_seed)
     n_samples = problem.num_samples
-    adam = config.adam
     state = opt_state.copy() if opt_state is not None else AdamState(np.zeros(problem.dim), np.zeros(problem.dim), 0)
     if state.m.shape != (problem.dim,):
         raise ValueError("opt_state does not match the problem dimension")
@@ -249,28 +238,28 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
             gsum = penalty_grad_batch(problem, spec, batch, z)
             scale = problem.estimator_scale(batch.size)
             state.step += 1
-            c1 = 1.0 - adam.beta1**state.step
-            c2 = 1.0 - adam.beta2**state.step
+            c1 = 1.0 - BETA1**state.step
+            c2 = 1.0 - BETA2**state.step
             for lo in range(0, problem.dim, ADAM_BLOCK):
                 blk = slice(lo, lo + ADAM_BLOCK)
                 zb, mb, vb = z[blk], state.m[blk], state.v[blk]
                 g, tmp = g_buf[: zb.size], tmp_buf[: zb.size]
                 np.multiply(gsum[blk], scale, out=g)
-                if adam.weight_decay:
-                    np.multiply(zb, adam.weight_decay, out=tmp)
+                if config.weight_decay:
+                    np.multiply(zb, config.weight_decay, out=tmp)
                     g += tmp
-                mb *= adam.beta1
-                np.multiply(g, 1.0 - adam.beta1, out=tmp)
+                mb *= BETA1
+                np.multiply(g, 1.0 - BETA1, out=tmp)
                 mb += tmp
-                vb *= adam.beta2
+                vb *= BETA2
                 np.multiply(g, g, out=tmp)
-                tmp *= 1.0 - adam.beta2
+                tmp *= 1.0 - BETA2
                 vb += tmp
                 np.divide(mb, c1, out=g)
                 g *= config.stepsize
                 np.divide(vb, c2, out=tmp)
                 np.sqrt(tmp, out=tmp)
-                tmp += adam.eps_hat
+                tmp += EPS_HAT
                 g /= tmp
                 zb -= g
             _check_finite(z, steps)

@@ -28,19 +28,9 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """Base class for IDX parsing failures."""
-
-
-class IdxMagicError(IdxError):
-    """Magic number does not describe an unsigned-byte IDX payload."""
-
-
-class IdxTruncatedError(IdxError):
-    """File ended before the declared payload was read."""
-
-
-class IdxCountMismatchError(IdxError):
-    """Image and label files declare different sample counts."""
+    """An IDX file or file pair that cannot be read: a wrong magic number, a
+    file shorter than its header declares, or image and label files whose
+    sample counts differ or are zero."""
 
 
 def read_idx(path) -> tuple[int, tuple, Array]:
@@ -52,20 +42,20 @@ def read_idx(path) -> tuple[int, tuple, Array]:
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
     if len(raw) < 4:
-        raise IdxTruncatedError(f"{path}: shorter than an IDX header")
+        raise IdxError(f"{path}: shorter than an IDX header")
     (magic,) = struct.unpack(">i", raw[:4])
     if magic >> 16 != 0 or (magic >> 8) & 0xFF != 0x08:
-        raise IdxMagicError(f"{path}: magic {magic:#010x} is not an unsigned-byte IDX file")
+        raise IdxError(f"{path}: magic {magic:#010x} is not an unsigned-byte IDX file")
     ndim = magic & 0xFF
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
-        raise IdxTruncatedError(f"{path}: header declares {ndim} dims but the file is too short")
+        raise IdxError(f"{path}: header declares {ndim} dims but the file is too short")
     dims = struct.unpack(f">{ndim}i", raw[4:header_len])
     if any(d < 0 for d in dims):
-        raise IdxMagicError(f"{path}: negative dimension in header")
+        raise IdxError(f"{path}: negative dimension in header")
     expected = int(np.prod(dims)) if ndim else 0
     if len(raw) - header_len < expected:
-        raise IdxTruncatedError(f"{path}: payload holds {len(raw) - header_len} bytes, header declares {expected}")
+        raise IdxError(f"{path}: payload holds {len(raw) - header_len} bytes, header declares {expected}")
     return magic, dims, np.frombuffer(raw, dtype=np.uint8, count=expected, offset=header_len)
 
 
@@ -115,13 +105,13 @@ def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train")
         raise ValueError(f"limit must be >= 0, got {limit}")
     magic_i, dims_i, pixels = read_idx(images_path)
     if magic_i != IMAGE_MAGIC:
-        raise IdxMagicError(f"{images_path}: expected image magic {IMAGE_MAGIC:#010x}, got {magic_i:#010x}")
+        raise IdxError(f"{images_path}: expected image magic {IMAGE_MAGIC:#010x}, got {magic_i:#010x}")
     magic_l, dims_l, labels = read_idx(labels_path)
     if magic_l != LABEL_MAGIC:
-        raise IdxMagicError(f"{labels_path}: expected label magic {LABEL_MAGIC:#010x}, got {magic_l:#010x}")
+        raise IdxError(f"{labels_path}: expected label magic {LABEL_MAGIC:#010x}, got {magic_l:#010x}")
     count, rows, cols = dims_i
     if count != dims_l[0]:
-        raise IdxCountMismatchError(f"{count} images vs {dims_l[0]} labels")
+        raise IdxError(f"{count} images vs {dims_l[0]} labels")
     if count == 0:
         raise IdxError(f"{split} split is empty: {images_path} holds no images")
     # Truncate the uint8 payload before converting, so only the kept rows

@@ -136,6 +136,11 @@ def split_values(
     return ce, correct, mse
 
 
+def _constraint(mse: Array, theta: float) -> Array:
+    """The task's (N, 1) constraint values g_j = mse_j - theta."""
+    return (mse - theta).reshape(-1, 1)
+
+
 @dataclass
 class EncDecTask:
     model: EncDecModel
@@ -173,7 +178,7 @@ class EncDecTask:
         def batch_weighted_grad(indices, x, obj_w, con_w):
             if callable(con_w):
                 weights_of_g = con_w
-                con_w = lambda mse: weights_of_g((mse - theta).reshape(-1, 1))
+                con_w = lambda mse: weights_of_g(_constraint(mse, theta))
             return model.weighted_grad(x, images[indices], labels[indices], obj_w, con_w)
 
         self.values = values
@@ -183,7 +188,7 @@ class EncDecTask:
             num_constraints=1,
             normalization="mean",
             batch_objective=lambda indices, x: values(indices, x)[0],
-            batch_constraints=lambda indices, x: (values(indices, x)[2] - theta).reshape(-1, 1),
+            batch_constraints=lambda indices, x: _constraint(values(indices, x)[2], theta),
             batch_weighted_grad=batch_weighted_grad,
         )
 
@@ -210,7 +215,7 @@ def build_enc_dec_task(
 def evaluate_enc_dec(task: EncDecTask, params: Array) -> dict:
     """Table-style metrics for the task's split: ce, accuracy, mse, violation stats."""
     ce, correct, mse = task.values(np.arange(task.problem.num_samples), params)
-    feasibility = feasibility_from_values(mse - task.theta)
+    feasibility = feasibility_from_values(_constraint(mse, task.theta))
     return {
         "ce_loss": float(ce.mean()),
         "accuracy": float(correct.mean()),
@@ -228,6 +233,6 @@ def warm_start(task: EncDecTask, params0: Array, config: SGDConfig, hook=None) -
     gradient (the decoder) stay exactly at their initialization; Adam would
     otherwise turn pure decay gradients into full-size steps.
     """
-    config = replace(config, adam=replace(config.adam, weight_decay=0.0))
+    config = replace(config, weight_decay=0.0)
     report = sgd_run(task.problem, PenaltySpec("linear", 0.0), params0, config, hook=hook)
     return report.candidate

@@ -23,6 +23,10 @@ from seqpen.diagnostics import elicq_check, kkt_residual
 from seqpen.problems import Array, FiniteSumProblem
 
 MAX_BRUTE_FORCE_CONSTRAINTS = 10
+# A candidate KKT pair is kept when its multipliers are >= -FEAS_TOL and its
+# constraint values <= FEAS_TOL, and certified when it is a CERT_TOL-KKT point.
+FEAS_TOL = 1e-9
+CERT_TOL = 1e-10
 
 
 class QPCertificationError(RuntimeError):
@@ -88,7 +92,7 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
     )
 
 
-def build_analytic_qp(Q, b, A, c, feas_tol: float = 1e-9, cert_tol: float = 1e-10) -> AnalyticQP:
+def build_analytic_qp(Q, b, A, c) -> AnalyticQP:
     """Construct a QP and certify its exact solution.
 
     Raises QPCertificationError when no active subset yields a primal/dual
@@ -127,9 +131,9 @@ def build_analytic_qp(Q, b, A, c, feas_tol: float = 1e-9, cert_tol: float = 1e-1
             x = sol[:n]
             lam = np.zeros(m)
             lam[idx] = sol[n:]
-            if (lam < -feas_tol).any():
+            if (lam < -FEAS_TOL).any():
                 continue
-            if (A @ x - c > feas_tol).any():
+            if (A @ x - c > FEAS_TOL).any():
                 continue
             value = 0.5 * x @ Q @ x + b @ x
             if best is None or value < best[0] - 1e-12:
@@ -140,7 +144,7 @@ def build_analytic_qp(Q, b, A, c, feas_tol: float = 1e-9, cert_tol: float = 1e-1
     _, x_star, lambda_star = best
     problem = _qp_problem(Q, b, A, c)
     report = kkt_residual(problem, x_star, lambda_star.reshape(1, m))
-    if not report.is_eps_kkt(cert_tol):
+    if not report.is_eps_kkt(CERT_TOL):
         raise QPCertificationError(f"candidate solution failed KKT certification: {report}")
     if not elicq_check(problem, x_star, act_tol=1e-8).holds:
         raise QPCertificationError("constraint gradients are dependent at the solution (LICQ fails)")

@@ -31,7 +31,6 @@ from seqpen import (
 )
 from seqpen.cli import main
 from gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
-from seqpen.inner import AdamParams
 from seqpen.outer import derived_seed, fixed_penalty_train
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset, synthetic_digits, write_synthetic_idx
@@ -229,7 +228,7 @@ def desk_runs():
             batch_size=128,
             mode="practical",
             budget=epochs,
-            adam=AdamParams(weight_decay=1e-3),
+            weight_decay=1e-3,
             rng_seed=derived_seed(seed, 2),
             grad_norm="none",
         )

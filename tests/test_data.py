@@ -7,9 +7,7 @@ import pytest
 from seqpen.tasks.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
-    IdxCountMismatchError,
-    IdxMagicError,
-    IdxTruncatedError,
+    IdxError,
     ImageDataset,
     dataset_paths,
     idx_header_bytes,
@@ -86,10 +84,10 @@ def test_bad_magic(idx_pair, tmp_path):
     img_path, lbl_path, _, _ = idx_pair
     bad = tmp_path / "bad"
     bad.write_bytes(b"\x00\x00\x09\x03" + img_path.read_bytes()[4:])
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(IdxError, match="magic 0x00000903 is not an unsigned-byte IDX file"):
         read_idx(bad)
     # an image file offered as labels is a magic error too
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(IdxError, match="expected label magic 0x00000801, got 0x00000803"):
         load_idx_dataset(img_path, img_path)
 
 
@@ -97,11 +95,11 @@ def test_truncated_payload(idx_pair, tmp_path):
     img_path, _, _, _ = idx_pair
     clipped = tmp_path / "clipped"
     clipped.write_bytes(img_path.read_bytes()[:-7])
-    with pytest.raises(IdxTruncatedError):
+    with pytest.raises(IdxError, match="payload holds .* bytes, header declares"):
         read_idx(clipped)
     header_only = tmp_path / "header_only"
     header_only.write_bytes(img_path.read_bytes()[:6])
-    with pytest.raises(IdxTruncatedError):
+    with pytest.raises(IdxError, match="header declares 3 dims but the file is too short"):
         read_idx(header_only)
 
 
@@ -128,7 +126,7 @@ def test_count_mismatch(idx_pair, tmp_path):
     labels = np.zeros(4, dtype=np.uint8)
     lbl_path = tmp_path / "short_labels"
     write_idx(lbl_path, LABEL_MAGIC, (4,), labels)
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(IdxError, match="images vs 4 labels"):
         load_idx_dataset(img_path, lbl_path)
 
 

@@ -12,7 +12,7 @@ from seqpen import (
     smoothness_estimate,
     suggested_stepsize,
 )
-from seqpen.diagnostics import SmoothnessEstimate
+from seqpen.diagnostics import SmoothnessEstimate, _probe_points
 
 from conftest import make_random_problem, make_scalar_problem
 
@@ -217,6 +217,24 @@ def test_smoothness_degenerate_box_rejected(one_d_constrained):
         smoothness_estimate(one_d_constrained, PenaltySpec("quadratic", 1.0), (1.0, 1.0))
     with pytest.raises(ValueError, match="num_probes"):
         smoothness_estimate(one_d_constrained, PenaltySpec("quadratic", 1.0), (0.0, 1.0), num_probes=1)
+
+
+def _two_branch_probe_points(lo, hi, num_probes, rng):
+    """The probe set as first written, with a branch for the corners-only case."""
+    pts = [lo, hi]
+    if num_probes > 2:
+        pts.append(lo + (hi - lo) * rng.random((num_probes - 2, lo.size)))
+        return np.vstack([np.atleast_2d(p) for p in pts])
+    return np.vstack([lo, hi])
+
+
+@pytest.mark.parametrize("num_probes", [2, 6, 16])
+def test_probe_points_are_bit_identical_to_the_two_branch_form(num_probes):
+    lo, hi = np.array([-1.0, 0.0, 2.5]), np.array([1.0, 0.5, 4.0])
+    probes = _probe_points(lo, hi, num_probes, np.random.default_rng(7))
+    expected = _two_branch_probe_points(lo, hi, num_probes, np.random.default_rng(7))
+    assert probes.shape == (num_probes, 3)
+    assert probes.tobytes() == expected.tobytes()
 
 
 def test_suggested_stepsize_uses_safety():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from seqpen import (
-    AdamParams,
     InnerSolverError,
     PenaltySpec,
     SGDConfig,
@@ -94,26 +93,10 @@ def test_divergence_aborts_with_location(free_quadratic):
     assert err.value.iteration >= 0
 
 
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"beta1": 1.0}, "beta1 must lie in \\[0, 1\\)"),
-        ({"beta1": -0.1}, "beta1 must lie in \\[0, 1\\)"),
-        ({"beta2": np.nan}, "beta2 must lie in \\[0, 1\\)"),
-        ({"eps_hat": 0.0}, "eps_hat must be positive"),
-        ({"eps_hat": np.nan}, "eps_hat must be positive"),
-        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0"),
-        ({"weight_decay": np.nan}, "weight_decay must be finite and >= 0"),
-        ({"weight_decay": np.inf}, "weight_decay must be finite and >= 0"),
-    ],
-)
-def test_adam_params_rejects_values_that_cannot_train(fields, message):
-    with pytest.raises(ValueError, match=message):
-        AdamParams(**fields)
-
-
-def test_adam_params_accepts_the_edges():
-    AdamParams(beta1=0.0, beta2=0.0, eps_hat=1e-300, weight_decay=0.0)
+@pytest.mark.parametrize("weight_decay", [-1.0, np.nan, np.inf])
+def test_sgd_config_rejects_weight_decay_that_cannot_train(weight_decay):
+    with pytest.raises(ValueError, match="weight_decay must be finite and >= 0"):
+        SGDConfig(stepsize=1e-3, batch_size=1, mode="practical", weight_decay=weight_decay)
 
 
 def test_iteration_budget_values():
@@ -163,7 +146,7 @@ def test_practical_mode_deterministic_and_threads_state(tiny_encdec):
         batch_size=4,
         mode="practical",
         budget=2,
-        adam=AdamParams(weight_decay=1e-3),
+        weight_decay=1e-3,
         rng_seed=5,
         grad_norm="exact",
     )
@@ -212,20 +195,19 @@ def test_rate_improves_with_budget(constrained_qp):
 def _reference_adam_run(prob, spec, x0, cfg, state):
     """Out-of-place Adam over shuffled epochs: the textbook expressions, step by step."""
     rng = np.random.default_rng(cfg.rng_seed)
-    adam = cfg.adam
     m, v, step = state
     z = x0.copy()
     n = prob.num_samples
     for _ in range(cfg.budget):
         for batch in epoch_batches(n, cfg.batch_size, rng):
             g = (1.0 / batch.size) * penalty_grad_batch(prob, spec, batch, z)
-            g = g + adam.weight_decay * z
+            g = g + cfg.weight_decay * z
             step += 1
-            m = adam.beta1 * m + (1.0 - adam.beta1) * g
-            v = adam.beta2 * v + (1.0 - adam.beta2) * (g * g)
-            m_hat = m / (1.0 - adam.beta1**step)
-            v_hat = v / (1.0 - adam.beta2**step)
-            z = z - cfg.stepsize * m_hat / (np.sqrt(v_hat) + adam.eps_hat)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            m_hat = m / (1.0 - 0.9**step)
+            v_hat = v / (1.0 - 0.999**step)
+            z = z - cfg.stepsize * m_hat / (np.sqrt(v_hat) + 1e-8)
     return z, (m, v, step)
 
 
@@ -238,7 +220,7 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
     spec = PenaltySpec("quadratic", 30.0)
     for weight_decay in (1e-2, 0.0):
         cfg = SGDConfig(
-            stepsize=1e-2, batch_size=5, mode="practical", budget=3, adam=AdamParams(weight_decay=weight_decay),
+            stepsize=1e-2, batch_size=5, mode="practical", budget=3, weight_decay=weight_decay,
             rng_seed=9, grad_norm="none",
         )
         zeros = np.zeros(prob.dim)

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unreferenced definitions.
+"""Source hygiene: no unused imports and no unreferenced definitions or constants.
 
 The project has no linter, so these checks read the ``ast`` of every module
 under ``src/seqpen``. The package ``__init__`` modules only re-export names
@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "seqpen"
 MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def _parse(path):
@@ -58,7 +59,7 @@ def test_every_private_module_level_definition_is_referenced():
 def _users() -> dict:
     """Text of every file that may name a library definition.
 
-    The two re-export modules are left out: re-exporting a name is not a use.
+    The package ``__init__`` modules are left out: re-exporting a name is not a use.
     """
     paths = [
         path
@@ -83,3 +84,37 @@ def test_every_public_module_level_definition_is_referenced():
             if not any(word.search(text) for text in texts):
                 unreferenced.append(f"{path.relative_to(SRC)}: {node.name}")
     assert unreferenced == []
+
+
+def _code_names(tree, skip=None) -> set:
+    """Names and attribute names that the code in ``tree`` reads outside the statement ``skip``.
+
+    Comments and docstrings are not code, so naming a constant there is not a use.
+    """
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped
+    }
+
+
+def test_every_public_module_level_constant_is_read():
+    users = _users()
+    readme = users.pop(ROOT / "README.md")
+    read = {path: _code_names(_parse(path)) for path in users}
+    unread = []
+    for path in MODULES:
+        tree = _parse(path)
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            # one statement may bind several constants: A, B = 1, 2
+            names = [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+            own = _code_names(tree, skip=node)
+            for name in filter(CONSTANT.fullmatch, names):
+                others = any(name in names_read for other, names_read in read.items() if other != path)
+                if name not in own and not others and not re.search(rf"\b{name}\b", readme):
+                    unread.append(f"{path.relative_to(SRC)}: {name}")
+    assert unread == []
