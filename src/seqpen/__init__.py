@@ -1,7 +1,6 @@
 """Sequential penalty training for finite-sum problems with per-sample constraints."""
 
 from seqpen.problems import (
-    FeasibilityStats,
     FiniteSumProblem,
     OracleError,
     epoch_batches,
@@ -19,7 +18,6 @@ from seqpen.penalties import (
     penalty_value_full,
 )
 from seqpen.inner import (
-    InnerReport,
     InnerSolverError,
     SGDConfig,
     grad_norm_estimate,
@@ -28,17 +26,11 @@ from seqpen.inner import (
 )
 from seqpen.outer import (
     OuterAbort,
-    OuterRecord,
-    OuterTrace,
     Schedule,
     fixed_penalty_train,
     sequential_penalty_train,
 )
 from seqpen.diagnostics import (
-    ElicqReport,
-    KKTReport,
-    SGCEstimate,
-    SmoothnessEstimate,
     elicq_check,
     kkt_residual,
     sgc_estimate,

@@ -20,19 +20,20 @@ Parsing is strict: unknown keys, duplicate keys, and keys that do not apply
 to the chosen task/method are rejected with the offending line number.
 
 Exit codes: 0 success, 2 config or data error (a config file that is not
-UTF-8, a value the library rejects such as theta = nan, weight_decay = -1 or
-seed = -1, a QP x0 that is not finite, an out_dir that cannot be created, a
-negative train_limit or test_limit, a missing or unreadable dataset, a
-corrupt IDX file, a train or test split with no images; also a negative
-synth-data --train, --test or --seed, as a usage error), 3
-numeric abort (a diverging iterate, in the warm start or in training, or a
-non-finite oracle value; trace.csv and timeline.csv are still flushed with
-the rows gathered so far). Every config value, lambda and warm_start_epochs
-included, is turned into the library object it feeds before any training
-starts, so a rejected value never costs a training run; the message starts
-with the config key that set it ("lambda: tau must be ..."). The manifest is
-written before any data is read, so it is present in all three cases unless
-the file cannot be parsed or out_dir cannot be created.
+UTF-8, a value the library rejects such as theta = nan, weight_decay = -1,
+seed = -1 or candidate_rule = uniform without mode = theoretical, a QP x0
+that is not finite, an out_dir that cannot be created, a negative
+train_limit or test_limit, a missing or unreadable dataset, a corrupt IDX
+file, a train or test split with no images; also a negative synth-data
+--train, --test or --seed, as a usage error), 3 numeric abort (a diverging
+iterate, in the warm start or in training, or a non-finite oracle value;
+trace.csv and timeline.csv are still flushed with the rows gathered so far).
+Every config value, lambda and warm_start_epochs included, is turned into
+the library object it feeds before any training starts, so a rejected value
+never costs a training run; the message starts with the config key that set
+it ("lambda: tau must be ..."). The manifest is written before any data is
+read, so it is present in all three cases unless the file cannot be parsed
+or out_dir cannot be created.
 
 An enc_dec run evaluates a split once at each point: the outer record, the
 epoch timeline and the final results at the same parameters share the pass.
@@ -402,14 +403,14 @@ def _run_qp(cfg):
         return 1.0 / qp.penalty_lipschitz(tau)
 
     auto = cfg["stepsize"] == "auto"
-    with _library_checks("stepsize", "batch_size", "budget", rng_seed="seed"):
+    with _library_checks("stepsize", "batch_size", "budget", "candidate_rule", rng_seed="seed"):
         inner = SGDConfig(
             stepsize=1.0 if auto else cfg["stepsize"],  # replaced per tau when auto
             batch_size=cfg["batch_size"],
             mode=cfg["mode"],
             budget=cfg["budget"],
             rng_seed=cfg["seed"],
-            candidate_rule=cfg["candidate_rule"] if cfg["mode"] == "theoretical" else None,
+            candidate_rule=cfg["candidate_rule"],
             grad_norm="exact",
         )
     train_method = _method(cfg, inner, "max_outer", auto_stepsize if auto else None)
@@ -427,20 +428,19 @@ def _run_qp(cfg):
 
 
 def _run_enc_dec(cfg):
-    root = cfg["data_root"]
-    train_limit = cfg["train_limit"] or None
-    test_limit = cfg["test_limit"] or None
+    datasets = []
     try:
-        # IdxError, a negative limit and the dataset's own validation are ValueErrors;
-        # only the limit's message names a config key.
-        with _library_checks(error=DataError, limit="train_limit"):
-            train = load_idx_dataset(*dataset_paths(root, "train"), limit=train_limit, split="train")
-        with _library_checks(error=DataError, limit="test_limit"):
-            test = load_idx_dataset(*dataset_paths(root, "test"), limit=test_limit, split="test")
+        for split in ("train", "test"):
+            limit = f"{split}_limit"
+            # IdxError, a negative limit and the dataset's own validation are ValueErrors;
+            # only the limit's message names a config key.
+            with _library_checks(error=DataError, limit=limit):
+                paths = dataset_paths(cfg["data_root"], split)
+                datasets.append(load_idx_dataset(*paths, limit=cfg[limit] or None, split=split))
     except OSError as err:
         raise DataError(str(err)) from err
     with _library_checks("theta"):
-        tasks = {ds.split: build_enc_dec_task(ds, cfg["theta"]) for ds in (train, test)}
+        tasks = {ds.split: build_enc_dec_task(ds, cfg["theta"]) for ds in datasets}
     with _library_checks("seed", "batch_size", "weight_decay", stepsize="learning_rate", budget="epochs"):
         inner = SGDConfig(
             stepsize=cfg["learning_rate"],

@@ -67,9 +67,9 @@ class SGDConfig:
     """Configuration for one inner run.
 
     ``budget`` counts iterations in theoretical mode and epochs in practical
-    mode. ``candidate_rule`` is read in theoretical mode only, where it
-    defaults to uniform iterate sampling; practical mode always returns the
-    last iterate. ``weight_decay`` is read in practical mode only, where it
+    mode. ``candidate_rule`` defaults to uniform iterate sampling in
+    theoretical mode; practical mode returns the last iterate and rejects
+    ``'uniform'``. ``weight_decay`` is read in practical mode only, where it
     adds ``weight_decay * z`` to each sampled gradient before the Adam step.
     """
 
@@ -98,7 +98,7 @@ class SGDConfig:
         if self.candidate_rule is not None and self.candidate_rule not in CANDIDATE_RULES:
             raise ValueError(f"candidate_rule must be one of {CANDIDATE_RULES}")
         if self.mode == "practical" and self.candidate_rule == "uniform":
-            raise ValueError("practical mode keeps no iterate pool; candidate_rule must be 'last'")
+            raise ValueError("candidate_rule must be 'last' in practical mode, which keeps no iterate pool")
         if self.grad_norm not in GRAD_NORM_MODES:
             raise ValueError(f"grad_norm must be one of {GRAD_NORM_MODES}")
 
@@ -110,7 +110,6 @@ class InnerReport:
     candidate: Array
     iterate_count: int
     grad_norm_estimate: float
-    sampled_index: Optional[int]
     opt_state: Optional[AdamState] = None
 
 
@@ -183,10 +182,7 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
     # The sampling pool is the first `budget` iterates z^0 .. z^{budget-1}
     # (just z^0 for an empty run); the index is drawn up front so only the
     # chosen iterate needs to be retained.
-    pool = max(budget, 1)
-    sampled_index: Optional[int] = None
-    if rule == "uniform":
-        sampled_index = int(rng.integers(pool))
+    sampled_index = int(rng.integers(max(budget, 1))) if rule == "uniform" else None
 
     full_batch = config.batch_size >= n_samples
     batch = np.arange(n_samples) if full_batch else None
@@ -206,13 +202,11 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
             hook(z.copy())
     if rule == "last":
         candidate = z.copy()
-        sampled_index = None
 
     return InnerReport(
         candidate=candidate,
         iterate_count=budget + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, candidate, config),
-        sampled_index=sampled_index,
     )
 
 
@@ -275,6 +269,5 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
         candidate=z,
         iterate_count=steps + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, z, config),
-        sampled_index=None,
         opt_state=state,
     )

@@ -39,13 +39,11 @@ from seqpen.problems import (
 
 
 class OuterAbort(RuntimeError):
-    """Inner solver or record failure, annotated with the outer iteration and the trace so far."""
+    """Inner solver or record failure (its ``__cause__``), with the trace so far as ``partial``."""
 
-    def __init__(self, outer_index: int, partial: "OuterTrace", cause: Union[InnerSolverError, OracleError]):
-        super().__init__(f"outer iteration {outer_index} aborted: {cause}")
-        self.outer_index = outer_index
+    def __init__(self, partial: "OuterTrace", cause: Union[InnerSolverError, OracleError]):
+        super().__init__(f"outer iteration {len(partial.records)} aborted: {cause}")
         self.partial = partial
-        self.cause = cause
 
 
 def derived_seed(base: int, index: int) -> int:
@@ -114,7 +112,6 @@ class OuterRecord:
 @dataclass
 class OuterTrace:
     records: list = field(default_factory=list)
-    stopped: str = "max_outer"
 
     def final(self) -> OuterRecord:
         if not self.records:
@@ -154,7 +151,7 @@ def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -
         report = sgd_run(problem, spec, x, config, opt_state=opt_state, hook=hook)
         trace.records.append(_make_record(problem, spec, k, eps, report))
     except (InnerSolverError, OracleError) as err:
-        raise OuterAbort(k, trace, err) from err
+        raise OuterAbort(trace, err) from err
     return report
 
 
@@ -172,7 +169,6 @@ def sequential_penalty_train(
     epochs do not repeat the same shuffles. ``hook`` is passed to every
     inner run (see ``sgd_run``).
     """
-    PenaltySpec(kind, schedule.tau0)  # rejects an unknown kind before any inner run
     x = as_params(problem, x0)
     trace = OuterTrace()
     opt_state = None
@@ -189,7 +185,6 @@ def sequential_penalty_train(
         x, opt_state = report.candidate, report.opt_state
         rec = trace.final()
         if rec.grad_norm <= eps and rec.feasibility.max_violation <= schedule.feasibility_tol:
-            trace.stopped = "tolerance"
             break
     return trace
 
@@ -211,6 +206,6 @@ def fixed_penalty_train(
         raise ValueError("lambda must be finite and >= 0")
     x = as_params(problem, x0)
     spec = PenaltySpec("linear", lam)
-    trace = OuterTrace(stopped="budget")
+    trace = OuterTrace()
     _outer_step(problem, spec, 0, float("nan"), x, inner, trace, hook)
     return trace

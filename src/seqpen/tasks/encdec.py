@@ -81,12 +81,12 @@ class EncDecModel:
         obj_w = np.asarray(obj_weights, dtype=float).ravel()
         pe, pc, pd = self.split(params)
         codes, enc_cache = self.encoder.forward(pe, images)
-        residual = None  # recon - images, computed once
-        if callable(con_weights):
+        con_w = None if callable(con_weights) else np.asarray(con_weights, dtype=float).ravel()
+        if con_w is None or con_w.any():
             recon, dec_cache = self.decoder.forward(pd, codes)
             residual = recon - images
-            con_weights = con_weights(residual_mse(residual))
-        con_w = np.asarray(con_weights, dtype=float).ravel()
+            if con_w is None:
+                con_w = np.asarray(con_weights(residual_mse(residual)), dtype=float).ravel()
 
         grad = np.empty(self.num_params)
         g_enc, g_cls, g_dec = self.split(grad)
@@ -99,9 +99,6 @@ class EncDecModel:
         else:
             g_cls.fill(0.0)
         if con_w.any():
-            if residual is None:
-                recon, dec_cache = self.decoder.forward(pd, codes)
-                residual = recon - images
             # con_w[:, None] * mse_grad(images, recon), built in the residual
             d_recon = residual_mse_grad(residual)
             d_recon *= con_w[:, None]

@@ -378,6 +378,25 @@ def test_qp_negative_seed_exits_2_before_training(tmp_path, capsys, monkeypatch,
     assert inner_runs == []
 
 
+def test_qp_practical_uniform_candidate_rule_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    # practical mode returns the last iterate, so a uniform rule would be recorded but not run
+    inner_runs = _count_inner_runs(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write_cfg(
+        tmp_path / "qp.cfg",
+        task="analytic_qp",
+        method="sequential",
+        out_dir=out,
+        mode="practical",
+        candidate_rule="uniform",
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: candidate_rule: ") and "'last' in practical mode" in err
+    assert inner_runs == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("x0", ["nan", "inf"])
 def test_qp_non_finite_x0_exits_2_before_training(tmp_path, capsys, monkeypatch, x0):
     inner_runs = _count_inner_runs(monkeypatch)

@@ -51,15 +51,15 @@ def test_budget_zero_is_noop(free_quadratic):
     rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg)
     assert np.array_equal(rep.candidate, x0)
     assert rep.iterate_count == 1
-    assert rep.sampled_index == 0
 
 
 def test_uniform_candidate_near_penalty_minimizer(constrained_qp):
     # tau = 100: the quadratic-penalty minimizer is tau / (2 + tau)
     spec = PenaltySpec("quadratic", 100.0)
     cfg = SGDConfig(stepsize=1e-3, batch_size=1, budget=10_000, rng_seed=0)
-    rep = sgd_run(constrained_qp, spec, np.array([0.0]), cfg)
-    assert rep.sampled_index is not None and rep.sampled_index < rep.iterate_count
+    rep, iterates, _ = _penalty_path(constrained_qp, spec, np.array([0.0]), cfg)
+    # the candidate is drawn from z^0 .. z^{budget-1}: x0 or one of the first budget - 1 hooked iterates
+    assert any(np.array_equal(rep.candidate, z) for z in iterates[: cfg.budget])
     assert rep.candidate[0] == pytest.approx(100.0 / 102.0, abs=1e-2)
 
 
@@ -70,7 +70,6 @@ def test_determinism(constrained_qp):
     rep2, _, trace2 = _penalty_path(constrained_qp, spec, np.array([0.3]), cfg)
     assert np.array_equal(rep1.candidate, rep2.candidate)
     assert trace1 == trace2
-    assert rep1.sampled_index == rep2.sampled_index
     assert rep1.grad_norm_estimate == rep2.grad_norm_estimate
 
 

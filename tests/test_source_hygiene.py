@@ -70,26 +70,10 @@ def _users() -> dict:
     return {path: path.read_text(encoding="utf-8") for path in paths + [ROOT / "README.md"]}
 
 
-def test_every_public_module_level_definition_is_referenced():
-    users = _users()
-    unreferenced = []
-    for path in MODULES:
-        for node in _parse(path).body:
-            if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
-                continue
-            word = re.compile(rf"\b{node.name}\b")
-            own = users[path].splitlines()
-            del own[node.lineno - 1]  # the def or class line itself
-            texts = ["\n".join(own)] + [text for other, text in users.items() if other != path]
-            if not any(word.search(text) for text in texts):
-                unreferenced.append(f"{path.relative_to(SRC)}: {node.name}")
-    assert unreferenced == []
-
-
 def _code_names(tree, skip=None) -> set:
     """Names and attribute names that the code in ``tree`` reads outside the statement ``skip``.
 
-    Comments and docstrings are not code, so naming a constant there is not a use.
+    Comments and docstrings are not code, so naming a definition there is not a use.
     """
     skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
     return {
@@ -99,22 +83,39 @@ def _code_names(tree, skip=None) -> set:
     }
 
 
-def test_every_public_module_level_constant_is_read():
+def _unused_public(kinds, names_of):
+    """``module: name`` for every public module-level name that no code and no README sentence uses.
+
+    ``names_of(node)`` lists the names a statement of one of ``kinds`` binds;
+    the statement itself is not a use of them.
+    """
     users = _users()
     readme = users.pop(ROOT / "README.md")
     read = {path: _code_names(_parse(path)) for path in users}
-    unread = []
+    unused = []
     for path in MODULES:
         tree = _parse(path)
         for node in tree.body:
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            if not isinstance(node, kinds):
                 continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            # one statement may bind several constants: A, B = 1, 2
-            names = [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
             own = _code_names(tree, skip=node)
-            for name in filter(CONSTANT.fullmatch, names):
+            for name in names_of(node):
                 others = any(name in names_read for other, names_read in read.items() if other != path)
                 if name not in own and not others and not re.search(rf"\b{name}\b", readme):
-                    unread.append(f"{path.relative_to(SRC)}: {name}")
-    assert unread == []
+                    unused.append(f"{path.relative_to(SRC)}: {name}")
+    return unused
+
+
+def test_every_public_module_level_definition_is_referenced():
+    assert _unused_public(DEFINITIONS, lambda node: [node.name] if not node.name.startswith("_") else []) == []
+
+
+def _constants(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    # one statement may bind several constants: A, B = 1, 2
+    names = [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+    return list(filter(CONSTANT.fullmatch, names))
+
+
+def test_every_public_module_level_constant_is_read():
+    assert _unused_public((ast.Assign, ast.AnnAssign), _constants) == []
