@@ -62,7 +62,9 @@ import numpy as np
 
 import seqpen
 from seqpen.inner import CANDIDATE_RULES, MODES, InnerSolverError, SGDConfig
-from seqpen.outer import OuterAbort, Schedule, derived_seed, fixed_penalty_train, sequential_penalty_train
+from seqpen.outer import (
+    MAX_TRACE_DIM, OuterAbort, Schedule, derived_seed, fixed_penalty_train, sequential_penalty_train,
+)
 from seqpen.penalties import PENALTY_KINDS, PenaltySpec
 from seqpen.tasks.data import dataset_paths, load_idx_dataset, write_synthetic_idx
 from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, warm_start
@@ -72,7 +74,6 @@ from seqpen.problems import OracleError, constraint_values
 SCHEMA = "seqpen-run-v1"
 RUN_ARTIFACTS = ("trace.csv", "timeline.csv", "results.csv", "violations_hist.csv")
 DATA_ENV = "SEQPEN_DATA"
-MAX_TRACE_DIM = 16
 
 TASKS = ("analytic_qp", "enc_dec")
 METHODS = ("sequential", "fixed", "objective_only")
@@ -358,11 +359,14 @@ def _write_trace(out: Path, records, dim: int):
 
 
 def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
-    """Build the configured method; returns ``train(problem, x0, hook=None) -> OuterTrace``.
+    """Build the configured method; returns ``train(problem, start, hook=None) -> OuterTrace``.
 
-    The Schedule or the lambda PenaltySpec rejects its values here, before
-    training, as a ConfigError. ``max_outer_key`` is the config key that
-    counts outer iterations; ``stepsize_fn(tau)`` sets the inner stepsize per tau.
+    ``start()`` returns the initial point. It is called in the argument list
+    of the training call, so no name here holds that point and the outer
+    loop frees it once its first inner run has copied it. The Schedule or
+    the lambda PenaltySpec rejects its values here, before training, as a
+    ConfigError. ``max_outer_key`` is the config key that counts outer
+    iterations; ``stepsize_fn(tau)`` sets the inner stepsize per tau.
     """
     if cfg["method"] == "sequential":
         with _library_checks("tau0", "gamma", "eps0", "eps_decay", max_outer=max_outer_key):
@@ -375,14 +379,14 @@ def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
                 eps_decay=cfg["eps_decay"],
                 stepsize_fn=stepsize_fn,
             )
-        return lambda problem, x0, hook=None: sequential_penalty_train(
-            problem, cfg["penalty_kind"], schedule, x0, hook=hook
+        return lambda problem, start, hook=None: sequential_penalty_train(
+            problem, cfg["penalty_kind"], schedule, start(), hook=hook
         )
     with _library_checks(tau="lambda"):
         lam = PenaltySpec("linear", cfg["lambda"] if cfg["method"] == "fixed" else 0.0).tau
         if stepsize_fn is not None:
             inner = dataclasses.replace(inner, stepsize=stepsize_fn(lam))
-    return lambda problem, x0, hook=None: fixed_penalty_train(problem, lam, inner, x0, hook=hook)
+    return lambda problem, start, hook=None: fixed_penalty_train(problem, lam, inner, start(), hook=hook)
 
 
 def _run_qp(cfg):
@@ -424,7 +428,7 @@ def _run_qp(cfg):
         row += [final.feasibility.mean_violation, final.feasibility.satisfied_fraction]
         return [row], [["train", j, i, g[j, i]] for j in range(g.shape[0]) for i in range(g.shape[1])]
 
-    return qp.dim, lambda: train_method(problem, x0), timeline_rows, result_rows
+    return qp.dim, lambda: train_method(problem, lambda: x0), timeline_rows, result_rows
 
 
 def _run_enc_dec(cfg):
@@ -469,9 +473,12 @@ def _run_enc_dec(cfg):
     hook = timeline_hook if cfg["timeline"] else None
 
     def run():
-        # No name holds the initial parameters, so they are freed when the warm start returns.
-        params = warm_start(task, task.model.init_params(init_rng), warm, hook=hook)
-        return train_method(task.problem, params, hook=hook)
+        # No name here holds the initial parameters or the warm-start candidate:
+        # the first is freed when the warm start returns, and a sequential
+        # schedule frees the second after its first inner run.
+        return train_method(
+            task.problem, lambda: warm_start(task, task.model.init_params(init_rng), warm, hook=hook), hook=hook
+        )
 
     def result_rows(final):
         results, hist = [], []
@@ -513,7 +520,10 @@ def run_experiment(config_path) -> int:
         return 2
     records, abort = [], None
     try:
-        records = train().records
+        # A diverging run overflows before the finiteness checks report it, and
+        # their report is the message: numpy's own warnings are not printed.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            records = train().records
     except OuterAbort as err:
         records, abort = err.partial.records, err
     except (InnerSolverError, OracleError) as err:

@@ -228,8 +228,11 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
     g_buf = np.empty(min(ADAM_BLOCK, problem.dim))
     tmp_buf = np.empty_like(g_buf)
     for _ in range(config.budget):
+        # Every minibatch gradient of an epoch is written into one buffer, so a
+        # step allocates no parameter-size array; the hook runs without it.
+        gsum = np.empty(problem.dim)
         for batch in epoch_batches(n_samples, config.batch_size, rng):
-            gsum = penalty_grad_batch(problem, spec, batch, z)
+            penalty_grad_batch(problem, spec, batch, z, out=gsum)
             scale = problem.estimator_scale(batch.size)
             state.step += 1
             c1 = 1.0 - BETA1**state.step
@@ -258,10 +261,7 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
                 zb -= g
             _check_finite(z, steps)
             steps += 1
-        # The last batch gradient is not held through the hook. Within an
-        # epoch each one lives until the next replaces it: freed right after its
-        # step, it would go back to the OS and be faulted in again every step.
-        gsum = None
+        del gsum
         if hook is not None:
             hook(z.copy())
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from seqpen.inner import InnerReport, InnerSolverError, SGDConfig, sgd_run
+from seqpen.inner import AdamState, InnerReport, InnerSolverError, SGDConfig, sgd_run
 from seqpen.penalties import PenaltySpec, constraint_weights, penalty_value_from_values
 from seqpen.problems import (
     Array,
@@ -36,6 +36,11 @@ from seqpen.problems import (
     feasibility_from_values,
     objective_values,
 )
+
+# Every record of a trace keeps its candidate only up to this dimension (the
+# trace.csv writer appends those candidates as columns); above it only the
+# last record does, so a run's memory does not grow with its length.
+MAX_TRACE_DIM = 16
 
 
 class OuterAbort(RuntimeError):
@@ -94,12 +99,16 @@ class Schedule:
 
 @dataclass
 class OuterRecord:
-    """Snapshot of one outer iteration."""
+    """Snapshot of one outer iteration.
+
+    ``candidate`` is the inner run's result. Above ``MAX_TRACE_DIM`` it is
+    None in every record of a trace but the last.
+    """
 
     k: int
     tau: float
     eps: float
-    candidate: Array
+    candidate: Optional[Array]
     penalty_value: float
     objective_value: float
     grad_norm: float
@@ -142,6 +151,18 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     )
 
 
+class _HandedOver(AdamState):
+    """Adam state that the outer loop gives up to its next inner run.
+
+    ``sgd_run`` copies the state it is given, so that a caller's state stays
+    untouched; this state's copy passes its moment arrays on instead, and the
+    run continues them in place. The outer loop never reads it again.
+    """
+
+    def copy(self) -> AdamState:
+        return AdamState(self.m, self.v, self.step)
+
+
 def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -> InnerReport:
     """Run outer iteration ``k`` from ``x`` and append its record to ``trace``.
 
@@ -149,9 +170,12 @@ def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -
     """
     try:
         report = sgd_run(problem, spec, x, config, opt_state=opt_state, hook=hook)
-        trace.records.append(_make_record(problem, spec, k, eps, report))
+        record = _make_record(problem, spec, k, eps, report)
     except (InnerSolverError, OracleError) as err:
         raise OuterAbort(trace, err) from err
+    if trace.records and problem.dim > MAX_TRACE_DIM:
+        trace.records[-1].candidate = None
+    trace.records.append(record)
     return report
 
 
@@ -170,6 +194,9 @@ def sequential_penalty_train(
     inner run (see ``sgd_run``).
     """
     x = as_params(problem, x0)
+    # Only ``x`` holds the start point, and it lets go once the first inner
+    # run has copied it.
+    del x0
     trace = OuterTrace()
     opt_state = None
     for k in range(schedule.max_outer):
@@ -182,7 +209,9 @@ def sequential_penalty_train(
         if schedule.budget_fn is not None:
             config = replace(config, budget=int(schedule.budget_fn(tau, eps, x)))
         report = _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state)
-        x, opt_state = report.candidate, report.opt_state
+        x = report.candidate
+        if report.opt_state is not None:
+            opt_state = _HandedOver(**vars(report.opt_state))
         rec = trace.final()
         if rec.grad_norm <= eps and rec.feasibility.max_violation <= schedule.feasibility_tol:
             break

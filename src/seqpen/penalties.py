@@ -79,10 +79,11 @@ def penalty_value_from_values(problem: FiniteSumProblem, spec: PenaltySpec, f: A
     return float(problem.agg_scale * (f.sum() + violation_term(spec, g)))
 
 
-def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x) -> Array:
-    """Sum over the given samples of the per-sample penalty gradients.
+def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x, out=None) -> Array:
+    """Sum over the given samples of the per-sample penalty gradients, written into ``out``.
 
     No normalization scaling is applied; callers own the estimator scaling.
+    ``out`` is a caller-owned buffer of shape (dim,), or None for a fresh one.
     """
     x = as_params(problem, x)
     indices = np.asarray(indices, dtype=int)
@@ -92,7 +93,7 @@ def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x)
         con_w = np.zeros((indices.size, problem.num_constraints))
     else:
         con_w = functools.partial(constraint_weights, spec)
-    return problem.weighted_grad(indices, x, np.ones(indices.size), con_w)
+    return problem.weighted_grad(indices, x, np.ones(indices.size), con_w, out=out)
 
 
 def penalty_grad_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> Array:

@@ -43,15 +43,17 @@ class FiniteSumProblem:
     * ``objective(indices, x)`` -> per-sample objective values f_j(x).
     * ``constraints(indices, x)`` -> (len(indices), num_constraints) raw
       constraint values g_ij(x); a sample is feasible when all are <= 0.
-    * ``weighted_grad(indices, x, obj_weights, con_weights)`` -> sum over the
-      batch of obj_w[j] * grad f_j + sum_i con_w[j, i] * grad g_ij, as one
-      flat vector. Plain objective gradients, penalty gradients of either
-      kind, KKT stationarity terms and Jacobian rows are all weighted sums of
-      this shape. ``con_weights`` is either a (len(indices), num_constraints)
-      array or a function mapping the batch's raw constraint values g to
-      such an array. The function form lets a fused oracle take g from the
-      forward pass it already runs, so a penalty gradient costs one pass over
-      the batch.
+    * ``weighted_grad(indices, x, obj_weights, con_weights, out=None)`` ->
+      sum over the batch of obj_w[j] * grad f_j + sum_i con_w[j, i] *
+      grad g_ij, as one flat vector. Plain objective gradients, penalty
+      gradients of either kind, KKT stationarity terms and Jacobian rows are
+      all weighted sums of this shape. ``con_weights`` is either a
+      (len(indices), num_constraints) array or a function mapping the
+      batch's raw constraint values g to such an array. The function form
+      lets a fused oracle take g from the forward pass it already runs, so a
+      penalty gradient costs one pass over the batch. The sum is written
+      into ``out``, a float array of shape (dim,) that the caller owns, or
+      into a fresh one when ``out`` is None, and returned.
 
     Each quantity comes from a batch oracle when one is set and otherwise
     from per-sample oracles:
@@ -59,10 +61,11 @@ class FiniteSumProblem:
     * objective: ``batch_objective(indices, x)`` or ``sample_objective(j, x)``;
     * constraints: ``batch_constraints(indices, x)`` or
       ``sample_constraints(j, x)`` (a vector of length ``num_constraints``);
-    * weighted gradient: ``batch_weighted_grad(indices, x, obj_w, con_w)``,
-      with the signature and ``con_weights`` forms of ``weighted_grad`` (a
-      function must be called exactly once, with the values ``constraints``
-      returns), or ``sample_objective_grad(j, x)`` together with
+    * weighted gradient: ``batch_weighted_grad(indices, x, obj_w, con_w, out)``,
+      with the ``con_weights`` forms of ``weighted_grad`` (a function must be
+      called exactly once, with the values ``constraints`` returns), which
+      overwrites the given ``out`` array with the sum; or
+      ``sample_objective_grad(j, x)`` together with
       ``sample_constraint_jacobian(j, x)`` (an (num_constraints, dim) matrix
       of constraint gradients as rows).
     """
@@ -77,7 +80,7 @@ class FiniteSumProblem:
     normalization: str = "sum"
     batch_objective: Optional[Callable[[Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[Array, Array], Array]] = None
-    batch_weighted_grad: Optional[Callable[[Array, Array, Array, Array], Array]] = None
+    batch_weighted_grad: Optional[Callable[[Array, Array, Array, Array, Array], None]] = None
 
     def __post_init__(self):
         if self.dim < 1 or self.num_samples < 1 or self.num_constraints < 1:
@@ -119,15 +122,17 @@ class FiniteSumProblem:
             g = [self.sample_constraints(int(j), x) for j in indices]
         return np.asarray(g, dtype=float).reshape(len(indices), self.num_constraints)
 
-    def weighted_grad(self, indices, x, obj_weights, con_weights) -> Array:
-        """sum_j obj_w[j] * grad f_j + sum_i con_w[j, i] * grad g_ij over the batch."""
+    def weighted_grad(self, indices, x, obj_weights, con_weights, out=None) -> Array:
+        """sum_j obj_w[j] * grad f_j + sum_i con_w[j, i] * grad g_ij over the batch, written into ``out``."""
+        total = np.empty(self.dim) if out is None else out
         if self.batch_weighted_grad is not None:
-            return np.asarray(self.batch_weighted_grad(indices, x, obj_weights, con_weights), dtype=float)
+            self.batch_weighted_grad(indices, x, obj_weights, con_weights, total)
+            return total
         if callable(con_weights):
             con_weights = con_weights(self.constraints(indices, x))
         obj_w = np.asarray(obj_weights, dtype=float).reshape(len(indices))
         con_w = np.asarray(con_weights, dtype=float).reshape(len(indices), self.num_constraints)
-        total = np.zeros(self.dim)
+        total.fill(0.0)
         for j, wf, wc in zip(indices, obj_w, con_w):
             # Each sample's term is summed first and then added to the total,
             # and only the oracles with a nonzero weight are called.

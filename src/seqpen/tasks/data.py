@@ -72,20 +72,27 @@ def write_idx(path, magic: int, dims, data):
 
 @dataclass
 class ImageDataset:
-    """Flattened image rows in [0, 1] with integer labels in [0, 10)."""
+    """Flattened image rows with integer labels in [0, 10).
+
+    ``images`` holds either ``uint8`` pixels, as an IDX file stores them, or
+    floats in [0, 1]. ``gather_pixels`` turns rows of either into floats in
+    [0, 1], so ``uint8`` pixels take an eighth of the memory and are never
+    held as floats beyond one gather.
+    """
 
     images: Array
     labels: Array
     split: str = "train"
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=float)
+        images = np.asarray(self.images)
+        self.images = images if images.dtype == np.uint8 else np.asarray(images, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.images.ndim != 2:
             raise ValueError("images must be a 2-D (N, pixels) array")
         if self.labels.shape != (self.images.shape[0],):
             raise ValueError("labels must align with images")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if images.dtype != np.uint8 and self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise ValueError("labels must lie in [0, 10)")
@@ -95,8 +102,23 @@ class ImageDataset:
         return self.images.shape[0]
 
 
+def gather_pixels(images: Array, rows) -> Array:
+    """Rows ``images[rows]`` as floats in [0, 1].
+
+    ``uint8`` pixels are scaled by ``astype(float) / 255.0``, the same
+    operations on the same values as scaling the whole split first, so every
+    gathered value is bit-identical to that; float pixels are gathered as
+    they are.
+    """
+    batch = images[rows]
+    if batch.dtype == np.uint8:
+        batch = batch.astype(float)
+        batch /= 255.0
+    return batch
+
+
 def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train") -> ImageDataset:
-    """Load an image/label IDX pair, scaling pixels to [0, 1].
+    """Load an image/label IDX pair, keeping the file's ``uint8`` pixels.
 
     ``limit`` truncates to the first samples, for desk-scale runs. A file
     pair with no samples is an ``IdxError`` naming ``split``.
@@ -114,10 +136,9 @@ def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train")
         raise IdxError(f"{count} images vs {dims_l[0]} labels")
     if count == 0:
         raise IdxError(f"{split} split is empty: {images_path} holds no images")
-    # Truncate the uint8 payload before converting, so only the kept rows
-    # are ever held as floats.
-    pixels = pixels.reshape(count, rows * cols)[:limit]
-    return ImageDataset(images=pixels.astype(float) / 255.0, labels=labels[:limit].astype(int), split=split)
+    # Copy only the kept rows out of the file's buffer, which is then freed.
+    pixels = pixels.reshape(count, rows * cols)[:limit].copy()
+    return ImageDataset(images=pixels, labels=labels[:limit].astype(int), split=split)
 
 
 # 7x5 bitmap glyphs for the ten digits.

@@ -22,7 +22,7 @@ import numpy as np
 from seqpen.inner import SGDConfig, sgd_run
 from seqpen.penalties import PenaltySpec
 from seqpen.problems import Array, FiniteSumProblem, feasibility_from_values
-from seqpen.tasks.data import ImageDataset
+from seqpen.tasks.data import ImageDataset, gather_pixels
 from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, residual_mse, residual_mse_grad
 
 # Rows per forward pass when evaluating a whole split.
@@ -68,11 +68,13 @@ class EncDecModel:
         recon, _ = self.decoder.forward(pd, codes)
         return probs, recon
 
-    def weighted_grad(self, params: Array, images, labels, obj_weights, con_weights) -> Array:
+    def weighted_grad(self, params: Array, images, labels, obj_weights, con_weights, out=None) -> Array:
         """sum_j obj_w[j] * grad ce_j + con_w[j] * grad mse_j in one fused pass.
 
         ``con_weights`` may also be a function that maps the per-sample
         reconstruction MSE of this pass's decoder output to the weights.
+        The gradient is written into ``out`` (a fresh array when it is None)
+        and returned.
 
         Branches whose weights are all zero are skipped entirely, so e.g.
         objective-only training never touches the decoder.
@@ -88,7 +90,7 @@ class EncDecModel:
             if con_w is None:
                 con_w = np.asarray(con_weights(residual_mse(residual)), dtype=float).ravel()
 
-        grad = np.empty(self.num_params)
+        grad = np.empty(self.num_params) if out is None else out
         g_enc, g_cls, g_dec = self.split(grad)
         grad_codes = np.zeros_like(codes)
         if obj_w.any():
@@ -115,15 +117,16 @@ def split_values(
 ) -> tuple[Array, Array, Array]:
     """Per-sample cross entropy, correctness and reconstruction MSE of ``images[rows]``.
 
-    The rows are gathered and run through one encoder pass ``EVAL_CHUNK`` at
-    a time, so a pass never copies the whole split, and each chunk's MSE is
-    computed in place in its reconstruction.
+    The rows are gathered (as floats, see ``gather_pixels``) and run through
+    one encoder pass ``EVAL_CHUNK`` at a time, so a pass never copies the
+    whole split, and each chunk's MSE is computed in place in its
+    reconstruction.
     """
     n = len(rows)
     ce, correct, mse = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
     for lo in range(0, n, EVAL_CHUNK):
         sl = slice(lo, lo + EVAL_CHUNK)
-        chunk_images, chunk_labels = images[rows[sl]], labels[rows[sl]]
+        chunk_images, chunk_labels = gather_pixels(images, rows[sl]), labels[rows[sl]]
         probs, recon = model.predict_and_reconstruct(params, chunk_images)
         ce[sl] = ce_values(probs, chunk_labels)
         correct[sl] = probs.argmax(axis=1) == chunk_labels
@@ -172,11 +175,11 @@ class EncDecTask:
             last = (rows, x, vals)
             return vals
 
-        def batch_weighted_grad(indices, x, obj_w, con_w):
+        def batch_weighted_grad(indices, x, obj_w, con_w, out):
             if callable(con_w):
                 weights_of_g = con_w
                 con_w = lambda mse: weights_of_g(_constraint(mse, theta))
-            return model.weighted_grad(x, images[indices], labels[indices], obj_w, con_w)
+            model.weighted_grad(x, gather_pixels(images, indices), labels[indices], obj_w, con_w, out=out)
 
         self.values = values
         self.problem = FiniteSumProblem(

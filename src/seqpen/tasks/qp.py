@@ -65,13 +65,13 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
     n = Q.shape[0]
     m = A.shape[0]
 
-    def batch_weighted_grad(indices, x, obj_w, con_w):
+    def batch_weighted_grad(indices, x, obj_w, con_w, out):
         # Single-sample problem: the batch is some multiset of index 0.
         if callable(con_w):
             con_w = con_w(batch_constraints(indices, x))
         total_obj = float(np.sum(obj_w))
         total_con = np.asarray(con_w, dtype=float).reshape(len(indices), m).sum(axis=0)
-        return total_obj * (Q @ x + b) + total_con @ A
+        out[:] = total_obj * (Q @ x + b) + total_con @ A
 
     def batch_constraints(indices, x):
         g = A @ x - c

@@ -45,12 +45,12 @@ def make_random_problem(dim, num_samples, num_constraints, seed, normalization="
         def batch_constraints(indices, x):
             return 0.5 * np.einsum("i,bkij,j->bk", x, con_h[indices], x) + con_e[indices] @ x + con_s[indices]
 
-        def batch_weighted_grad(indices, x, obj_w, con_w):
+        def batch_weighted_grad(indices, x, obj_w, con_w, out):
             if callable(con_w):
                 con_w = con_w(batch_constraints(indices, x))
             obj_grads = obj_h[indices] @ x + obj_d[indices]
             con_grads = np.einsum("bkij,j->bki", con_h[indices], x) + con_e[indices]
-            return np.asarray(obj_w) @ obj_grads + np.einsum("bk,bki->i", np.asarray(con_w), con_grads)
+            out[:] = np.asarray(obj_w) @ obj_grads + np.einsum("bk,bki->i", np.asarray(con_w), con_grads)
 
         return FiniteSumProblem(
             **shape,

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seqpen.problems import epoch_batches
 from seqpen.tasks.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
     IdxError,
     ImageDataset,
     dataset_paths,
+    gather_pixels,
     idx_header_bytes,
     load_idx_dataset,
     read_idx,
@@ -17,6 +19,7 @@ from seqpen.tasks.data import (
     write_idx,
     write_synthetic_idx,
 )
+from seqpen.tasks.encdec import EVAL_CHUNK, build_enc_dec_task
 
 
 @pytest.fixture
@@ -41,8 +44,11 @@ def test_round_trip(idx_pair):
     assert idx_header_bytes(magic, dims) == img_path.read_bytes()[: 4 + 4 * len(dims)]
 
     ds = load_idx_dataset(img_path, lbl_path)
-    assert ds.images.shape == (5, 16)
-    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+    # the dataset keeps the file's pixels; a gather scales them to [0, 1]
+    assert ds.images.dtype == np.uint8 and ds.images.shape == (5, 16)
+    assert np.array_equal(ds.images, pixels.reshape(5, 16))
+    rows = gather_pixels(ds.images, np.arange(5))
+    assert rows.dtype == float and rows.min() >= 0.0 and rows.max() <= 1.0
     assert np.array_equal(ds.labels, labels)
 
 
@@ -68,7 +74,7 @@ def test_limit_keeps_only_the_kept_rows(idx_pair):
     ds = load_idx_dataset(img_path, lbl_path, limit=3)
     # the truncated images own their memory instead of viewing the whole file
     assert ds.images.base is None
-    assert ds.images.nbytes == 3 * full.images.shape[1] * 8
+    assert ds.images.dtype == np.uint8 and ds.images.nbytes == 3 * full.images.shape[1]
     assert np.array_equal(ds.images, full.images[:3])
 
 
@@ -119,6 +125,35 @@ def test_read_idx_holds_the_file_once(tmp_path):
         tracemalloc.stop()
     assert dims == pixels.shape and np.array_equal(data, pixels.ravel())
     assert peak < 1.5 * size
+
+
+def test_every_gather_is_bit_identical_to_scaling_the_whole_split(tmp_path):
+    # ``whole`` scales the whole split at once, as a float64 dataset holds it.
+    root = write_synthetic_idx(tmp_path / "data", num_train=1100, num_test=10, rng_seed=3)
+    ds = load_idx_dataset(*dataset_paths(root, "train"))
+    whole = ds.images.astype(float) / 255.0
+    rng = np.random.default_rng(0)
+    batches = epoch_batches(ds.num_samples, 128, rng)
+    chunks = [np.arange(lo, min(lo + EVAL_CHUNK, ds.num_samples)) for lo in range(0, ds.num_samples, EVAL_CHUNK)]
+    for rows in batches + chunks + [rng.permutation(ds.num_samples)[:EVAL_CHUNK]]:
+        assert gather_pixels(ds.images, rows).tobytes() == whole[rows].tobytes()
+
+
+def test_uint8_and_prescaled_float_images_give_the_same_task_bytes(tmp_path):
+    root = write_synthetic_idx(tmp_path / "data", num_train=600, num_test=10, rng_seed=4)
+    ds = load_idx_dataset(*dataset_paths(root, "train"))
+    scaled = ImageDataset(ds.images.astype(float) / 255.0, ds.labels)
+    lean, full = (build_enc_dec_task(d, theta=0.03) for d in (ds, scaled))
+    params = lean.model.init_params(np.random.default_rng(1))
+    rows = np.random.default_rng(2).permutation(ds.num_samples)
+    for a, b in zip(lean.values(rows, params), full.values(rows, params)):
+        assert a.tobytes() == b.tobytes()
+    batch = rows[:128]
+    grads = [
+        task.problem.weighted_grad(batch, params, np.ones(128), lambda g: 100.0 * (g > 0))
+        for task in (lean, full)
+    ]
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_count_mismatch(idx_pair, tmp_path):

@@ -268,12 +268,11 @@ def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatc
     monkeypatch.setattr(inner_mod, "ADAM_BLOCK", 64)
     dim, calls = 300, []
 
-    def weighted_grad(indices, x, obj_w, con_w):
+    def weighted_grad(indices, x, obj_w, con_w, out):
         calls.append(len(indices))
-        g = np.ones(dim)
+        out.fill(1.0)
         if len(calls) == 3:
-            g[bad] = [np.nan, np.inf, -np.inf][: len(bad)]
-        return g
+            out[bad] = [np.nan, np.inf, -np.inf][: len(bad)]
 
     problem = FiniteSumProblem(
         dim=dim, num_samples=4, num_constraints=1, normalization="mean",

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import seqpen.cli as cli_mod
 import seqpen.outer as outer_mod
 from seqpen import (
     InnerSolverError,
@@ -300,20 +301,16 @@ def test_record_oracle_failure_aborts_with_partial_trace():
     assert str(err.value).startswith("outer iteration 0 aborted: ") and err.value.partial.records == []
 
 
-def test_practical_sequential_run_holds_no_redundant_parameter_copies():
-    # Two outer iterations of one practical epoch each at the desk network
-    # shapes (413,174 parameters, 3.3 MB per parameter-size array) on 256
-    # samples. The run peaks at 34.7 MB in the second iteration's second
-    # step, which holds nine parameter-size arrays: the Adam moments of both
-    # iterations, the iterate, the first candidate, the memo's parameters and
-    # two minibatch gradients. The bound sits 1.6 MB above that, so one more
-    # parameter-size array fails it; copying each candidate into its record
-    # peaked at 38.0 MB.
+def _desk_shape_task():
     rng = np.random.default_rng(5)
     task = build_enc_dec_task(ImageDataset(rng.random((256, 784)), rng.integers(0, 10, size=256)), theta=0.03)
-    x0 = task.model.init_params(rng)
+    return task, task.model.init_params(rng)
+
+
+def _traced_peak(task, x0, max_outer):
+    """tracemalloc peak of a practical sequential run of ``max_outer`` one-epoch iterations, and its trace."""
     inner = SGDConfig(stepsize=1e-3, batch_size=128, mode="practical", budget=1, rng_seed=1, grad_norm="none")
-    sched = Schedule(tau0=100.0, gamma=1.1, max_outer=2, inner=inner)
+    sched = Schedule(tau0=100.0, gamma=1.1, max_outer=max_outer, inner=inner)
     sequential_penalty_train(task.problem, "linear", sched, x0)
     tracemalloc.start()
     try:
@@ -321,5 +318,69 @@ def test_practical_sequential_run_holds_no_redundant_parameter_copies():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, trace
+
+
+def test_practical_sequential_run_holds_no_redundant_parameter_copies():
+    # Two outer iterations of one practical epoch each at the desk network
+    # shapes (413,174 parameters, 3.3 MB per parameter-size array) on 256
+    # samples. The run peaks at 24.7 MB in a minibatch step of the second
+    # iteration, which holds seven parameter-size arrays: the caller's x0,
+    # the iterate, the two Adam moments, the gradient buffer, the first
+    # candidate (the second run's start) and the memo's parameters. The bound
+    # sits 1.3 MB above that, so one more parameter-size array fails it: a
+    # copied Adam state, a second gradient or a kept stale candidate.
+    task, x0 = _desk_shape_task()
+    peak, trace = _traced_peak(task, x0, 2)
     assert len(trace.records) == 2
-    assert peak < 36.3e6
+    assert peak < 26.0e6
+
+
+def test_practical_sequential_run_memory_does_not_grow_with_its_length():
+    # A trace that keeps every candidate holds one parameter-size array more
+    # per outer iteration: six more (19.8 MB) at 8 iterations than at 2.
+    task, x0 = _desk_shape_task()
+    short, _ = _traced_peak(task, x0, 2)
+    long, trace = _traced_peak(task, x0, 8)
+    assert len(trace.records) == 8
+    assert long - short < 8 * task.model.num_params
+
+
+def test_trace_above_max_trace_dim_keeps_only_the_last_candidate(monkeypatch, tiny_encdec, tmp_path):
+    prob = tiny_encdec.problem
+    assert prob.dim > outer_mod.MAX_TRACE_DIM
+    inner = SGDConfig(stepsize=1e-2, batch_size=4, mode="practical", budget=1, rng_seed=3, grad_norm="none")
+    sched = Schedule(tau0=1.0, gamma=1.5, max_outer=4, inner=inner)
+    x0 = tiny_encdec.model.init_params(np.random.default_rng(2))
+    lean = sequential_penalty_train(prob, "linear", sched, x0)
+    # the same run keeping every candidate
+    monkeypatch.setattr(outer_mod, "MAX_TRACE_DIM", prob.dim)
+    full = sequential_penalty_train(prob, "linear", sched, x0)
+    assert [rec.candidate for rec in lean.records[:-1]] == [None] * 3
+    assert all(rec.candidate is not None for rec in full.records)
+    assert np.array_equal(lean.final().candidate, full.final().candidate)
+    # the scalars, compared by repr so that grad_norm's nan equals itself
+    for a, b in zip(lean.records, full.records):
+        assert repr(replace(a, candidate=None)) == repr(replace(b, candidate=None))
+    for name, trace in (("lean", lean), ("full", full)):
+        (tmp_path / name).mkdir()
+        cli_mod._write_trace(tmp_path / name, trace.records, prob.dim)
+    assert (tmp_path / "lean" / "trace.csv").read_bytes() == (tmp_path / "full" / "trace.csv").read_bytes()
+
+
+def test_outer_loop_hands_its_adam_moments_to_the_next_run(monkeypatch, tiny_encdec):
+    moments = []
+    real_sgd_run = outer_mod.sgd_run
+
+    def recording_sgd_run(problem, spec, x0, config, opt_state=None, **kwargs):
+        report = real_sgd_run(problem, spec, x0, config, opt_state=opt_state, **kwargs)
+        moments.append((report.opt_state.m, report.opt_state.v))
+        return report
+
+    monkeypatch.setattr(outer_mod, "sgd_run", recording_sgd_run)
+    inner = SGDConfig(stepsize=1e-3, batch_size=4, mode="practical", budget=1, rng_seed=0, grad_norm="none")
+    sched = Schedule(tau0=1.0, gamma=1.5, max_outer=3, inner=inner)
+    params0 = tiny_encdec.model.init_params(np.random.default_rng(2))
+    sequential_penalty_train(tiny_encdec.problem, "linear", sched, params0)
+    # every run continues the first run's arrays in place instead of copying them
+    assert all(m is moments[0][0] and v is moments[0][1] for m, v in moments)

@@ -6,6 +6,7 @@ import pytest
 from seqpen import (
     FiniteSumProblem,
     OracleError,
+    PenaltySpec,
     constraint_values,
     epoch_batches,
     feasibility_stats,
@@ -13,6 +14,7 @@ from seqpen import (
     objective_grad_full,
     violation_vector,
 )
+from seqpen.penalties import penalty_grad_batch
 from gradcheck import central_diff_gradient, gradient_rel_error
 
 from conftest import make_random_problem, make_scalar_problem
@@ -225,6 +227,30 @@ def test_per_sample_weighted_grad_calls_only_weighted_oracles():
     got = prob.weighted_grad(np.arange(3), np.zeros(2), np.array([0.0, 2.0, 0.0]), con_w)
     assert np.array_equal(got, [2.0, 3.0])
     assert calls == [("f", 1), ("g", 2)]
+
+
+def test_gradient_written_into_a_caller_buffer_equals_the_fresh_array(tiny_encdec, qp_x_sq):
+    # the image task's and a QP's batch oracles, and the per-sample fallback
+    per_sample = make_random_problem(dim=4, num_samples=6, num_constraints=3, seed=41, oracles="sample")
+    rng = np.random.default_rng(8)
+    cases = [
+        (tiny_encdec.problem, tiny_encdec.model.init_params(rng), np.array([3, 0, 7, 7])),
+        (qp_x_sq.problem, np.array([0.4]), np.array([0, 0])),
+        (per_sample, rng.normal(size=4), np.array([5, 0, 3, 3, 1])),
+    ]
+    for prob, x, idx in cases:
+        obj_w = rng.uniform(0.5, 1.5, size=idx.size)
+        con_w = rng.uniform(0.0, 2.0, size=(idx.size, prob.num_constraints))
+        for weights in (con_w, lambda g: 3.0 * np.maximum(0.0, g) + 0.5):
+            fresh = prob.weighted_grad(idx, x, obj_w, weights)
+            out = np.full(prob.dim, np.nan)
+            assert prob.weighted_grad(idx, x, obj_w, weights, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+        # the penalty gradient, as the practical inner run asks for it
+        spec = PenaltySpec("linear", 5.0)
+        out = np.full(prob.dim, np.nan)
+        assert penalty_grad_batch(prob, spec, idx, x, out=out) is out
+        assert out.tobytes() == penalty_grad_batch(prob, spec, idx, x).tobytes()
 
 
 def test_constraint_jacobian_rows_match_per_sample_oracle(twins):
