@@ -229,8 +229,6 @@ METHOD_KEYS = {
     ("enc_dec", "sequential"): {
         "tau0": (_conv_float, 100.0),
         "gamma": (_conv_float, BY_SCALE),
-        "eps0": (_conv_float, 1.0),
-        "eps_decay": (_conv_float, 0.9),
         "penalty_kind": (_PENALTY_KIND, "linear"),
     },
     ("analytic_qp", "fixed"): {"lambda": (_conv_float, REQUIRED)},
@@ -369,15 +367,16 @@ def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
     iterations; ``stepsize_fn(tau)`` sets the inner stepsize per tau.
     """
     if cfg["method"] == "sequential":
+        # Only analytic_qp takes eps0 and eps_decay; enc_dec keeps the Schedule's defaults.
+        eps = {key: cfg[key] for key in ("eps0", "eps_decay") if key in cfg}
         with _library_checks("tau0", "gamma", "eps0", "eps_decay", max_outer=max_outer_key):
             schedule = Schedule(
                 tau0=cfg["tau0"],
                 gamma=cfg["gamma"],
                 max_outer=cfg[max_outer_key],
                 inner=inner,
-                eps0=cfg["eps0"],
-                eps_decay=cfg["eps_decay"],
                 stepsize_fn=stepsize_fn,
+                **eps,
             )
         return lambda problem, start, hook=None: sequential_penalty_train(
             problem, cfg["penalty_kind"], schedule, start(), hook=hook

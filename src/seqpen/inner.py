@@ -42,24 +42,16 @@ ADAM_BLOCK = 16384
 
 
 class InnerSolverError(RuntimeError):
-    """An iterate left the finite range; carries where it happened."""
-
-    def __init__(self, message: str, iteration: int, coordinate: int):
-        super().__init__(message)
-        self.iteration = iteration
-        self.coordinate = coordinate
+    """An iterate left the finite range; the message says at which iteration and coordinate."""
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators; thread through runs to continue one."""
+    """Adam's moment accumulators and step count; ``sgd_run`` advances a state it is given in place."""
 
     m: Array
     v: Array
     step: int
-
-    def copy(self) -> "AdamState":
-        return AdamState(self.m.copy(), self.v.copy(), self.step)
 
 
 @dataclass
@@ -110,7 +102,6 @@ class InnerReport:
     candidate: Array
     iterate_count: int
     grad_norm_estimate: float
-    opt_state: Optional[AdamState] = None
 
 
 def iteration_budget(rho: float, L: float, gap: float, eps: float) -> int:
@@ -138,11 +129,7 @@ def grad_norm_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float
 def _check_finite(z: Array, iteration: int):
     if not np.isfinite(z).all():
         coord = int(np.flatnonzero(~np.isfinite(z))[0])
-        raise InnerSolverError(
-            f"non-finite iterate at iteration {iteration}, coordinate {coord}",
-            iteration=iteration,
-            coordinate=coord,
-        )
+        raise InnerSolverError(f"non-finite iterate at iteration {iteration}, coordinate {coord}")
 
 
 def _report_grad_norm(problem, spec, x, config: SGDConfig) -> float:
@@ -165,7 +152,8 @@ def sgd_run(
     iteration in theoretical mode (once the iterate is checked finite) and
     after each epoch in practical mode. It receives a copy of the current
     iterate that the run never writes again. ``opt_state`` applies to
-    practical mode only and continues a previous Adam run.
+    practical mode only: the run continues it in place (pass a copy to keep
+    yours); without one it starts from zero moments and drops them at return.
     """
     x0 = as_params(problem, x0)
     _check_finite(x0, -1)
@@ -213,7 +201,7 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
 def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> InnerReport:
     rng = np.random.default_rng(config.rng_seed)
     n_samples = problem.num_samples
-    state = opt_state.copy() if opt_state is not None else AdamState(np.zeros(problem.dim), np.zeros(problem.dim), 0)
+    state = opt_state if opt_state is not None else AdamState(np.zeros(problem.dim), np.zeros(problem.dim), 0)
     if state.m.shape != (problem.dim,):
         raise ValueError("opt_state does not match the problem dimension")
 
@@ -269,5 +257,4 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
         candidate=z,
         iterate_count=steps + 1,
         grad_norm_estimate=_report_grad_norm(problem, spec, z, config),
-        opt_state=state,
     )

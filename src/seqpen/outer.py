@@ -4,12 +4,12 @@ The outer loop solves a sequence of penalty subproblems with geometrically
 growing coefficient tau_k = tau0 * gamma^k and shrinking stationarity
 targets eps_k = eps0 * eps_decay^k, warm-starting each inner run at the
 previous candidate. The loop stops early only when both the gradient-norm
-estimate falls below eps_k and the worst violation falls below the
-feasibility tolerance; otherwise it runs max_outer iterations (the theory is
+estimate falls below eps_k and the worst violation falls below
+FEASIBILITY_TOL; otherwise it runs max_outer iterations (the theory is
 asymptotic and prescribes no stopping rule).
 
-In practical (Adam) mode the optimizer moments are threaded from one outer
-iteration into the next, so a schedule with a one-epoch inner budget is one
+In practical (Adam) mode the outer loop creates one Adam state and every
+inner run continues it, so a schedule with a one-epoch inner budget is one
 continuous training run whose penalty weight increases every epoch.
 
 The fixed-penalty baseline is the degenerate single-subproblem case with the
@@ -42,6 +42,9 @@ from seqpen.problems import (
 # last record does, so a run's memory does not grow with its length.
 MAX_TRACE_DIM = 16
 
+# The worst violation at which the outer loop may stop early (see above).
+FEASIBILITY_TOL = 1e-6
+
 
 class OuterAbort(RuntimeError):
     """Inner solver or record failure (its ``__cause__``), with the trace so far as ``partial``."""
@@ -65,7 +68,8 @@ class Schedule:
     ``stepsize_fn(tau)`` and ``budget_fn(tau, eps, x)`` optionally override
     the fixed inner stepsize/budget per subproblem; they exist because the
     theoretically motivated values depend on tau-dependent constants the
-    caller may know analytically or estimate.
+    caller may know analytically or estimate. Under ``grad_norm = 'none'``
+    the loop never stops early, and eps_k only labels the trace.
     """
 
     tau0: float
@@ -74,7 +78,6 @@ class Schedule:
     inner: SGDConfig
     eps0: float = 1.0
     eps_decay: float = 0.9
-    feasibility_tol: float = 1e-6
     stepsize_fn: Optional[Callable[[float], float]] = None
     budget_fn: Optional[Callable[[float, float, Array], int]] = None
 
@@ -151,18 +154,6 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     )
 
 
-class _HandedOver(AdamState):
-    """Adam state that the outer loop gives up to its next inner run.
-
-    ``sgd_run`` copies the state it is given, so that a caller's state stays
-    untouched; this state's copy passes its moment arrays on instead, and the
-    run continues them in place. The outer loop never reads it again.
-    """
-
-    def copy(self) -> AdamState:
-        return AdamState(self.m, self.v, self.step)
-
-
 def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -> InnerReport:
     """Run outer iteration ``k`` from ``x`` and append its record to ``trace``.
 
@@ -191,7 +182,8 @@ def sequential_penalty_train(
     Each inner run starts exactly at the previous candidate. RNG seeds for
     the inner runs are derived per iteration from the configured seed so
     epochs do not repeat the same shuffles. ``hook`` is passed to every
-    inner run (see ``sgd_run``).
+    inner run (see ``sgd_run``). In practical mode every inner run continues
+    the one Adam state that this loop creates.
     """
     x = as_params(problem, x0)
     # Only ``x`` holds the start point, and it lets go once the first inner
@@ -199,6 +191,8 @@ def sequential_penalty_train(
     del x0
     trace = OuterTrace()
     opt_state = None
+    if schedule.inner.mode == "practical":
+        opt_state = AdamState(np.zeros(problem.dim), np.zeros(problem.dim), 0)
     for k in range(schedule.max_outer):
         tau = schedule.tau_at(k)
         eps = schedule.eps_at(k)
@@ -210,10 +204,8 @@ def sequential_penalty_train(
             config = replace(config, budget=int(schedule.budget_fn(tau, eps, x)))
         report = _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state)
         x = report.candidate
-        if report.opt_state is not None:
-            opt_state = _HandedOver(**vars(report.opt_state))
         rec = trace.final()
-        if rec.grad_norm <= eps and rec.feasibility.max_violation <= schedule.feasibility_tol:
+        if rec.grad_norm <= eps and rec.feasibility.max_violation <= FEASIBILITY_TOL:
             break
     return trace
 
@@ -231,8 +223,6 @@ def fixed_penalty_train(
     the sequential method share the same code path and diagnostics; lambda
     may be zero (plain unconstrained training).
     """
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError("lambda must be finite and >= 0")
     x = as_params(problem, x0)
     spec = PenaltySpec("linear", lam)
     trace = OuterTrace()

@@ -47,10 +47,6 @@ class AnalyticQP:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.Q @ x + self.b @ x)
-
     def penalty_lipschitz(self, tau: float) -> float:
         """Global smoothness constant of the quadratic penalty.
 

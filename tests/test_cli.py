@@ -88,6 +88,15 @@ def test_irrelevant_field_rejected(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_enc_dec_sequential_rejects_eps0(tmp_path, capsys):
+    # enc_dec never estimates the gradient norm, so eps_k stops nothing there
+    cfg = write_cfg(
+        tmp_path / "bad.cfg", task="enc_dec", method="sequential", out_dir="o", data_root="data", eps0=0.5
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "key 'eps0' is unknown or does not apply to task=enc_dec method=sequential" in capsys.readouterr().err
+
+
 def test_duplicate_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("task = analytic_qp\nmethod = fixed\nlambda = 1\nout_dir = o\ntask = enc_dec\n")
@@ -494,8 +503,8 @@ ENC_SCALE_PARSED = {
     "paper": {"scale": "paper", "train_limit": 0, "test_limit": 0, "epochs": 250},
 }
 ENC_SEQUENTIAL_PARSED = {
-    "desk": {"tau0": 100.0, "gamma": 1.1, "eps0": 1.0, "eps_decay": 0.9, "penalty_kind": "linear"},
-    "paper": {"tau0": 100.0, "gamma": 1.01, "eps0": 1.0, "eps_decay": 0.9, "penalty_kind": "linear"},
+    "desk": {"tau0": 100.0, "gamma": 1.1, "penalty_kind": "linear"},
+    "paper": {"tau0": 100.0, "gamma": 1.01, "penalty_kind": "linear"},
 }
 METHOD_PARSED = {"sequential": {}, "fixed": {"lambda": 10.0}, "objective_only": {}}
 

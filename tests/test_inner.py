@@ -86,10 +86,8 @@ def test_full_batch_descent_is_monotone(constrained_qp):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes the abort
 def test_divergence_aborts_with_location(free_quadratic):
     cfg = SGDConfig(stepsize=1e12, batch_size=1, budget=400, candidate_rule="last")
-    with pytest.raises(InnerSolverError) as err:
+    with pytest.raises(InnerSolverError, match=r"^non-finite iterate at iteration \d+, coordinate 0$"):
         sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg)
-    assert err.value.coordinate == 0
-    assert err.value.iteration >= 0
 
 
 @pytest.mark.parametrize("weight_decay", [-1.0, np.nan, np.inf])
@@ -149,14 +147,15 @@ def test_practical_mode_deterministic_and_threads_state(tiny_encdec):
         rng_seed=5,
         grad_norm="exact",
     )
-    rep1 = sgd_run(prob, spec, params0, cfg)
+    state = AdamState(np.zeros(prob.dim), np.zeros(prob.dim), 0)
+    rep1 = sgd_run(prob, spec, params0, cfg, opt_state=state)
     rep2 = sgd_run(prob, spec, params0, cfg)
     assert np.array_equal(rep1.candidate, rep2.candidate)
     assert rep1.grad_norm_estimate == rep2.grad_norm_estimate
-    assert rep1.opt_state is not None and rep1.opt_state.step == rep1.iterate_count - 1
+    assert state.step == rep1.iterate_count - 1
 
     # warm Adam moments change the continuation trajectory
-    cont_warm = sgd_run(prob, spec, rep1.candidate, cfg, opt_state=rep1.opt_state)
+    cont_warm = sgd_run(prob, spec, rep1.candidate, cfg, opt_state=state)
     cont_cold = sgd_run(prob, spec, rep1.candidate, cfg)
     assert not np.array_equal(cont_warm.candidate, cont_cold.candidate)
 
@@ -225,25 +224,27 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
         zeros = np.zeros(prob.dim)
         ref_z, (ref_m, ref_v, ref_step) = _reference_adam_run(prob, spec, params0, cfg, (zeros, zeros, 0))
         x0 = params0.copy()
-        rep = sgd_run(prob, spec, x0, cfg)
-        assert ref_step == rep.opt_state.step == 9
+        state = AdamState(np.zeros(prob.dim), np.zeros(prob.dim), 0)
+        m, v = state.m, state.v
+        rep = sgd_run(prob, spec, x0, cfg, opt_state=state)
+        # the given state is advanced in place: the same arrays, now holding the reference's moments
+        assert state.m is m and state.v is v
+        assert ref_step == state.step == 9
         assert np.array_equal(rep.candidate, ref_z)
-        assert np.array_equal(rep.opt_state.m, ref_m)
-        assert np.array_equal(rep.opt_state.v, ref_v)
+        assert np.array_equal(state.m, ref_m)
+        assert np.array_equal(state.v, ref_v)
         assert np.array_equal(x0, params0)
 
-        # continuing from a saved state leaves the caller's state untouched
-        state = AdamState(rep.opt_state.m.copy(), rep.opt_state.v.copy(), rep.opt_state.step)
-        saved = state.copy()
+        # continuing it goes on from the saved moments and step
+        saved = (state.m.copy(), state.v.copy(), state.step)
         start = rep.candidate.copy()
         cont = sgd_run(prob, spec, start, cfg, opt_state=state)
-        ref_z2, (ref_m2, ref_v2, _) = _reference_adam_run(
-            prob, spec, rep.candidate, cfg, (saved.m, saved.v, saved.step)
-        )
+        ref_z2, (ref_m2, ref_v2, ref_step2) = _reference_adam_run(prob, spec, rep.candidate, cfg, saved)
+        assert state.m is m and state.v is v
+        assert ref_step2 == state.step == 18
         assert np.array_equal(cont.candidate, ref_z2)
-        assert np.array_equal(cont.opt_state.m, ref_m2)
-        assert np.array_equal(cont.opt_state.v, ref_v2)
-        assert np.array_equal(state.m, saved.m) and np.array_equal(state.v, saved.v) and state.step == saved.step
+        assert np.array_equal(state.m, ref_m2)
+        assert np.array_equal(state.v, ref_v2)
         assert np.array_equal(start, rep.candidate)
 
 
@@ -281,7 +282,6 @@ def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatc
         batch_weighted_grad=weighted_grad,
     )
     cfg = SGDConfig(stepsize=0.1, batch_size=2, mode="practical", budget=3, rng_seed=0, grad_norm="none")
-    with pytest.raises(InnerSolverError, match=f"iteration 2, coordinate {first}$") as err:
+    with pytest.raises(InnerSolverError, match=f"^non-finite iterate at iteration 2, coordinate {first}$"):
         sgd_run(problem, PenaltySpec("linear", 1.0), np.zeros(dim), cfg)
-    assert (err.value.iteration, err.value.coordinate) == (2, first)
     assert len(calls) == 3

@@ -1,10 +1,12 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import seqpen.cli as cli_mod
+import seqpen.inner as inner_mod
 import seqpen.outer as outer_mod
 from seqpen import (
     InnerSolverError,
@@ -140,7 +142,12 @@ def test_budgets_from_iteration_bound_meet_eps_chain():
     def budget_fn(tau, eps, x):
         gap = penalty_value_full(prob, PenaltySpec("quadratic", tau), x) - penalty_min_value(tau)
         gap = max(gap, 1e-12)
-        return iteration_budget(1.0, qp.penalty_lipschitz(tau), gap, eps)
+        budget = iteration_budget(1.0, qp.penalty_lipschitz(tau), gap, eps)
+        # A correct run asks for at most 189 iterations per subproblem. A defect
+        # that keeps x infeasible grows the bound with tau^2 / eps^2, so stop it
+        # here: uncapped, this test runs for hours instead of failing.
+        assert budget <= 2000, (tau, budget)
+        return budget
 
     sched = Schedule(
         tau0=1.0,
@@ -160,10 +167,10 @@ def test_budgets_from_iteration_bound_meet_eps_chain():
 
 def test_tolerance_termination_fires():
     # generous eps plus an achievable feasibility tolerance stops the loop early
-    sched = qp_schedule(max_outer=60, eps0=10.0, eps_decay=0.99, feasibility_tol=1e-4)
+    sched = qp_schedule(max_outer=60, eps0=10.0, eps_decay=0.99)
     trace = sequential_penalty_train(qp_problem(), "quadratic", sched, np.array([0.0]))
     assert len(trace.records) < sched.max_outer
-    assert trace.final().feasibility.max_violation <= 1e-4
+    assert trace.final().feasibility.max_violation <= outer_mod.FEASIBILITY_TOL
 
 
 def test_fixed_penalty_lambda_zero_unconstrained():
@@ -195,7 +202,7 @@ def test_unknown_penalty_kind_rejected_before_any_inner_run(monkeypatch):
 
 
 def test_fixed_penalty_rejects_negative_lambda():
-    with pytest.raises(ValueError, match="lambda"):
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
         fixed_penalty_train(qp_problem(), -1.0, exact_inner(), np.array([0.0]))
 
 
@@ -225,11 +232,11 @@ def test_linear_kind_drives_feasibility():
 
 
 def test_adam_state_threads_across_outer_iterations(monkeypatch, tiny_encdec):
-    passed_states = []
+    passed = []
     real_sgd_run = outer_mod.sgd_run
 
     def recording_sgd_run(problem, spec, x0, config, opt_state=None, **kwargs):
-        passed_states.append(opt_state)
+        passed.append((opt_state, opt_state.step))
         return real_sgd_run(problem, spec, x0, config, opt_state=opt_state, **kwargs)
 
     monkeypatch.setattr(outer_mod, "sgd_run", recording_sgd_run)
@@ -237,10 +244,38 @@ def test_adam_state_threads_across_outer_iterations(monkeypatch, tiny_encdec):
     sched = Schedule(tau0=1.0, gamma=1.5, max_outer=3, inner=inner)
     params0 = tiny_encdec.model.init_params(np.random.default_rng(2))
     sequential_penalty_train(tiny_encdec.problem, "linear", sched, params0)
-    assert passed_states[0] is None
+    # the same object each time, continued in place: no run copies the moments
+    state = passed[0][0]
+    assert all(s is state for s, _ in passed)
     steps_per_epoch = int(np.ceil(tiny_encdec.problem.num_samples / 4))
-    assert passed_states[1] is not None and passed_states[1].step == steps_per_epoch
-    assert passed_states[2].step == 2 * steps_per_epoch
+    assert [step for _, step in passed] == [0, steps_per_epoch, 2 * steps_per_epoch]
+    assert state.step == 3 * steps_per_epoch
+
+
+def test_fixed_run_holds_no_adam_moment_when_its_record_is_made(monkeypatch, tiny_encdec):
+    # under method = fixed the single inner run owns its Adam state, and the
+    # record (where a desk run peaks) must not keep the two moments alive
+    moments = []
+    real_adam_state = inner_mod.AdamState
+
+    def recording_adam_state(m, v, step):
+        moments.extend((weakref.ref(m), weakref.ref(v)))
+        return real_adam_state(m, v, step)
+
+    live_at_record = []
+    real_make_record = outer_mod._make_record
+
+    def recording_make_record(*args):
+        live_at_record.append([ref() is not None for ref in moments])
+        return real_make_record(*args)
+
+    monkeypatch.setattr(inner_mod, "AdamState", recording_adam_state)
+    monkeypatch.setattr(outer_mod, "_make_record", recording_make_record)
+    inner = SGDConfig(stepsize=1e-3, batch_size=4, mode="practical", budget=2, rng_seed=0, grad_norm="none")
+    params0 = tiny_encdec.model.init_params(np.random.default_rng(2))
+    fixed_penalty_train(tiny_encdec.problem, 10.0, inner, params0)
+    assert len(moments) == 2
+    assert live_at_record == [[False, False]]
 
 
 def _counting(fn, calls, name):
@@ -367,20 +402,3 @@ def test_trace_above_max_trace_dim_keeps_only_the_last_candidate(monkeypatch, ti
         cli_mod._write_trace(tmp_path / name, trace.records, prob.dim)
     assert (tmp_path / "lean" / "trace.csv").read_bytes() == (tmp_path / "full" / "trace.csv").read_bytes()
 
-
-def test_outer_loop_hands_its_adam_moments_to_the_next_run(monkeypatch, tiny_encdec):
-    moments = []
-    real_sgd_run = outer_mod.sgd_run
-
-    def recording_sgd_run(problem, spec, x0, config, opt_state=None, **kwargs):
-        report = real_sgd_run(problem, spec, x0, config, opt_state=opt_state, **kwargs)
-        moments.append((report.opt_state.m, report.opt_state.v))
-        return report
-
-    monkeypatch.setattr(outer_mod, "sgd_run", recording_sgd_run)
-    inner = SGDConfig(stepsize=1e-3, batch_size=4, mode="practical", budget=1, rng_seed=0, grad_norm="none")
-    sched = Schedule(tau0=1.0, gamma=1.5, max_outer=3, inner=inner)
-    params0 = tiny_encdec.model.init_params(np.random.default_rng(2))
-    sequential_penalty_train(tiny_encdec.problem, "linear", sched, params0)
-    # every run continues the first run's arrays in place instead of copying them
-    assert all(m is moments[0][0] and v is moments[0][1] for m, v in moments)

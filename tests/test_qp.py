@@ -42,7 +42,10 @@ def test_infeasible_problem_rejected():
 
 def test_objective_and_lipschitz():
     qp = qp_registry()["x_sq_ge_1"]
-    assert qp.objective([3.0]) == pytest.approx(9.0)
+    x = np.array([3.0])
+    reference = 0.5 * x @ qp.Q @ x + qp.b @ x  # x^2
+    assert reference == 9.0
+    assert qp.problem.objective([0], x)[0] == pytest.approx(reference)
     # eig_max(Q) + tau * ||a||^2 = 2 + 10
     assert qp.penalty_lipschitz(10.0) == pytest.approx(12.0)
 
@@ -52,7 +55,7 @@ def test_problem_batch_oracles_consistent():
     prob = qp.problem
     x = np.array([0.3, -0.7])
     idx = np.array([0, 0, 0])
-    assert np.allclose(prob.objective(idx, x), np.full(3, qp.objective(x)))
+    assert np.allclose(prob.objective(idx, x), np.full(3, 0.5 * x @ qp.Q @ x + qp.b @ x))
     assert np.allclose(prob.constraints(idx, x), np.tile(qp.A @ x - qp.c, (3, 1)))
     obj_w = np.array([1.0, 2.0, 0.5])
     con_w = np.array([[0.1], [0.0], [2.0]])
