@@ -252,6 +252,26 @@ def test_adam_state_threads_across_outer_iterations(monkeypatch, tiny_encdec):
     assert state.step == 3 * steps_per_epoch
 
 
+def test_outer_loop_hands_its_adam_moments_to_the_next_run(monkeypatch, tiny_encdec):
+    moments = []
+    real_sgd_run = outer_mod.sgd_run
+
+    def recording_sgd_run(problem, spec, x0, config, opt_state=None, **kwargs):
+        report = real_sgd_run(problem, spec, x0, config, opt_state=opt_state, **kwargs)
+        moments.append((opt_state.m, opt_state.v))
+        return report
+
+    monkeypatch.setattr(outer_mod, "sgd_run", recording_sgd_run)
+    inner = SGDConfig(stepsize=1e-3, batch_size=4, mode="practical", budget=1, rng_seed=0, grad_norm="none")
+    sched = Schedule(tau0=1.0, gamma=1.5, max_outer=3, inner=inner)
+    params0 = tiny_encdec.model.init_params(np.random.default_rng(2))
+    sequential_penalty_train(tiny_encdec.problem, "linear", sched, params0)
+    # every run continues the first run's arrays in place instead of copying them
+    assert len(moments) == 3
+    assert all(m is moments[0][0] and v is moments[0][1] for m, v in moments)
+    assert np.any(moments[0][0] != 0.0) and np.any(moments[0][1] != 0.0)
+
+
 def test_fixed_run_holds_no_adam_moment_when_its_record_is_made(monkeypatch, tiny_encdec):
     # under method = fixed the single inner run owns its Adam state, and the
     # record (where a desk run peaks) must not keep the two moments alive
