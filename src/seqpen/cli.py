@@ -9,9 +9,10 @@ Commands:
 * ``seqpen compare <dirs...>``: print an aligned summary table across runs;
   exit 1 when a directory lacks its manifest or results, or its manifest is
   not a JSON object holding task, method and label.
-* ``seqpen grid <config-glob> [--jobs K]``: run many configs in worker
-  processes, each writing to its own directory; a failing config does not
-  stop the others, and the exit code is the largest of theirs.
+* ``seqpen grid <config-glob> [--jobs K]``: run many configs in up to K
+  worker processes (never more than there are configs), each writing to its
+  own directory; a failing config does not stop the others, and the exit
+  code is the largest of theirs.
 * ``seqpen synth-data <root>``: generate a synthetic digit dataset in IDX
   format so the image task runs without any download.
 
@@ -25,9 +26,10 @@ seed = -1 or candidate_rule = uniform without mode = theoretical, a QP x0
 that is not finite, an out_dir that cannot be created, a negative
 train_limit or test_limit, a missing or unreadable dataset, a corrupt IDX
 file, a train or test split with no images; also a negative synth-data
---train, --test or --seed, as a usage error), 3 numeric abort (a diverging
-iterate, in the warm start or in training, or a non-finite oracle value;
-trace.csv and timeline.csv are still flushed with the rows gathered so far).
+--train, --test or --seed, or a grid --jobs below 1, as a usage error), 3
+numeric abort (a diverging iterate, in the warm start or in training, or a
+non-finite oracle value; trace.csv and timeline.csv are still flushed with
+the rows gathered so far).
 Every config value, lambda and warm_start_epochs included, is turned into
 the library object it feeds before any training starts, so a rejected value
 never costs a training run; the message starts with the config key that set
@@ -621,25 +623,32 @@ def cmd_grid(pattern: str, jobs: int) -> int:
     if not configs:
         print(f"error: no config files match {pattern!r}", file=sys.stderr)
         return 1
-    if jobs <= 1:
+    # Under fork the pool starts all its workers at the first submit, so it
+    # gets no more than there are configs.
+    workers = min(jobs, len(configs))
+    if workers == 1:
         codes = [_run_grid_config(c) for c in configs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_grid_config, configs))
     for config, code in zip(configs, codes):
         print(f"{config}: exit {code}")
     return max(codes)
 
 
-def _count(text: str) -> int:
-    """argparse type for a sample count or a seed: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type for an integer >= ``low``: a sample count or a seed (0), a job count (1)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def main(argv=None) -> int:
@@ -655,13 +664,13 @@ def main(argv=None) -> int:
 
     p_grid = sub.add_parser("grid", help="run every config matching a glob")
     p_grid.add_argument("pattern")
-    p_grid.add_argument("--jobs", type=int, default=1)
+    p_grid.add_argument("--jobs", type=_at_least(1), default=1)
 
     p_synth = sub.add_parser("synth-data", help="write a synthetic digit dataset in IDX format")
     p_synth.add_argument("root")
-    p_synth.add_argument("--train", type=_count, default=6000)
-    p_synth.add_argument("--test", type=_count, default=1000)
-    p_synth.add_argument("--seed", type=_count, default=0)
+    p_synth.add_argument("--train", type=_at_least(0), default=6000)
+    p_synth.add_argument("--test", type=_at_least(0), default=1000)
+    p_synth.add_argument("--seed", type=_at_least(0), default=0)
 
     args = parser.parse_args(argv)
     if args.command == "run":

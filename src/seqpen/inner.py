@@ -178,14 +178,21 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
 
     z = x0.copy()
     candidate = x0.copy()
+    # One gradient buffer per run and an in-place step, bit-identical to
+    # z - stepsize * (scale * g) since multiplication commutes. A finite sum
+    # of z clears the step in one pass; otherwise _check_finite decides.
+    g = np.empty(problem.dim)
     for t in range(budget):
         if sampled_index == t:
             candidate = z.copy()
         if not full_batch:
             batch = rng.integers(0, n_samples, size=config.batch_size)
-        g = scale * penalty_grad_batch(problem, spec, batch, z)
-        z = z - config.stepsize * g
-        _check_finite(z, t)
+        penalty_grad_batch(problem, spec, batch, z, out=g)
+        g *= scale
+        g *= config.stepsize
+        z -= g
+        if not math.isfinite(np.add.reduce(z)):
+            _check_finite(z, t)
         if hook is not None:
             hook(z.copy())
     if rule == "last":

@@ -79,6 +79,14 @@ def penalty_value_from_values(problem: FiniteSumProblem, spec: PenaltySpec, f: A
     return float(problem.agg_scale * (f.sum() + violation_term(spec, g)))
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_weights(size: int) -> Array:
+    """Objective weights of 1 for a batch of ``size``, shared and read-only."""
+    w = np.ones(size)
+    w.flags.writeable = False
+    return w
+
+
 def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x, out=None) -> Array:
     """Sum over the given samples of the per-sample penalty gradients, written into ``out``.
 
@@ -93,7 +101,7 @@ def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x,
         con_w = np.zeros((indices.size, problem.num_constraints))
     else:
         con_w = functools.partial(constraint_weights, spec)
-    return problem.weighted_grad(indices, x, np.ones(indices.size), con_w, out=out)
+    return problem.weighted_grad(indices, x, _unit_weights(indices.size), con_w, out=out)
 
 
 def penalty_grad_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> Array:

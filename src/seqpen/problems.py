@@ -68,6 +68,9 @@ class FiniteSumProblem:
       ``sample_objective_grad(j, x)`` together with
       ``sample_constraint_jacobian(j, x)`` (an (num_constraints, dim) matrix
       of constraint gradients as rows).
+
+    Oracles must not write their weight arguments: ``penalty_grad_batch``
+    passes one shared, read-only array of unit objective weights per batch size.
     """
 
     dim: int
@@ -119,7 +122,7 @@ class FiniteSumProblem:
         if self.batch_constraints is not None:
             g = self.batch_constraints(indices, x)
         else:
-            g = [self.sample_constraints(int(j), x) for j in indices]
+            g = [self.sample_constraints(j, x) for j in np.asarray(indices).tolist()]
         return np.asarray(g, dtype=float).reshape(len(indices), self.num_constraints)
 
     def weighted_grad(self, indices, x, obj_weights, con_weights, out=None) -> Array:
@@ -133,15 +136,15 @@ class FiniteSumProblem:
         obj_w = np.asarray(obj_weights, dtype=float).reshape(len(indices))
         con_w = np.asarray(con_weights, dtype=float).reshape(len(indices), self.num_constraints)
         total.fill(0.0)
-        for j, wf, wc in zip(indices, obj_w, con_w):
+        for j, wf, wc in zip(np.asarray(indices).tolist(), obj_w.tolist(), con_w):
             # Each sample's term is summed first and then added to the total,
             # and only the oracles with a nonzero weight are called.
-            active = np.flatnonzero(wc)
+            active = wc.nonzero()[0]
             if not wf and not active.size:
                 continue
-            term = wf * np.asarray(self.sample_objective_grad(int(j), x), dtype=float) if wf else 0.0
+            term = wf * np.asarray(self.sample_objective_grad(j, x), dtype=float) if wf else 0.0
             if active.size:
-                jac = np.asarray(self.sample_constraint_jacobian(int(j), x), dtype=float)
+                jac = np.asarray(self.sample_constraint_jacobian(j, x), dtype=float)
                 term = term + wc[active] @ jac.reshape(self.num_constraints, self.dim)[active]
             total += term
         return total

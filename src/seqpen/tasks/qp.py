@@ -65,13 +65,22 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
         # Single-sample problem: the batch is some multiset of index 0.
         if callable(con_w):
             con_w = con_w(batch_constraints(indices, x))
-        total_obj = float(np.sum(obj_w))
-        total_con = np.asarray(con_w, dtype=float).reshape(len(indices), m).sum(axis=0)
-        out[:] = total_obj * (Q @ x + b) + total_con @ A
+        con_w = np.asarray(con_w, dtype=float).reshape(len(indices), m)
+        # A one-row batch skips the reductions: they differ from the row only
+        # on -0.0, and the matmul (summing from 0.0) gives both the same bits.
+        if len(indices) == 1:
+            total_obj, total_con = float(obj_w[0]), con_w[0]
+        else:
+            total_obj, total_con = float(np.sum(obj_w)), con_w.sum(axis=0)
+        # total_obj * (Q x + b) + total_con A, computed in place in out.
+        np.matmul(Q, x, out=out)
+        out += b
+        out *= total_obj
+        out += total_con @ A
 
     def batch_constraints(indices, x):
         g = A @ x - c
-        return np.tile(g, (len(indices), 1))
+        return g[None, :] if len(indices) == 1 else np.tile(g, (len(indices), 1))
 
     def batch_objective(indices, x):
         v = 0.5 * float(x @ Q @ x) + float(b @ x)

@@ -280,6 +280,58 @@ def test_grid_runs_all_configs(tmp_path):
     assert (tmp_path / "gout1" / "results.csv").exists()
 
 
+def test_grid_starts_at_most_one_worker_per_config(tmp_path, monkeypatch):
+    asked = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and runs the configs in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for idx in range(2):
+        write_cfg(tmp_path / f"g{idx}.cfg", task="analytic_qp", method="sequential",
+                  out_dir=tmp_path / f"gout{idx}", max_outer=2)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "1000"]) == 0
+    assert asked == [2]
+    # one config runs in this process, whatever --jobs says
+    assert main(["grid", str(tmp_path / "g0.cfg"), "--jobs", "8"]) == 0
+    assert asked == [2]
+
+
+def test_grid_runs_configs_in_worker_processes(tmp_path, capsys):
+    for idx, gamma in enumerate((1.5, 2.0)):
+        write_cfg(tmp_path / f"g{idx}.cfg", task="analytic_qp", method="sequential",
+                  out_dir=tmp_path / f"gout{idx}", gamma=gamma, max_outer=2)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if ": exit " in line] == [
+        f"{tmp_path / f'g{idx}.cfg'}: exit 0" for idx in range(2)
+    ]
+    for idx in range(2):
+        assert (tmp_path / f"gout{idx}" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    write_cfg(tmp_path / "g0.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "gout0")
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", str(tmp_path / "g*.cfg"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "gout0").exists()
+
+
 def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
     for idx, gamma in enumerate((1.5, 3.0, 2.0)):
         write_cfg(

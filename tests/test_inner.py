@@ -13,7 +13,9 @@ import seqpen.inner as inner_mod
 from seqpen.inner import MODES, AdamState
 from seqpen.penalties import penalty_grad_batch, penalty_value_full
 from seqpen.problems import FiniteSumProblem, epoch_batches
-from seqpen.tasks.qp import build_analytic_qp
+from seqpen.tasks.qp import build_analytic_qp, qp_registry
+
+from conftest import make_random_problem
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +287,109 @@ def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatc
     with pytest.raises(InnerSolverError, match=f"^non-finite iterate at iteration 2, coordinate {first}$"):
         sgd_run(problem, PenaltySpec("linear", 1.0), np.zeros(dim), cfg)
     assert len(calls) == 3
+
+
+def _reference_theoretical_run(prob, spec, x0, cfg):
+    """Out-of-place SGD with samples drawn with replacement: the textbook step, one draw per step."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = prob.num_samples
+    rule = cfg.candidate_rule or "uniform"
+    pick = int(rng.integers(max(cfg.budget, 1))) if rule == "uniform" else None
+    full = cfg.batch_size >= n
+    batch = np.arange(n) if full else None
+    scale = prob.estimator_scale(min(cfg.batch_size, n))
+    z, candidate, iterates = x0.copy(), x0.copy(), []
+    for t in range(cfg.budget):
+        if pick == t:
+            candidate = z.copy()
+        if not full:
+            batch = rng.integers(0, n, size=cfg.batch_size)
+        g = scale * penalty_grad_batch(prob, spec, batch, z)
+        z = z - cfg.stepsize * g
+        iterates.append(z.copy())
+    return (z.copy() if rule == "last" else candidate), iterates
+
+
+def _per_sample_vertex_problem(seed, num_samples=8, dim=4):
+    """Mean-normalized problem given only per-sample oracles: sample j's active constraint balances its objective."""
+    rng = np.random.default_rng(seed)
+    x_star = rng.normal(size=dim)
+    normals = np.vstack([np.linalg.qr(rng.normal(size=(dim, dim)))[0], rng.normal(size=(num_samples - dim, dim))])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    lam = np.zeros(num_samples)
+    lam[:dim] = rng.uniform(0.5, 1.5, size=dim)
+    offsets = normals @ x_star
+    offsets[dim:] += rng.uniform(0.5, 1.0, size=num_samples - dim)
+    weights = rng.uniform(0.5, 1.5, size=num_samples)
+    centers = x_star + lam[:, None] * normals / weights[:, None]
+    return FiniteSumProblem(
+        dim=dim, num_samples=num_samples, num_constraints=1, normalization="mean",
+        sample_objective=lambda j, x: 0.5 * weights[j] * float((x - centers[j]) @ (x - centers[j])),
+        sample_objective_grad=lambda j, x: weights[j] * (x - centers[j]),
+        sample_constraints=lambda j, x: np.array([normals[j] @ x - offsets[j]]),
+        sample_constraint_jacobian=lambda j, x: normals[j : j + 1],
+    )
+
+
+@pytest.mark.parametrize("rule", ["uniform", "last"])
+@pytest.mark.parametrize(
+    "name, batch_size, stepsize",
+    [("per_sample_mean", 2, 0.2), ("certified_qp", 1, 0.02), ("batch_oracle_sum", 3, 0.002)],
+)
+def test_theoretical_run_matches_the_out_of_place_reference_bit_for_bit(name, batch_size, stepsize, rule):
+    prob = {
+        "per_sample_mean": lambda: _per_sample_vertex_problem(seed=3),
+        "certified_qp": lambda: qp_registry()["sum_ge_2"].problem,
+        "batch_oracle_sum": lambda: make_random_problem(3, 6, 2, seed=4, oracles="batch"),
+    }[name]()
+    x0 = np.linspace(-0.5, 0.5, prob.dim)
+    for spec in (PenaltySpec("quadratic", 10.0), PenaltySpec("linear", 3.0)):
+        cfg = SGDConfig(stepsize=stepsize, batch_size=batch_size, budget=40, rng_seed=7, candidate_rule=rule,
+                        grad_norm="none")
+        want_candidate, want_iterates = _reference_theoretical_run(prob, spec, x0, cfg)
+        got = []
+        rep = sgd_run(prob, spec, x0, cfg, hook=got.append)
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in want_iterates]
+        assert rep.candidate.tobytes() == want_candidate.tobytes()
+        # the run moved off x0, so a dropped or doubled step would show
+        assert not np.array_equal(got[-1], x0)
+
+
+# Two entries near the largest float: each is finite, their sum is not (and numpy warns).
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_theoretical_iterate_whose_sum_overflows_is_finite():
+    prob = FiniteSumProblem(
+        dim=2, num_samples=1, num_constraints=1,
+        batch_objective=lambda indices, x: np.zeros(len(indices)),
+        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_weighted_grad=lambda indices, x, obj_w, con_w, out: out.fill(0.0),
+    )
+    x0 = np.array([1.5e308, 1.5e308])
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, budget=3, candidate_rule="last", grad_norm="none")
+    kept = []
+    rep = sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
+    assert len(kept) == 3
+    assert np.array_equal(rep.candidate, x0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf precedes the abort
+@pytest.mark.parametrize("bad, first", [([2, 5], 2), ([6, 1, 4], 1), ([7], 7)])
+def test_theoretical_divergence_reports_the_first_non_finite_coordinate(bad, first):
+    dim, calls = 8, []
+
+    def weighted_grad(indices, x, obj_w, con_w, out):
+        calls.append(len(indices))
+        out.fill(1.0)
+        if len(calls) == 4:
+            out[bad] = [np.nan, np.inf, -np.inf][: len(bad)]
+
+    prob = FiniteSumProblem(
+        dim=dim, num_samples=5, num_constraints=1, normalization="mean",
+        batch_objective=lambda indices, x: np.zeros(len(indices)),
+        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_weighted_grad=weighted_grad,
+    )
+    cfg = SGDConfig(stepsize=0.1, batch_size=2, budget=6, rng_seed=0, grad_norm="none")
+    with pytest.raises(InnerSolverError, match=f"^non-finite iterate at iteration 3, coordinate {first}$"):
+        sgd_run(prob, PenaltySpec("linear", 1.0), np.zeros(dim), cfg)
+    assert calls == [2, 2, 2, 2]

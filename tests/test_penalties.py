@@ -224,3 +224,16 @@ def test_weighted_grad_weight_function_sees_constraint_values(tiny_encdec):
     assert len(seen) == 1
     assert np.array_equal(seen[0], prob.constraints(idx, params))
     assert np.array_equal(fused, prob.weighted_grad(idx, params, np.ones(3), np.full((3, 1), 2.0)))
+
+
+def test_penalty_grad_batch_objective_weights_are_read_only():
+    # an oracle that writes its weight arguments fails loudly instead of
+    # changing the weights of every later batch of the same size
+    def weighted_grad(indices, x, obj_w, con_w, out):
+        obj_w *= 2.0
+        out.fill(0.0)
+
+    prob = make_random_problem(2, 4, 1, seed=0, oracles="batch")
+    prob = replace(prob, batch_weighted_grad=weighted_grad)
+    with pytest.raises(ValueError, match="read-only"):
+        penalty_grad_batch(prob, PenaltySpec("quadratic", 1.0), np.arange(3), np.zeros(2))

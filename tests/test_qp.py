@@ -62,3 +62,25 @@ def test_problem_batch_oracles_consistent():
     expected = sum(w * (qp.Q @ x + qp.b) + c[0] * qp.A[0] for w, c in zip(obj_w, con_w))
     assert np.allclose(prob.weighted_grad(idx, x, obj_w, con_w), expected)
     assert np.allclose(constraint_jacobian(prob, 0, x), qp.A)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_batch_oracles_equal_the_tile_and_sum_reference_bit_for_bit(qps, rows):
+    # the signed zeros check the one-row path where numpy's sum of -0.0 reads 0.0
+    rng = np.random.default_rng(rows)
+    idx = np.zeros(rows, dtype=int)
+    for name, qp in qps.items():
+        n, m = qp.dim, qp.A.shape[0]
+        for x in (rng.normal(size=n), np.zeros(n), np.full(n, -0.0), qp.x_star):
+            g = np.tile(qp.A @ x - qp.c, (rows, 1))
+            assert qp.problem.batch_constraints(idx, x).tobytes() == g.tobytes(), name
+            for obj_w, con_w in (
+                (rng.uniform(size=rows), rng.normal(size=(rows, m))),
+                (np.full(rows, -0.0), np.full((rows, m), -0.0)),
+                (np.ones(rows), lambda g: 4.0 * np.maximum(0.0, g)),
+            ):
+                con = con_w(g) if callable(con_w) else con_w
+                want = float(np.sum(obj_w)) * (qp.Q @ x + qp.b) + con.sum(axis=0) @ qp.A
+                out = np.empty(n)
+                qp.problem.batch_weighted_grad(idx, x, obj_w, con_w, out)
+                assert out.tobytes() == want.tobytes(), name
