@@ -22,14 +22,14 @@ to the chosen task/method are rejected with the offending line number.
 
 Exit codes: 0 success, 2 config or data error (a config file that is not
 UTF-8, a value the library rejects such as theta = nan, weight_decay = -1,
-seed = -1 or candidate_rule = uniform without mode = theoretical, a QP x0
-that is not finite, an out_dir that cannot be created, a negative
-train_limit or test_limit, a missing or unreadable dataset, a corrupt IDX
-file, a train or test split with no images; also a negative synth-data
---train, --test or --seed, or a grid --jobs below 1, as a usage error), 3
-numeric abort (a diverging iterate, in the warm start or in training, or a
-non-finite oracle value; trace.csv and timeline.csv are still flushed with
-the rows gathered so far).
+seed = -1, candidate_rule = uniform without mode = theoretical or a schedule
+whose last tau overflows a float, a QP x0 that is not finite, an out_dir
+that cannot be created, a negative train_limit or test_limit, a missing or
+unreadable dataset, a corrupt IDX or gzip file, a train or test split with
+no images; also a negative synth-data --train, --test or --seed, or a grid
+--jobs below 1, as a usage error), 3 numeric abort (a diverging iterate, in
+the warm start or in training, or a non-finite oracle value; trace.csv and
+timeline.csv are still flushed with the rows gathered so far).
 Every config value, lambda and warm_start_epochs included, is turned into
 the library object it feeds before any training starts, so a rejected value
 never costs a training run; the message starts with the config key that set

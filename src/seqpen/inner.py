@@ -127,15 +127,13 @@ def grad_norm_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float
 
 
 def _check_finite(z: Array, iteration: int):
-    if not np.isfinite(z).all():
-        coord = int(np.flatnonzero(~np.isfinite(z))[0])
-        raise InnerSolverError(f"non-finite iterate at iteration {iteration}, coordinate {coord}")
-
-
-def _report_grad_norm(problem, spec, x, config: SGDConfig) -> float:
-    if config.grad_norm == "none":
-        return float("nan")
-    return grad_norm_estimate(problem, spec, x)
+    # One pass clears a finite sum. Only a sum that is not finite has its entries
+    # tested, and finite entries whose sum overflows let the run go on.
+    if math.isfinite(np.add.reduce(z)):
+        return
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise InnerSolverError(f"non-finite iterate at iteration {iteration}, coordinate {int(bad[0])}")
 
 
 def sgd_run(
@@ -149,38 +147,40 @@ def sgd_run(
     """Run the configured solver on the penalty subproblem from x0.
 
     ``hook(z)`` fires after every unit of ``config.budget``: after each
-    iteration in theoretical mode (once the iterate is checked finite) and
-    after each epoch in practical mode. It receives a copy of the current
+    iteration in theoretical mode and after each epoch in practical mode,
+    once the iterate is checked finite. It receives a copy of the current
     iterate that the run never writes again. ``opt_state`` applies to
     practical mode only: the run continues it in place (pass a copy to keep
     yours); without one it starts from zero moments and drops them at return.
     """
     x0 = as_params(problem, x0)
     _check_finite(x0, -1)
-    if config.mode == "theoretical":
-        return _run_theoretical(problem, spec, x0, config, hook)
-    return _run_practical(problem, spec, x0, config, opt_state, hook)
-
-
-def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
     rng = np.random.default_rng(config.rng_seed)
+    # Each mode loop steps a working copy of x0 in place and returns (candidate, steps).
+    if config.mode == "theoretical":
+        candidate, steps = _run_theoretical(problem, spec, x0.copy(), config, rng, hook)
+    else:
+        candidate, steps = _run_practical(problem, spec, x0.copy(), config, rng, opt_state, hook)
+    grad_norm = float("nan") if config.grad_norm == "none" else grad_norm_estimate(problem, spec, candidate)
+    return InnerReport(candidate=candidate, iterate_count=steps + 1, grad_norm_estimate=grad_norm)
+
+
+def _run_theoretical(problem, spec, z, config: SGDConfig, rng, hook):
     n_samples = problem.num_samples
     budget = config.budget
-    rule = config.candidate_rule or "uniform"
     # The sampling pool is the first `budget` iterates z^0 .. z^{budget-1}
     # (just z^0 for an empty run); the index is drawn up front so only the
-    # chosen iterate needs to be retained.
+    # chosen iterate needs to be retained. Every other candidate is z itself.
+    rule = config.candidate_rule or "uniform"
     sampled_index = int(rng.integers(max(budget, 1))) if rule == "uniform" else None
 
     full_batch = config.batch_size >= n_samples
     batch = np.arange(n_samples) if full_batch else None
     scale = problem.estimator_scale(min(config.batch_size, n_samples))
 
-    z = x0.copy()
-    candidate = x0.copy()
+    candidate = z
     # One gradient buffer per run and an in-place step, bit-identical to
-    # z - stepsize * (scale * g) since multiplication commutes. A finite sum
-    # of z clears the step in one pass; otherwise _check_finite decides.
+    # z - stepsize * (scale * g) since multiplication commutes.
     g = np.empty(problem.dim)
     for t in range(budget):
         if sampled_index == t:
@@ -191,28 +191,18 @@ def _run_theoretical(problem, spec, x0, config: SGDConfig, hook) -> InnerReport:
         g *= scale
         g *= config.stepsize
         z -= g
-        if not math.isfinite(np.add.reduce(z)):
-            _check_finite(z, t)
+        _check_finite(z, t)
         if hook is not None:
             hook(z.copy())
-    if rule == "last":
-        candidate = z.copy()
-
-    return InnerReport(
-        candidate=candidate,
-        iterate_count=budget + 1,
-        grad_norm_estimate=_report_grad_norm(problem, spec, candidate, config),
-    )
+    return candidate, budget
 
 
-def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> InnerReport:
-    rng = np.random.default_rng(config.rng_seed)
+def _run_practical(problem, spec, z, config: SGDConfig, rng, opt_state, hook):
     n_samples = problem.num_samples
     state = opt_state if opt_state is not None else AdamState(np.zeros(problem.dim), np.zeros(problem.dim), 0)
     if state.m.shape != (problem.dim,):
         raise ValueError("opt_state does not match the problem dimension")
 
-    z = x0.copy()
     steps = 0
     # The Adam step runs in place, one ADAM_BLOCK of coordinates at a time,
     # through two block-sized scratch buffers. Per coordinate it performs the
@@ -260,8 +250,4 @@ def _run_practical(problem, spec, x0, config: SGDConfig, opt_state, hook) -> Inn
         if hook is not None:
             hook(z.copy())
 
-    return InnerReport(
-        candidate=z,
-        iterate_count=steps + 1,
-        grad_norm_estimate=_report_grad_norm(problem, spec, z, config),
-    )
+    return z, steps

@@ -92,6 +92,12 @@ class Schedule:
             raise ValueError("eps0 must be positive")
         if not (0.0 < self.eps_decay < 1.0):
             raise ValueError("eps_decay must lie in (0, 1) so eps shrinks to 0")
+        try:
+            last_tau = self.tau_at(self.max_outer - 1)
+        except OverflowError:
+            last_tau = float("inf")
+        if not np.isfinite(last_tau):
+            raise ValueError(f"max_outer = {self.max_outer} takes tau0 * gamma**(max_outer - 1) past the largest float")
 
     def tau_at(self, k: int) -> float:
         return self.tau0 * self.gamma**k

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,9 +29,9 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """An IDX file or file pair that cannot be read: a wrong magic number, a
-    file shorter than its header declares, or image and label files whose
-    sample counts differ or are zero."""
+    """An IDX file or file pair that cannot be read: a gzip stream that does
+    not decompress, a wrong magic number, a file shorter than its header
+    declares, or image and label files whose sample counts differ or are zero."""
 
 
 def read_idx(path) -> tuple[int, tuple, Array]:
@@ -40,7 +41,10 @@ def read_idx(path) -> tuple[int, tuple, Array]:
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as err:
+            raise IdxError(f"{path}: {err}") from err
     if len(raw) < 4:
         raise IdxError(f"{path}: shorter than an IDX header")
     (magic,) = struct.unpack(">i", raw[:4])

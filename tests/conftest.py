@@ -80,6 +80,34 @@ def make_random_problem(dim, num_samples, num_constraints, seed, normalization="
     )
 
 
+def make_per_sample_vertex_problem(seed, num_samples=8, dim=4):
+    """Mean-normalized problem given only per-sample oracles, with a known KKT point.
+
+    Sample j < dim's active constraint balances its own objective at x*, with
+    multiplier lambda*_j; the other samples' constraints are slack. The active
+    normals are orthonormal, so x* is a vertex at which LICQ holds. Returns
+    (problem, x*, lambda* as an (num_samples, 1) matrix, largest sample weight).
+    """
+    rng = np.random.default_rng(seed)
+    x_star = rng.normal(size=dim)
+    normals = np.vstack([np.linalg.qr(rng.normal(size=(dim, dim)))[0], rng.normal(size=(num_samples - dim, dim))])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    lam = np.zeros(num_samples)
+    lam[:dim] = rng.uniform(0.5, 1.5, size=dim)
+    offsets = normals @ x_star
+    offsets[dim:] += rng.uniform(0.5, 1.0, size=num_samples - dim)
+    weights = rng.uniform(0.5, 1.5, size=num_samples)
+    centers = x_star + lam[:, None] * normals / weights[:, None]
+    problem = FiniteSumProblem(
+        dim=dim, num_samples=num_samples, num_constraints=1, normalization="mean",
+        sample_objective=lambda j, x: 0.5 * weights[j] * float((x - centers[j]) @ (x - centers[j])),
+        sample_objective_grad=lambda j, x: weights[j] * (x - centers[j]),
+        sample_constraints=lambda j, x: np.array([normals[j] @ x - offsets[j]]),
+        sample_constraint_jacobian=lambda j, x: normals[j : j + 1],
+    )
+    return problem, x_star, lam.reshape(-1, 1), float(weights.max())
+
+
 @pytest.fixture(scope="session")
 def qps():
     return qp_registry()

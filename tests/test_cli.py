@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import gzip
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import seqpen.cli as cli_mod
 import seqpen.outer as outer_mod
 import seqpen.tasks.encdec as encdec_mod
 from seqpen.cli import main
-from seqpen.tasks.data import write_synthetic_idx
+from seqpen.tasks.data import IdxError, read_idx, write_synthetic_idx
 from seqpen.tasks.qp import qp_registry
 
 
@@ -376,6 +377,7 @@ def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
         ({"weight_decay": "nan"}, "weight_decay must be finite and >= 0"),
         ({"weight_decay": -1}, "weight_decay must be finite and >= 0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"method": "sequential", "epochs": 40, "gamma": 1e10}, "max_outer = 40 takes tau0 * gamma**(max_outer - 1)"),
     ],
 )
 def test_config_value_rejected_by_library_exits_2(tmp_path, data_root, capsys, monkeypatch, keys, message):
@@ -684,6 +686,37 @@ def test_corrupt_idx_file_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err and "payload" in err
     assert (tmp_path / "enc_out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("corrupt", ["cut_in_half", "deflate_bytes_flipped", "bad_gzip_header"])
+def test_corrupt_gzip_file_is_a_data_error_that_names_it(tmp_path, capsys, corrupt):
+    root = tmp_path / "idx"
+    write_synthetic_idx(root, num_train=64, num_test=32, rng_seed=0)
+    images = root / "train-images-idx3-ubyte"
+    blob = bytearray(gzip.compress(images.read_bytes()))
+    images.unlink()
+    if corrupt == "cut_in_half":
+        blob = blob[: len(blob) // 2]
+    elif corrupt == "deflate_bytes_flipped":
+        blob[10:40] = bytes(b ^ 0xFF for b in blob[10:40])
+    else:
+        blob[2] = 7  # an unknown compression method
+    gz = root / "train-images-idx3-ubyte.gz"
+    gz.write_bytes(bytes(blob))
+    with pytest.raises(IdxError, match=f"^{re.escape(str(gz))}: "):
+        read_idx(gz)
+    assert main(["run", str(_enc_cfg(tmp_path, root))]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {gz}: ")
+
+
+@pytest.mark.parametrize("keys", [dict(tau0=1e300, gamma=1e10), dict(gamma=1e10, eps0=1e-300)])
+def test_schedule_whose_tau_overflows_is_a_config_error_before_training(tmp_path, capsys, keys):
+    cfg = write_cfg(
+        tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "out", max_outer=40, **keys
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: max_outer: max_outer = 40 takes tau0 * gamma")
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_record_oracle_failure_exits_3_with_partial_trace(tmp_path, capsys, monkeypatch):

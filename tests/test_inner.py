@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from seqpen.penalties import penalty_grad_batch, penalty_value_full
 from seqpen.problems import FiniteSumProblem, epoch_batches
 from seqpen.tasks.qp import build_analytic_qp, qp_registry
 
-from conftest import make_random_problem
+from conftest import make_per_sample_vertex_problem, make_random_problem
 
 
 @pytest.fixture(scope="module")
@@ -310,27 +312,6 @@ def _reference_theoretical_run(prob, spec, x0, cfg):
     return (z.copy() if rule == "last" else candidate), iterates
 
 
-def _per_sample_vertex_problem(seed, num_samples=8, dim=4):
-    """Mean-normalized problem given only per-sample oracles: sample j's active constraint balances its objective."""
-    rng = np.random.default_rng(seed)
-    x_star = rng.normal(size=dim)
-    normals = np.vstack([np.linalg.qr(rng.normal(size=(dim, dim)))[0], rng.normal(size=(num_samples - dim, dim))])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    lam = np.zeros(num_samples)
-    lam[:dim] = rng.uniform(0.5, 1.5, size=dim)
-    offsets = normals @ x_star
-    offsets[dim:] += rng.uniform(0.5, 1.0, size=num_samples - dim)
-    weights = rng.uniform(0.5, 1.5, size=num_samples)
-    centers = x_star + lam[:, None] * normals / weights[:, None]
-    return FiniteSumProblem(
-        dim=dim, num_samples=num_samples, num_constraints=1, normalization="mean",
-        sample_objective=lambda j, x: 0.5 * weights[j] * float((x - centers[j]) @ (x - centers[j])),
-        sample_objective_grad=lambda j, x: weights[j] * (x - centers[j]),
-        sample_constraints=lambda j, x: np.array([normals[j] @ x - offsets[j]]),
-        sample_constraint_jacobian=lambda j, x: normals[j : j + 1],
-    )
-
-
 @pytest.mark.parametrize("rule", ["uniform", "last"])
 @pytest.mark.parametrize(
     "name, batch_size, stepsize",
@@ -338,7 +319,7 @@ def _per_sample_vertex_problem(seed, num_samples=8, dim=4):
 )
 def test_theoretical_run_matches_the_out_of_place_reference_bit_for_bit(name, batch_size, stepsize, rule):
     prob = {
-        "per_sample_mean": lambda: _per_sample_vertex_problem(seed=3),
+        "per_sample_mean": lambda: make_per_sample_vertex_problem(seed=3)[0],
         "certified_qp": lambda: qp_registry()["sum_ge_2"].problem,
         "batch_oracle_sum": lambda: make_random_problem(3, 6, 2, seed=4, oracles="batch"),
     }[name]()
@@ -365,11 +346,13 @@ def test_theoretical_iterate_whose_sum_overflows_is_finite():
         batch_weighted_grad=lambda indices, x, obj_w, con_w, out: out.fill(0.0),
     )
     x0 = np.array([1.5e308, 1.5e308])
-    cfg = SGDConfig(stepsize=0.1, batch_size=1, budget=3, candidate_rule="last", grad_norm="none")
-    kept = []
-    rep = sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
-    assert len(kept) == 3
-    assert np.array_equal(rep.candidate, x0)
+    # a zero gradient leaves the iterate where it is under both steps
+    for mode in MODES:
+        cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last", grad_norm="none")
+        kept = []
+        rep = sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
+        assert len(kept) == 3
+        assert np.array_equal(rep.candidate, x0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf precedes the abort
@@ -393,3 +376,30 @@ def test_theoretical_divergence_reports_the_first_non_finite_coordinate(bad, fir
     with pytest.raises(InnerSolverError, match=f"^non-finite iterate at iteration 3, coordinate {first}$"):
         sgd_run(prob, PenaltySpec("linear", 1.0), np.zeros(dim), cfg)
     assert calls == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("rule, most", [("last", 2.5), ("uniform", 3.5)])
+def test_theoretical_run_holds_few_parameter_size_arrays(rule, most):
+    # the working copy and the gradient buffer, plus the drawn iterate under
+    # rule uniform; the candidate is the working copy itself under rule last
+    dim = 10**6
+
+    def weighted_grad(indices, x, obj_w, con_w, out):
+        np.multiply(x, 1e-3, out=out)
+
+    prob = FiniteSumProblem(
+        dim=dim, num_samples=4, num_constraints=1,
+        batch_objective=lambda indices, x: np.zeros(len(indices)),
+        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_weighted_grad=weighted_grad,
+    )
+    x0 = np.ones(dim)
+    cfg = SGDConfig(stepsize=0.1, batch_size=2, budget=5, rng_seed=0, candidate_rule=rule)
+    tracemalloc.start()
+    try:
+        rep = sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * x0.nbytes
+    assert rep.iterate_count == 6 and np.isfinite(rep.grad_norm_estimate)

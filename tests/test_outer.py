@@ -15,6 +15,7 @@ from seqpen import (
     PenaltySpec,
     SGDConfig,
     Schedule,
+    elicq_check,
     feasibility_stats,
     fixed_penalty_train,
     full_objective,
@@ -30,6 +31,8 @@ from seqpen.inner import InnerReport
 from seqpen.tasks.data import ImageDataset
 from seqpen.tasks.encdec import build_enc_dec_task
 from seqpen.tasks.qp import qp_registry
+
+from conftest import make_per_sample_vertex_problem
 
 
 def qp_problem():
@@ -61,6 +64,18 @@ def test_schedule_validation():
         qp_schedule(eps_decay=1.0)
 
 
+def test_schedule_rejects_a_last_tau_that_overflows():
+    # 2**1023 is the largest power of two a float holds
+    assert qp_schedule(max_outer=1024).tau_at(1023) == 2.0**1023
+    with pytest.raises(ValueError, match=r"^max_outer = 1025 takes tau0 \* gamma\*\*\(max_outer - 1\) past"):
+        qp_schedule(max_outer=1025)
+    # the power itself overflows, or only its product with tau0 does
+    with pytest.raises(ValueError, match="^max_outer = 40 "):
+        qp_schedule(gamma=1e10, max_outer=40)
+    with pytest.raises(ValueError, match="^max_outer = 40 "):
+        qp_schedule(tau0=1e300, gamma=1e10, max_outer=40)
+
+
 def test_qp_sequential_converges_to_kkt():
     prob = qp_problem()
     hooked = []
@@ -75,6 +90,22 @@ def test_qp_sequential_converges_to_kkt():
         prob, final.candidate, multiplier_estimate(prob, PenaltySpec("quadratic", final.tau), final.candidate)
     )
     assert rep.is_eps_kkt(1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_multi_sample_minibatch_run_reaches_the_certified_kkt_point(seed):
+    # perfbench's multi-sample qp_theory run: one constraint per sample, drawn
+    # with replacement two at a time, 150 steps per subproblem
+    prob, x_star, lam_star, max_weight = make_per_sample_vertex_problem(seed)
+    assert kkt_residual(prob, x_star, lam_star).is_eps_kkt(1e-10)
+    inner = SGDConfig(stepsize=1.0, batch_size=2, budget=150, candidate_rule="last", rng_seed=seed)
+    # each sample's quadratic penalty is (w_j + tau)-smooth, since its constraint normal has unit length
+    schedule = qp_schedule(inner=inner, stepsize_fn=lambda tau: 1.0 / (max_weight + tau))
+    final = sequential_penalty_train(prob, "quadratic", schedule, np.zeros(prob.dim)).final()
+    x = final.candidate
+    assert np.abs(x - x_star).max() <= 1e-3
+    assert kkt_residual(prob, x, multiplier_estimate(prob, PenaltySpec("quadratic", final.tau), x)).is_eps_kkt(1e-3)
+    assert elicq_check(prob, x).holds
 
 
 def test_single_outer_iteration():
