@@ -7,14 +7,16 @@ magic 0x00000803 with dims [count, rows, cols]; labels use 0x00000801 with
 dims [count]. Files may be gzip-compressed, detected by the 1f 8b prefix.
 
 The synthetic generator renders 28x28 digit images from bitmap glyphs with
-random shifts, blur, intensity jitter and pixel noise. It exists so the
-desk-scale experiments run without any external download; point the
-benchmark harness at real MNIST files when available.
+random shifts, blur, intensity jitter and pixel noise, straight to the
+``uint8`` pixels an IDX file stores. It exists so the desk-scale experiments
+run without any external download; point the benchmark harness at real MNIST
+files when available.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -69,9 +71,20 @@ def idx_header_bytes(magic: int, dims) -> bytes:
 
 
 def write_idx(path, magic: int, dims, data):
-    payload = idx_header_bytes(magic, dims) + np.asarray(data, dtype=np.uint8).tobytes()
+    """Write one IDX file: the header of ``magic`` and ``dims``, then ``data``.
+
+    ``data`` must be a ``uint8`` array of ``prod(dims)`` values; any other
+    payload would be cast or would disagree with its header, so it is a
+    ``ValueError``. The payload is written from the array, not copied first.
+    """
+    data = np.asarray(data)
+    if data.dtype != np.uint8:
+        raise ValueError(f"IDX payload must be uint8, got {data.dtype}")
+    if data.size != math.prod(dims):
+        raise ValueError(f"IDX payload holds {data.size} values, dims {tuple(dims)} declare {math.prod(dims)}")
     with open(path, "wb") as f:
-        f.write(payload)
+        f.write(idx_header_bytes(magic, dims))
+        data.tofile(f)
 
 
 @dataclass
@@ -96,8 +109,9 @@ class ImageDataset:
             raise ValueError("images must be a 2-D (N, pixels) array")
         if self.labels.shape != (self.images.shape[0],):
             raise ValueError("labels must align with images")
-        if images.dtype != np.uint8 and self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("pixel values must lie in [0, 1]")
+        # Written so that a NaN minimum or maximum fails it too.
+        if images.dtype != np.uint8 and self.images.size and not (0.0 <= self.images.min() and self.images.max() <= 1.0):
+            raise ValueError("pixel values must be finite and lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise ValueError("labels must lie in [0, 10)")
 
@@ -145,6 +159,9 @@ def load_idx_dataset(images_path, labels_path, limit=None, split: str = "train")
     return ImageDataset(images=pixels, labels=labels[:limit].astype(int), split=split)
 
 
+# Most synthetic images whose scale, noise, clip and rounding run at once.
+RENDER_CHUNK = 128
+
 # 7x5 bitmap glyphs for the ten digits.
 _GLYPHS = {
     0: ["01110", "10001", "10011", "10101", "11001", "10001", "01110"],
@@ -182,34 +199,50 @@ def _blur(img: Array) -> Array:
     return kernel[0] * padded[:-2, 1:-1] + kernel[1] * padded[1:-1, 1:-1] + kernel[2] * padded[2:, 1:-1]
 
 
-def _render_split(num: int, rng: np.random.Generator, stamps: Array) -> tuple[Array, Array]:
-    side = stamps.shape[1]
+def _shifted_glyphs() -> Array:
+    """Every digit's blurred glyph under every row and column shift in
+    [-2, 2], flattened: ``glyphs[digit, dr + 2, dc + 2]``."""
+    shifts = range(-2, 3)
+    return np.array(
+        [
+            [[_blur(np.roll(np.roll(stamp, dr, axis=0), dc, axis=1)).ravel() for dc in shifts] for dr in shifts]
+            for stamp in _glyph_stamps()
+        ]
+    )
+
+
+def _render_split(num: int, rng: np.random.Generator, glyphs: Array) -> tuple[Array, Array]:
+    """``num`` digits as ``uint8`` rows, quantized like a real 8-bit image
+    file, and their labels. Each image draws its shift, intensity scale and
+    pixel noise in that order; the arithmetic runs on ``RENDER_CHUNK`` images
+    at a time."""
     labels = rng.integers(0, 10, size=num)
-    images = np.empty((num, side * side))
-    for k in range(num):
-        img = stamps[labels[k]]
-        dr = int(rng.integers(-2, 3))
-        dc = int(rng.integers(-2, 3))
-        img = np.roll(np.roll(img, dr, axis=0), dc, axis=1)
-        img = _blur(img)
-        img = img * rng.uniform(0.75, 1.0)
-        img = img + rng.normal(0.0, 0.03, size=img.shape)
-        img = np.clip(img, 0.0, 1.0)
-        # Quantize like a real 8-bit image file would.
-        images[k] = np.round(img * 255.0).ravel() / 255.0
+    images = np.empty((num, glyphs.shape[-1]), dtype=np.uint8)
+    for lo in range(0, num, RENDER_CHUNK):
+        count = min(RENDER_CHUNK, num - lo)
+        shifts = np.empty((2, count), dtype=int)
+        scales = np.empty((count, 1))
+        noise = np.empty((count, glyphs.shape[-1]))
+        for j in range(count):
+            shifts[:, j] = rng.integers(-2, 3), rng.integers(-2, 3)
+            scales[j] = rng.uniform(0.75, 1.0)
+            noise[j] = rng.normal(0.0, 0.03, size=glyphs.shape[-1])
+        batch = glyphs[labels[lo : lo + count], shifts[0] + 2, shifts[1] + 2]
+        batch *= scales
+        batch += noise
+        np.clip(batch, 0.0, 1.0, out=batch)
+        batch *= 255.0
+        images[lo : lo + count] = np.round(batch, out=batch)
     return images, labels
 
 
 def synthetic_digits(num_train: int, num_test: int, rng_seed: int = 0) -> tuple[ImageDataset, ImageDataset]:
-    """Deterministic synthetic digit dataset (train, test)."""
+    """Deterministic synthetic digit dataset (train, test) with ``uint8`` pixels."""
     rng = np.random.default_rng(rng_seed)
-    stamps = _glyph_stamps()
-    train_images, train_labels = _render_split(num_train, rng, stamps)
-    test_images, test_labels = _render_split(num_test, rng, stamps)
-    return (
-        ImageDataset(train_images, train_labels, split="train"),
-        ImageDataset(test_images, test_labels, split="test"),
-    )
+    glyphs = _shifted_glyphs()
+    train = ImageDataset(*_render_split(num_train, rng, glyphs), split="train")
+    test = ImageDataset(*_render_split(num_test, rng, glyphs), split="test")
+    return train, test
 
 
 SPLIT_FILES = {
@@ -236,14 +269,23 @@ def dataset_paths(root, split: str) -> tuple[Path, Path]:
 
 
 def write_synthetic_idx(root, num_train: int = 6000, num_test: int = 1000, rng_seed: int = 0):
-    """Generate synthetic digits and write them as standard IDX files."""
+    """Generate synthetic digits and write them as standard IDX files.
+
+    The files hold the bytes of ``synthetic_digits`` with the same arguments.
+    Each split is written before the next one is rendered, so at most one
+    split's ``uint8`` pixels are held at a time.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    train, test = synthetic_digits(num_train, num_test, rng_seed)
-    for split, ds in (("train", train), ("test", test)):
-        img_name, lbl_name = SPLIT_FILES[split]
-        pixels = np.round(ds.images * 255.0).astype(np.uint8)
-        side = int(np.sqrt(ds.images.shape[1]))
-        write_idx(root / img_name, IMAGE_MAGIC, (ds.num_samples, side, side), pixels)
-        write_idx(root / lbl_name, LABEL_MAGIC, (ds.num_samples,), ds.labels.astype(np.uint8))
+    rng = np.random.default_rng(rng_seed)
+    glyphs = _shifted_glyphs()
+    for split, num in (("train", num_train), ("test", num_test)):
+        _write_split(root, split, *_render_split(num, rng, glyphs))
     return root
+
+
+def _write_split(root: Path, split: str, images: Array, labels: Array):
+    img_name, lbl_name = SPLIT_FILES[split]
+    side = math.isqrt(images.shape[1])
+    write_idx(root / img_name, IMAGE_MAGIC, (len(labels), side, side), images)
+    write_idx(root / lbl_name, LABEL_MAGIC, (len(labels),), labels.astype(np.uint8))

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,57 @@ def test_read_idx_holds_the_file_once(tmp_path):
     assert peak < 1.5 * size
 
 
+@pytest.mark.parametrize(
+    "dims, data, message",
+    [
+        ((3, 2, 2), np.zeros(8, dtype=np.uint8), r"holds 8 values, dims \(3, 2, 2\) declare 12"),
+        ((1, 2, 2), np.full(4, 0.9), "must be uint8, got float64"),
+        ((1, 2, 2), np.full(4, 300), "must be uint8, got int64"),
+    ],
+)
+def test_write_idx_refuses_a_payload_it_would_corrupt(tmp_path, dims, data, message):
+    # the header would disagree with the payload, or the values would be cast
+    path = tmp_path / "imgs"
+    with pytest.raises(ValueError, match=message):
+        write_idx(path, IMAGE_MAGIC, dims, data)
+    assert not path.exists()
+
+
+def test_write_synthetic_idx_golden_bytes(tmp_path):
+    # SHA-256 of the files the float64 renderer wrote; any change to the
+    # generator's draws or arithmetic changes every desk dataset.
+    root = write_synthetic_idx(tmp_path / "data", num_train=64, num_test=32, rng_seed=0)
+    golden = {
+        "train-images-idx3-ubyte": "c8a45d0c906899a9b40d1f4314f2029be9803f0b7693add9fa141c52add2e1d0",
+        "train-labels-idx1-ubyte": "ca90b448b3e464d624ddef5b6bb9e98de34d3ff087445fcb1eb9010547a8e1a5",
+        "t10k-images-idx3-ubyte": "9725c7c5198103edee8d4787f16ec32754fec2495df061cc08e2bf184394d839",
+        "t10k-labels-idx1-ubyte": "38c81015ed3fb5cec5b3b50b5f0bd178d80790a92b4374e60e704d51a7fd9750",
+    }
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in root.iterdir()} == golden
+    # the in-memory datasets gather the same pixels and hold the same labels
+    train, test = synthetic_digits(64, 32, rng_seed=0)
+    for split, ds in (("train", train), ("test", test)):
+        loaded = load_idx_dataset(*dataset_paths(root, split))
+        rows = np.arange(ds.num_samples)
+        assert gather_pixels(ds.images, rows).tobytes() == gather_pixels(loaded.images, rows).tobytes()
+        assert np.array_equal(ds.labels, loaded.labels)
+
+
+def test_write_synthetic_idx_peak_grows_by_under_two_bytes_per_pixel(tmp_path):
+    # Rendering straight to uint8 and writing each split before the next
+    # holds about 784 bytes per training image; float64 copies of the split
+    # hold about 32 bytes per pixel.
+    peaks = {}
+    for num_train in (300, 1500):
+        tracemalloc.start()
+        try:
+            write_synthetic_idx(tmp_path / f"data{num_train}", num_train=num_train, num_test=20, rng_seed=0)
+            peaks[num_train] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1500] - peaks[300] <= 2 * 784 * (1500 - 300)
+
+
 def test_every_gather_is_bit_identical_to_scaling_the_whole_split(tmp_path):
     # ``whole`` scales the whole split at once, as a float64 dataset holds it.
     root = write_synthetic_idx(tmp_path / "data", num_train=1100, num_test=10, rng_seed=3)
@@ -165,6 +217,14 @@ def test_count_mismatch(idx_pair, tmp_path):
         load_idx_dataset(img_path, lbl_path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_pixels(bad):
+    images = np.full((2, 4), 0.5)
+    images[1, 2] = bad
+    with pytest.raises(ValueError, match="pixel values must be finite"):
+        ImageDataset(images, np.zeros(2, dtype=int))
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="pixel"):
         ImageDataset(np.full((2, 4), 1.5), np.zeros(2, dtype=int))
@@ -176,9 +236,11 @@ def test_synthetic_digits_properties():
     train, test = synthetic_digits(50, 20, rng_seed=1)
     again, _ = synthetic_digits(50, 20, rng_seed=1)
     assert np.array_equal(train.images, again.images)
+    assert train.images.dtype == np.uint8 and test.images.dtype == np.uint8
     assert train.images.shape == (50, 784)
     assert test.images.shape == (20, 784)
-    assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+    pixels = gather_pixels(train.images, np.arange(train.num_samples))
+    assert pixels.min() >= 0.0 and pixels.max() <= 1.0
     assert set(np.unique(train.labels)).issubset(range(10))
     # different digits render differently
     by_label = {int(l): train.images[i] for i, l in enumerate(train.labels)}
