@@ -136,6 +136,15 @@ def _check_finite(z: Array, iteration: int):
         raise InnerSolverError(f"non-finite iterate at iteration {iteration}, coordinate {int(bad[0])}")
 
 
+def _hooked(z: Array, last: bool) -> Array:
+    # After the last unit the run never writes z again: the hook reads it through a view, not a copy.
+    if not last:
+        return z.copy()
+    view = z.view()
+    view.flags.writeable = False
+    return view
+
+
 def sgd_run(
     problem: FiniteSumProblem,
     spec: PenaltySpec,
@@ -148,8 +157,10 @@ def sgd_run(
 
     ``hook(z)`` fires after every unit of ``config.budget``: after each
     iteration in theoretical mode and after each epoch in practical mode,
-    once the iterate is checked finite. It receives a copy of the current
-    iterate that the run never writes again. ``opt_state`` applies to
+    once the iterate is checked finite. It receives an array holding the
+    current iterate that the run never writes again: a copy after every unit
+    but the last, and after the last a read-only view of the final iterate,
+    which the run returns as its writable candidate. ``opt_state`` applies to
     practical mode only: the run continues it in place (pass a copy to keep
     yours); without one it starts from zero moments and drops them at return.
     """
@@ -193,7 +204,7 @@ def _run_theoretical(problem, spec, z, config: SGDConfig, rng, hook):
         z -= g
         _check_finite(z, t)
         if hook is not None:
-            hook(z.copy())
+            hook(_hooked(z, t == budget - 1))
     return candidate, budget
 
 
@@ -212,7 +223,7 @@ def _run_practical(problem, spec, z, config: SGDConfig, rng, opt_state, hook):
     # so the iterates are bit-identical to them.
     g_buf = np.empty(min(ADAM_BLOCK, problem.dim))
     tmp_buf = np.empty_like(g_buf)
-    for _ in range(config.budget):
+    for epoch in range(config.budget):
         # Every minibatch gradient of an epoch is written into one buffer, so a
         # step allocates no parameter-size array; the hook runs without it.
         gsum = np.empty(problem.dim)
@@ -248,6 +259,6 @@ def _run_practical(problem, spec, z, config: SGDConfig, rng, opt_state, hook):
             steps += 1
         del gsum
         if hook is not None:
-            hook(z.copy())
+            hook(_hooked(z, epoch == config.budget - 1))
 
     return z, steps

@@ -15,6 +15,7 @@ one forward/backward pass per branch.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,14 @@ from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, residual_mse, r
 
 # Rows per forward pass when evaluating a whole split.
 EVAL_CHUNK = 512
+
+
+def _float_pixels(images) -> Array:
+    """``images`` as 2-D float rows; integer pixels (0-255) are refused, not run as they are."""
+    images = np.asarray(images)
+    if images.dtype.kind != "f":
+        raise ValueError(f"images must be float pixels, got {images.dtype}; scale them with gather_pixels")
+    return np.atleast_2d(images.astype(float, copy=False))
 
 
 class EncDecModel:
@@ -62,6 +71,7 @@ class EncDecModel:
 
     def predict_and_reconstruct(self, params: Array, images) -> tuple[Array, Array]:
         """Class probabilities and reconstructions from one encoder pass."""
+        images = _float_pixels(images)
         pe, pc, pd = self.split(params)
         codes, _ = self.encoder.forward(pe, images)
         probs, _ = self.classifier.forward(pc, codes)
@@ -79,7 +89,7 @@ class EncDecModel:
         Branches whose weights are all zero are skipped entirely, so e.g.
         objective-only training never touches the decoder.
         """
-        images = np.atleast_2d(np.asarray(images, dtype=float))
+        images = _float_pixels(images)
         obj_w = np.asarray(obj_weights, dtype=float).ravel()
         pe, pc, pd = self.split(params)
         codes, enc_cache = self.encoder.forward(pe, images)
@@ -152,27 +162,32 @@ class EncDecTask:
     def __post_init__(self):
         # Closures over the arrays, not the task: a dropped task is freed without the cycle collector.
         model, images, labels, theta = self.model, self.images, self.labels, self.theta
-        last = None  # (indices, params, values) of the latest pass
+        last = None  # (indices, SHA-256 of the params' bytes, values) of the latest pass
 
         def values(indices, params) -> tuple[Array, Array, Array]:
             """Read-only ``split_values`` of the samples in ``indices`` at ``params``.
 
-            The latest pass is reused only when the indices and parameters
-            equal its own by content, so a record, the timeline and the final
-            results at the same point share it. The memo is one tuple, read
-            once and replaced whole, so concurrent callers see a whole pass
-            or none; it releases the previous pass before computing the next.
+            The latest pass is reused only when the indices equal its own and
+            the parameters' bytes have its SHA-256 digest, so a record, the
+            timeline and the final results at the same point share it. The
+            memo keeps the digest, never the parameters or a reference to
+            them, so a write into the caller's array is seen and no copy of
+            the parameters outlives the call. The memo is one tuple, read once
+            and replaced whole, so concurrent callers see a whole pass or
+            none; it releases the previous pass before computing the next.
             """
             nonlocal last
             memo = last
-            if memo is not None and np.array_equal(memo[0], indices) and np.array_equal(memo[1], params):
+            x = np.ascontiguousarray(params, dtype=float)
+            digest = hashlib.sha256(x).digest()
+            if memo is not None and memo[1] == digest and np.array_equal(memo[0], indices):
                 return memo[2]
             last = memo = None
-            rows, x = np.array(indices), np.array(params, dtype=float)
+            rows = np.array(indices)
             vals = split_values(model, x, images, labels, rows)
             for v in vals:
                 v.flags.writeable = False
-            last = (rows, x, vals)
+            last = (rows, digest, vals)
             return vals
 
         def batch_weighted_grad(indices, x, obj_w, con_w, out):

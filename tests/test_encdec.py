@@ -17,7 +17,7 @@ from seqpen import (
 )
 from gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
 from seqpen.penalties import penalty_grad_batch
-from seqpen.tasks.data import ImageDataset
+from seqpen.tasks.data import ImageDataset, gather_pixels
 from seqpen.tasks.encdec import EncDecModel, build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
 from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, mse_grad, mse_values
 
@@ -179,6 +179,38 @@ def test_values_for_other_indices_run_their_own_pass(tiny_encdec, seeded_params,
     assert passes == [3, 3]
 
 
+def test_values_keep_no_parameter_copy_once_the_caller_drops_its_params(tiny_encdec, seeded_params):
+    task = _fresh_task(tiny_encdec)
+    idx = np.arange(task.problem.num_samples)
+    task.values(idx, seeded_params)
+    tracemalloc.start()
+    try:
+        params = 0.5 * seeded_params
+        task.values(idx, params)
+        nbytes = params.nbytes
+        del params
+        kept = [trace.size for trace in tracemalloc.take_snapshot().traces if trace.size >= nbytes]
+    finally:
+        tracemalloc.stop()
+    assert kept == []
+    # the memo still serves the pass to equal parameters
+    assert task.values(idx, 0.5 * seeded_params) is task.values(idx, 0.5 * seeded_params)
+
+
+def test_network_oracles_refuse_integer_pixels(tiny_digits):
+    train, _ = tiny_digits
+    assert train.images.dtype == np.uint8
+    model = EncDecModel()
+    params = model.init_params(np.random.default_rng(0))
+    rows = train.images[:4]
+    with pytest.raises(ValueError, match="gather_pixels"):
+        model.predict_and_reconstruct(params, rows)
+    with pytest.raises(ValueError, match="gather_pixels"):
+        model.weighted_grad(params, rows, train.labels[:4], np.ones(4), np.ones(4))
+    probs, _ = model.predict_and_reconstruct(params, gather_pixels(train.images, np.arange(4)))
+    assert np.allclose(probs.sum(axis=1), 1.0)
+
+
 def test_writing_into_returned_values_cannot_change_later_results(tiny_encdec, seeded_params):
     task = _fresh_task(tiny_encdec)
     idx = np.arange(task.problem.num_samples)
@@ -257,7 +289,7 @@ def test_paper_architecture_dimensions_and_directional_gradients(tiny_digits):
     assert model.classifier.num_params == 20 * 10 + 10
     assert model.decoder.num_params == 20 * 256 + 256 + 256 * 784 + 784
     params = model.init_params(np.random.default_rng(0))
-    probs, _ = model.predict_and_reconstruct(params, train.images[:16])
+    probs, _ = model.predict_and_reconstruct(params, gather_pixels(train.images, np.arange(16)))
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     # full-size parameter space: audit the fused gradient along random directions

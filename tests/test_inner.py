@@ -264,6 +264,23 @@ def test_hook_gets_arrays_that_do_not_change_later(free_quadratic, mode):
     assert kept[-1] is not rep.candidate
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_last_hook_gets_a_read_only_view_of_the_candidate(free_quadratic, mode):
+    # after the last unit the run never writes its iterate again, so the hook
+    # reads it without a copy; every earlier unit gets a writable copy
+    kept = []
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
+    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=kept.append)
+    *earlier, last = kept
+    assert last is not rep.candidate and last.base is rep.candidate
+    assert last.tobytes() == rep.candidate.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        last[0] = 0.0
+    assert rep.candidate.flags.writeable
+    for z in earlier:
+        assert z.flags.writeable and z.base is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and inf / inf precede the abort
 @pytest.mark.parametrize("bad, first", [([250, 290], 250), ([290, 130, 250], 130), ([299], 299)])
 def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatch, bad, first):

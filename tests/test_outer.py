@@ -29,7 +29,7 @@ from seqpen import (
 )
 from seqpen.inner import InnerReport
 from seqpen.tasks.data import ImageDataset
-from seqpen.tasks.encdec import build_enc_dec_task
+from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec
 from seqpen.tasks.qp import qp_registry
 
 from conftest import make_per_sample_vertex_problem
@@ -393,14 +393,14 @@ def _desk_shape_task():
     return task, task.model.init_params(rng)
 
 
-def _traced_peak(task, x0, max_outer):
-    """tracemalloc peak of a practical sequential run of ``max_outer`` one-epoch iterations, and its trace."""
+def _traced_peak(task, start, max_outer, hook=None):
+    """tracemalloc peak and trace of a sequential run of ``max_outer`` one-epoch iterations from ``start()``."""
     inner = SGDConfig(stepsize=1e-3, batch_size=128, mode="practical", budget=1, rng_seed=1, grad_norm="none")
     sched = Schedule(tau0=100.0, gamma=1.1, max_outer=max_outer, inner=inner)
-    sequential_penalty_train(task.problem, "linear", sched, x0)
+    sequential_penalty_train(task.problem, "linear", sched, start(), hook=hook)
     tracemalloc.start()
     try:
-        trace = sequential_penalty_train(task.problem, "linear", sched, x0)
+        trace = sequential_penalty_train(task.problem, "linear", sched, start(), hook=hook)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,24 +410,55 @@ def _traced_peak(task, x0, max_outer):
 def test_practical_sequential_run_holds_no_redundant_parameter_copies():
     # Two outer iterations of one practical epoch each at the desk network
     # shapes (413,174 parameters, 3.3 MB per parameter-size array) on 256
-    # samples. The run peaks at 24.7 MB in a minibatch step of the second
-    # iteration, which holds seven parameter-size arrays: the caller's x0,
-    # the iterate, the two Adam moments, the gradient buffer, the first
-    # candidate (the second run's start) and the memo's parameters. The bound
-    # sits 1.3 MB above that, so one more parameter-size array fails it: a
-    # copied Adam state, a second gradient or a kept stale candidate.
+    # samples. The run peaks at 21.4 MB in a minibatch step of the second
+    # iteration, which holds six parameter-size arrays: the caller's x0, the
+    # iterate, the two Adam moments, the gradient buffer and the first
+    # candidate (the second run's start); the split's memo keeps a digest of
+    # the parameters, not a copy. The bound sits 1.3 MB above that, so one
+    # more parameter-size array fails it: a copied Adam state, a second
+    # gradient, a kept stale candidate or a memo's parameter copy.
     task, x0 = _desk_shape_task()
-    peak, trace = _traced_peak(task, x0, 2)
+    peak, trace = _traced_peak(task, lambda: x0, 2)
     assert len(trace.records) == 2
-    assert peak < 26.0e6
+    assert peak < 22.7e6
+
+
+def test_timeline_run_holds_four_parameter_copies_while_it_evaluates():
+    # The CLI's timeline wiring at the desk network shapes: the hook evaluates
+    # a 512-row training split (one EVAL_CHUNK) and a 128-row test split of
+    # uint8 pixels after every epoch, and no caller holds the start. Each
+    # evaluation chunk runs beside four parameter-size arrays (the iterate,
+    # the run's start and the two Adam moments) and peaks at 21.2 MB; the
+    # minibatch steps, with the gradient buffer as a fifth, peak at 21.4 MB.
+    # The hook's array is a view of the final iterate and each memo keeps a
+    # digest, so one more parameter-size array in either place, a hooked
+    # copy or a memo's parameter copy, breaks the bound 1.3 MB above.
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 256, size=(640, 784), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=640)
+    tasks = {
+        split: build_enc_dec_task(ImageDataset(pixels[rows], labels[rows], split=split), theta=0.03)
+        for split, rows in (("train", slice(0, 512)), ("test", slice(512, None)))
+    }
+    task, evaluated = tasks["train"], []
+
+    def timeline_hook(params):
+        for split_task in tasks.values():
+            evaluated.append(evaluate_enc_dec(split_task, params)["accuracy"])
+
+    init_rng = np.random.default_rng(2)
+    peak, trace = _traced_peak(task, lambda: task.model.init_params(init_rng), 2, hook=timeline_hook)
+    # two splits after each of two epochs, in the untraced run and the traced one
+    assert len(trace.records) == 2 and len(evaluated) == 8
+    assert peak < 22.7e6
 
 
 def test_practical_sequential_run_memory_does_not_grow_with_its_length():
     # A trace that keeps every candidate holds one parameter-size array more
     # per outer iteration: six more (19.8 MB) at 8 iterations than at 2.
     task, x0 = _desk_shape_task()
-    short, _ = _traced_peak(task, x0, 2)
-    long, trace = _traced_peak(task, x0, 8)
+    short, _ = _traced_peak(task, lambda: x0, 2)
+    long, trace = _traced_peak(task, lambda: x0, 8)
     assert len(trace.records) == 8
     assert long - short < 8 * task.model.num_params
 
