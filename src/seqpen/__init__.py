@@ -9,7 +9,6 @@ from seqpen.problems import (
     objective_grad_full,
     constraint_jacobian,
     constraint_values,
-    violation_vector,
 )
 from seqpen.penalties import (
     PenaltySpec,

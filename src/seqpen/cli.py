@@ -42,7 +42,8 @@ epoch timeline and the final results at the same parameters share the pass.
 
 All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
-files.
+files at one BLAS thread setting (a multi-threaded BLAS may sum a matrix
+product in another order, so enc_dec files can differ between settings).
 """
 
 from __future__ import annotations

@@ -32,9 +32,8 @@ from seqpen.problems import (
     FiniteSumProblem,
     OracleError,
     as_params,
-    constraint_values,
     feasibility_from_values,
-    objective_values,
+    full_values,
 )
 
 # Every record of a trace keeps its candidate only up to this dimension (the
@@ -138,12 +137,11 @@ class OuterTrace:
 
 
 def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
-    # One pass over the training set for f and one for g; every recorded
-    # quantity is derived from these two arrays. The candidate is kept
-    # uncopied: each inner run returns a fresh array and never touches it again.
+    # One pass over the training set gives f and g; every recorded quantity
+    # is derived from these two arrays. The candidate is kept uncopied: each
+    # inner run returns a fresh array and never touches it again.
     x = report.candidate
-    f = objective_values(problem, x)
-    g = constraint_values(problem, x)
+    f, g = full_values(problem, x)
     lam = constraint_weights(spec, g)
     return OuterRecord(
         k=k,

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqpen.problems import (
-    Array,
-    FiniteSumProblem,
-    as_params,
-    constraint_values,
-    objective_values,
-)
+from seqpen.problems import Array, FiniteSumProblem, as_params, constraint_values, full_values
 
 PENALTY_KINDS = ("quadratic", "linear")
 
@@ -70,8 +64,8 @@ def constraint_weights(spec: PenaltySpec, g: Array) -> Array:
 
 def penalty_value_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float:
     """Aggregate penalty value per the problem's normalization."""
-    x = as_params(problem, x)
-    return penalty_value_from_values(problem, spec, objective_values(problem, x), constraint_values(problem, x))
+    f, g = full_values(problem, x)
+    return penalty_value_from_values(problem, spec, f, g)
 
 
 def penalty_value_from_values(problem: FiniteSumProblem, spec: PenaltySpec, f: Array, g: Array) -> float:

@@ -9,9 +9,10 @@ Penalty coefficients are not transferable between the two scalings, so the
 choice is an explicit attribute of the problem rather than a convention.
 
 The library evaluates a problem only through three batch methods:
-``objective``, ``constraints`` and ``weighted_grad``. Each quantity can be
-supplied either as a batch oracle or as per-sample oracles, which the method
-then loops over; these methods are the one place that reads an oracle.
+``values`` (f and g from one pass), ``constraints`` (g alone) and
+``weighted_grad``. Each is backed either by one batch oracle or by
+per-sample oracles, which the method then loops over; these methods are the
+one place that reads an oracle.
 
 Oracles are treated as read-only with respect to the problem definition and
 must be safe to call concurrently; every reduction over samples here runs in
@@ -40,9 +41,10 @@ class FiniteSumProblem:
 
     The library calls three methods, each over a batch of sample indices:
 
-    * ``objective(indices, x)`` -> per-sample objective values f_j(x).
-    * ``constraints(indices, x)`` -> (len(indices), num_constraints) raw
-      constraint values g_ij(x); a sample is feasible when all are <= 0.
+    * ``values(indices, x)`` -> (f, g): the per-sample objective values
+      f_j(x) and the (len(indices), num_constraints) raw constraint values
+      g_ij(x); a sample is feasible when all its g are <= 0.
+    * ``constraints(indices, x)`` -> g alone, for callers that need no f.
     * ``weighted_grad(indices, x, obj_weights, con_weights, out=None)`` ->
       sum over the batch of obj_w[j] * grad f_j + sum_i con_w[j, i] *
       grad g_ij, as one flat vector. Plain objective gradients, penalty
@@ -55,15 +57,16 @@ class FiniteSumProblem:
       into ``out``, a float array of shape (dim,) that the caller owns, or
       into a fresh one when ``out`` is None, and returned.
 
-    Each quantity comes from a batch oracle when one is set and otherwise
-    from per-sample oracles:
+    Values and gradients each come from a batch oracle when one is set and
+    otherwise from per-sample oracles:
 
-    * objective: ``batch_objective(indices, x)`` or ``sample_objective(j, x)``;
-    * constraints: ``batch_constraints(indices, x)`` or
-      ``sample_constraints(j, x)`` (a vector of length ``num_constraints``);
+    * values: ``batch_values(indices, x)`` returning (f, g), or
+      ``sample_objective(j, x)`` together with ``sample_constraints(j, x)``
+      (a vector of length ``num_constraints``); ``constraints`` then calls
+      ``sample_constraints`` alone;
     * weighted gradient: ``batch_weighted_grad(indices, x, obj_w, con_w, out)``,
       with the ``con_weights`` forms of ``weighted_grad`` (a function must be
-      called exactly once, with the values ``constraints`` returns), which
+      called exactly once, with the g that ``batch_values`` returns), which
       overwrites the given ``out`` array with the sum; or
       ``sample_objective_grad(j, x)`` together with
       ``sample_constraint_jacobian(j, x)`` (an (num_constraints, dim) matrix
@@ -81,8 +84,7 @@ class FiniteSumProblem:
     sample_constraints: Optional[Callable[[int, Array], Array]] = None
     sample_constraint_jacobian: Optional[Callable[[int, Array], Array]] = None
     normalization: str = "sum"
-    batch_objective: Optional[Callable[[Array, Array], Array]] = None
-    batch_constraints: Optional[Callable[[Array, Array], Array]] = None
+    batch_values: Optional[Callable[[Array, Array], tuple[Array, Array]]] = None
     batch_weighted_grad: Optional[Callable[[Array, Array, Array, Array, Array], None]] = None
 
     def __post_init__(self):
@@ -91,8 +93,7 @@ class FiniteSumProblem:
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}")
         sources = {
-            "objective": (self.batch_objective, self.sample_objective),
-            "constraints": (self.batch_constraints, self.sample_constraints),
+            "values": (self.batch_values, self.sample_objective, self.sample_constraints),
             "weighted_grad": (self.batch_weighted_grad, self.sample_objective_grad, self.sample_constraint_jacobian),
         }
         missing = [name for name, (batch, *sample) in sources.items() if batch is None and None in sample]
@@ -111,16 +112,18 @@ class FiniteSumProblem:
         """
         return 1.0 / batch_size if self.normalization == "mean" else self.num_samples / batch_size
 
-    def objective(self, indices, x) -> Array:
-        """Objective values f_j(x) for the samples in ``indices``."""
-        if self.batch_objective is not None:
-            return np.asarray(self.batch_objective(indices, x), dtype=float)
-        return np.array([self.sample_objective(int(j), x) for j in indices], dtype=float)
+    def values(self, indices, x) -> tuple[Array, Array]:
+        """Objective values f_j(x) and the raw constraint matrix g of the samples in ``indices``, from one pass."""
+        if self.batch_values is None:
+            f = [self.sample_objective(j, x) for j in np.asarray(indices).tolist()]
+            return np.array(f, dtype=float), self.constraints(indices, x)
+        f, g = self.batch_values(indices, x)
+        return np.asarray(f, dtype=float), np.asarray(g, dtype=float).reshape(len(indices), self.num_constraints)
 
     def constraints(self, indices, x) -> Array:
         """Raw constraint values as a (len(indices), num_constraints) matrix."""
-        if self.batch_constraints is not None:
-            g = self.batch_constraints(indices, x)
+        if self.batch_values is not None:
+            g = self.batch_values(indices, x)[1]
         else:
             g = [self.sample_constraints(j, x) for j in np.asarray(indices).tolist()]
         return np.asarray(g, dtype=float).reshape(len(indices), self.num_constraints)
@@ -158,18 +161,25 @@ def as_params(problem: FiniteSumProblem, x) -> Array:
     return x
 
 
-def objective_values(problem: FiniteSumProblem, x) -> Array:
-    """Per-sample objective values f_j(x) for all samples."""
-    vals = problem.objective(np.arange(problem.num_samples), as_params(problem, x))
-    bad = np.flatnonzero(~np.isfinite(vals))
+def _finite_constraints(g: Array) -> Array:
+    if not np.isfinite(g).all():
+        j, i = np.argwhere(~np.isfinite(g))[0]
+        raise OracleError(f"non-finite constraint value at sample {j}, constraint {i}")
+    return g
+
+
+def full_values(problem: FiniteSumProblem, x) -> tuple[Array, Array]:
+    """Per-sample objective values and the (num_samples, num_constraints) raw constraint matrix, from one pass."""
+    f, g = problem.values(np.arange(problem.num_samples), as_params(problem, x))
+    bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         raise OracleError(f"non-finite objective value for sample {bad[0]}")
-    return vals
+    return f, _finite_constraints(g)
 
 
 def full_objective(problem: FiniteSumProblem, x) -> float:
     """Aggregate objective per the problem's normalization."""
-    return float(problem.agg_scale * objective_values(problem, x).sum())
+    return float(problem.agg_scale * full_values(problem, x)[0].sum())
 
 
 def objective_grad_full(problem: FiniteSumProblem, x) -> Array:
@@ -189,16 +199,7 @@ def constraint_jacobian(problem: FiniteSumProblem, j: int, x) -> Array:
 
 def constraint_values(problem: FiniteSumProblem, x) -> Array:
     """Raw constraint values as an (num_samples, num_constraints) matrix."""
-    g = problem.constraints(np.arange(problem.num_samples), as_params(problem, x))
-    if not np.isfinite(g).all():
-        j, i = np.argwhere(~np.isfinite(g))[0]
-        raise OracleError(f"non-finite constraint value at sample {j}, constraint {i}")
-    return g
-
-
-def violation_vector(problem: FiniteSumProblem, x) -> Array:
-    """Elementwise violations max(0, g_ij(x)); zero exactly on the feasible set."""
-    return np.maximum(0.0, constraint_values(problem, x))
+    return _finite_constraints(problem.constraints(np.arange(problem.num_samples), as_params(problem, x)))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ per sample: the reconstruction MSE must not exceed a threshold theta,
     s.t. mse(img_j, reconstruct(img_j)) - theta <= 0  for every j.
 
 The task is exposed as a FiniteSumProblem with mean normalization and one
-constraint per sample, with fused batch oracles so a whole minibatch costs
-one forward/backward pass per branch.
+constraint per sample, with fused batch oracles: a minibatch gradient costs
+one forward/backward pass per branch, and f and g come from one pass.
 """
 
 from __future__ import annotations
@@ -196,14 +196,17 @@ class EncDecTask:
                 con_w = lambda mse: weights_of_g(_constraint(mse, theta))
             model.weighted_grad(x, gather_pixels(images, indices), labels[indices], obj_w, con_w, out=out)
 
+        def batch_values(indices, x):
+            ce, _, mse = values(indices, x)
+            return ce, _constraint(mse, theta)
+
         self.values = values
         self.problem = FiniteSumProblem(
             dim=model.num_params,
             num_samples=images.shape[0],
             num_constraints=1,
             normalization="mean",
-            batch_objective=lambda indices, x: values(indices, x)[0],
-            batch_constraints=lambda indices, x: _constraint(values(indices, x)[2], theta),
+            batch_values=batch_values,
             batch_weighted_grad=batch_weighted_grad,
         )
 

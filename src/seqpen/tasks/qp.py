@@ -62,9 +62,10 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
     m = A.shape[0]
 
     def batch_weighted_grad(indices, x, obj_w, con_w, out):
-        # Single-sample problem: the batch is some multiset of index 0.
+        # Single-sample problem: the batch is some multiset of index 0. A
+        # weight function gets g alone; the objective value is not needed.
         if callable(con_w):
-            con_w = con_w(batch_constraints(indices, x))
+            con_w = con_w(constraint_rows(indices, x))
         con_w = np.asarray(con_w, dtype=float).reshape(len(indices), m)
         # A one-row batch skips the reductions: they differ from the row only
         # on -0.0, and the matmul (summing from 0.0) gives both the same bits.
@@ -78,21 +79,20 @@ def _qp_problem(Q: Array, b: Array, A: Array, c: Array) -> FiniteSumProblem:
         out *= total_obj
         out += total_con @ A
 
-    def batch_constraints(indices, x):
+    def constraint_rows(indices, x):
         g = A @ x - c
         return g[None, :] if len(indices) == 1 else np.tile(g, (len(indices), 1))
 
-    def batch_objective(indices, x):
+    def batch_values(indices, x):
         v = 0.5 * float(x @ Q @ x) + float(b @ x)
-        return np.full(len(indices), v)
+        return np.full(len(indices), v), constraint_rows(indices, x)
 
     return FiniteSumProblem(
         dim=n,
         num_samples=1,
         num_constraints=m,
         normalization="sum",
-        batch_objective=batch_objective,
-        batch_constraints=batch_constraints,
+        batch_values=batch_values,
         batch_weighted_grad=batch_weighted_grad,
     )
 

@@ -25,7 +25,7 @@ def make_random_problem(dim, num_samples, num_constraints, seed, normalization="
     """Smooth quadratic objective/constraint samples with analytic gradients.
 
     ``oracles="sample"`` supplies the four per-sample oracles; ``"batch"``
-    builds the same problem from three vectorized batch oracles instead.
+    builds the same problem from the two vectorized batch oracles instead.
     """
     rng = np.random.default_rng(seed)
     obj_h = rng.normal(size=(num_samples, dim, dim))
@@ -39,23 +39,23 @@ def make_random_problem(dim, num_samples, num_constraints, seed, normalization="
 
     if oracles == "batch":
 
-        def batch_objective(indices, x):
-            return 0.5 * np.einsum("i,bij,j->b", x, obj_h[indices], x) + obj_d[indices] @ x
-
-        def batch_constraints(indices, x):
+        def constraint_rows(indices, x):
             return 0.5 * np.einsum("i,bkij,j->bk", x, con_h[indices], x) + con_e[indices] @ x + con_s[indices]
 
         def batch_weighted_grad(indices, x, obj_w, con_w, out):
             if callable(con_w):
-                con_w = con_w(batch_constraints(indices, x))
+                con_w = con_w(constraint_rows(indices, x))
             obj_grads = obj_h[indices] @ x + obj_d[indices]
             con_grads = np.einsum("bkij,j->bki", con_h[indices], x) + con_e[indices]
             out[:] = np.asarray(obj_w) @ obj_grads + np.einsum("bk,bki->i", np.asarray(con_w), con_grads)
 
+        def batch_values(indices, x):
+            f = 0.5 * np.einsum("i,bij,j->b", x, obj_h[indices], x) + obj_d[indices] @ x
+            return f, constraint_rows(indices, x)
+
         return FiniteSumProblem(
             **shape,
-            batch_objective=batch_objective,
-            batch_constraints=batch_constraints,
+            batch_values=batch_values,
             batch_weighted_grad=batch_weighted_grad,
         )
 

@@ -723,12 +723,12 @@ def test_record_oracle_failure_exits_3_with_partial_trace(tmp_path, capsys, monk
     qp = qp_registry()["x_sq_ge_1"]
     base = qp.problem
 
-    def batch_constraints(indices, x):
+    def batch_values(indices, x):
         # candidates approach 1 from below; the oracle fails past 0.75 (outer iteration 3)
-        g = base.batch_constraints(indices, x)
-        return np.full_like(g, np.nan) if x[0] > 0.75 else g
+        f, g = base.batch_values(indices, x)
+        return f, np.full_like(g, np.nan) if x[0] > 0.75 else g
 
-    broken = dataclasses.replace(qp, problem=dataclasses.replace(base, batch_constraints=batch_constraints))
+    broken = dataclasses.replace(qp, problem=dataclasses.replace(base, batch_values=batch_values))
     monkeypatch.setattr(cli_mod, "qp_registry", lambda: {"x_sq_ge_1": broken})
     cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "out", max_outer=10)
     assert main(["run", str(cfg)]) == 3

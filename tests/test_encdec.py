@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from seqpen import (
     penalty_value_full,
 )
 from gradcheck import central_diff_gradient, directional_diff, gradient_rel_error
+from seqpen.inner import InnerReport
+from seqpen.outer import _make_record
 from seqpen.penalties import penalty_grad_batch
 from seqpen.tasks.data import ImageDataset, gather_pixels
 from seqpen.tasks.encdec import EncDecModel, build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
@@ -38,9 +42,11 @@ def test_problem_wiring(tiny_encdec, seeded_params):
     assert prob.normalization == "mean"
     assert prob.num_constraints == 1
     probs, recon = task.model.predict_and_reconstruct(params, task.images[3:4])
-    assert prob.objective([3], params)[0] == pytest.approx(float(ce_values(probs, task.labels[3:4])[0]))
+    f, g = prob.values([3], params)
+    assert f[0] == pytest.approx(float(ce_values(probs, task.labels[3:4])[0]))
     expected_g = float(mse_values(task.images[3:4], recon)[0]) - task.theta
-    assert prob.constraints([3], params)[0, 0] == pytest.approx(expected_g)
+    assert g[0, 0] == pytest.approx(expected_g)
+    assert prob.constraints([3], params)[0, 0] == g[0, 0]
 
 
 def test_constraint_is_mse_minus_theta_arithmetic():
@@ -51,12 +57,11 @@ def test_constraint_is_mse_minus_theta_arithmetic():
 def test_batch_oracles_match_per_sample(tiny_encdec, seeded_params):
     prob = tiny_encdec.problem
     idx = np.array([0, 3, 7])
-    vals = prob.objective(idx, seeded_params)
+    vals, g = prob.values(idx, seeded_params)
     for row, j in enumerate(idx):
-        assert vals[row] == pytest.approx(prob.objective([j], seeded_params)[0])
-    g = prob.constraints(idx, seeded_params)
-    for row, j in enumerate(idx):
-        assert g[row, 0] == pytest.approx(prob.constraints([j], seeded_params)[0, 0])
+        f_j, g_j = prob.values([j], seeded_params)
+        assert vals[row] == pytest.approx(f_j[0])
+        assert g[row, 0] == pytest.approx(g_j[0, 0])
     obj_w = np.array([1.0, 0.5, 2.0])
     con_w = np.array([[0.0], [3.0], [1.0]])
     fused = prob.weighted_grad(idx, seeded_params, obj_w, con_w)
@@ -71,7 +76,7 @@ def test_gradients_match_finite_differences(tiny_encdec, seeded_params):
     prob = tiny_encdec.problem
     j = 5
 
-    fd_obj = central_diff_gradient(lambda p: prob.objective([j], p)[0], seeded_params, rel_step=1e-6)
+    fd_obj = central_diff_gradient(lambda p: prob.values([j], p)[0][0], seeded_params, rel_step=1e-6)
     assert gradient_rel_error(objective_grad(prob, j, seeded_params), fd_obj) <= 1e-4
 
     fd_con = central_diff_gradient(lambda p: prob.constraints([j], p)[0, 0], seeded_params, rel_step=1e-6)
@@ -155,11 +160,11 @@ def test_values_rerun_after_in_place_parameter_change(tiny_encdec, seeded_params
     idx = np.arange(task.problem.num_samples)
     params = seeded_params.copy()
     passes = _count_passes(monkeypatch)
-    before = task.problem.objective(idx, params).copy()
-    assert np.array_equal(task.problem.objective(idx, params.copy()), before)
+    before = task.problem.values(idx, params)[0].copy()
+    assert np.array_equal(task.problem.values(idx, params.copy())[0], before)
     assert len(passes) == 1
     params[task.model.classifier_slice] += 0.5  # same array object, new contents
-    after = task.problem.objective(idx, params)
+    after = task.problem.values(idx, params)[0]
     assert len(passes) == 2
     assert not np.array_equal(after, before)
     assert np.array_equal(after, split_values(task.model, params, task.images, task.labels, idx)[0])
@@ -215,7 +220,7 @@ def test_writing_into_returned_values_cannot_change_later_results(tiny_encdec, s
     task = _fresh_task(tiny_encdec)
     idx = np.arange(task.problem.num_samples)
     expected = [v.copy() for v in task.values(idx, seeded_params)]
-    for arr in (*task.values(idx, seeded_params), task.problem.objective(idx, seeded_params),
+    for arr in (*task.values(idx, seeded_params), task.problem.values(idx, seeded_params)[0],
                 evaluate_enc_dec(task, seeded_params)["mse_per_sample"]):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 123.0
@@ -237,6 +242,20 @@ def test_record_objective_and_constraints_cost_one_pass(tiny_encdec, seeded_para
     ce, _, mse = split_values(task.model, rec.candidate, task.images, task.labels, np.arange(n))
     assert rec.objective_value == float(task.problem.agg_scale * ce.sum())
     assert rec.feasibility.max_violation == float(np.maximum(0.0, mse - 0.01).max())
+
+
+def test_record_hashes_the_parameters_once(tiny_encdec, seeded_params, monkeypatch):
+    task = _fresh_task(tiny_encdec)
+    digests = []
+
+    def sha256(data):
+        digests.append(len(memoryview(data).cast("B")))
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(encdec_mod, "hashlib", SimpleNamespace(sha256=sha256))
+    report = InnerReport(candidate=seeded_params.copy(), iterate_count=1, grad_norm_estimate=float("nan"))
+    _make_record(task.problem, PenaltySpec("linear", 10.0), 0, float("nan"), report)
+    assert digests == [seeded_params.nbytes]
 
 
 def test_values_releases_the_previous_pass_before_the_next(tiny_encdec, seeded_params, monkeypatch):

@@ -298,8 +298,7 @@ def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatc
 
     problem = FiniteSumProblem(
         dim=dim, num_samples=4, num_constraints=1, normalization="mean",
-        batch_objective=lambda indices, x: np.zeros(len(indices)),
-        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_values=lambda indices, x: (np.zeros(len(indices)), np.zeros((len(indices), 1))),
         batch_weighted_grad=weighted_grad,
     )
     cfg = SGDConfig(stepsize=0.1, batch_size=2, mode="practical", budget=3, rng_seed=0, grad_norm="none")
@@ -358,8 +357,7 @@ def test_theoretical_run_matches_the_out_of_place_reference_bit_for_bit(name, ba
 def test_theoretical_iterate_whose_sum_overflows_is_finite():
     prob = FiniteSumProblem(
         dim=2, num_samples=1, num_constraints=1,
-        batch_objective=lambda indices, x: np.zeros(len(indices)),
-        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_values=lambda indices, x: (np.zeros(len(indices)), np.zeros((len(indices), 1))),
         batch_weighted_grad=lambda indices, x, obj_w, con_w, out: out.fill(0.0),
     )
     x0 = np.array([1.5e308, 1.5e308])
@@ -385,8 +383,7 @@ def test_theoretical_divergence_reports_the_first_non_finite_coordinate(bad, fir
 
     prob = FiniteSumProblem(
         dim=dim, num_samples=5, num_constraints=1, normalization="mean",
-        batch_objective=lambda indices, x: np.zeros(len(indices)),
-        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_values=lambda indices, x: (np.zeros(len(indices)), np.zeros((len(indices), 1))),
         batch_weighted_grad=weighted_grad,
     )
     cfg = SGDConfig(stepsize=0.1, batch_size=2, budget=6, rng_seed=0, grad_norm="none")
@@ -406,8 +403,7 @@ def test_theoretical_run_holds_few_parameter_size_arrays(rule, most):
 
     prob = FiniteSumProblem(
         dim=dim, num_samples=4, num_constraints=1,
-        batch_objective=lambda indices, x: np.zeros(len(indices)),
-        batch_constraints=lambda indices, x: np.zeros((len(indices), 1)),
+        batch_values=lambda indices, x: (np.zeros(len(indices)), np.zeros((len(indices), 1))),
         batch_weighted_grad=weighted_grad,
     )
     x0 = np.ones(dim)

@@ -337,21 +337,17 @@ def _counting(fn, calls, name):
     return wrapped
 
 
-def test_record_makes_one_objective_and_one_constraint_pass(tiny_encdec):
+def test_record_makes_one_value_oracle_call(tiny_encdec):
     calls = []
     base = tiny_encdec.problem
-    prob = replace(
-        base,
-        batch_objective=_counting(base.batch_objective, calls, "f"),
-        batch_constraints=_counting(base.batch_constraints, calls, "g"),
-    )
+    prob = replace(base, batch_values=_counting(base.batch_values, calls, "values"))
     x = tiny_encdec.model.init_params(np.random.default_rng(7))
     report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5)
     for kind in ("quadratic", "linear"):
         spec = PenaltySpec(kind, 3.0)
         calls.clear()
         rec = outer_mod._make_record(prob, spec, 2, 0.1, report)
-        assert sorted(calls) == ["f", "g"]
+        assert calls == ["values"]
         # every quantity equals the one computed by its own full pass
         lam = multiplier_estimate(base, spec, x)
         assert rec.penalty_value == penalty_value_full(base, spec, x)
@@ -364,11 +360,11 @@ def _qp_with_nan_constraints_after(x_limit):
     """The x >= 1 QP whose constraint value oracle turns non-finite once x exceeds x_limit."""
     base = qp_problem()
 
-    def batch_constraints(indices, x):
-        g = base.batch_constraints(indices, x)
-        return np.full_like(g, np.nan) if x[0] > x_limit else g
+    def batch_values(indices, x):
+        f, g = base.batch_values(indices, x)
+        return f, np.full_like(g, np.nan) if x[0] > x_limit else g
 
-    return replace(base, batch_constraints=batch_constraints)
+    return replace(base, batch_values=batch_values)
 
 
 def test_record_oracle_failure_aborts_with_partial_trace():

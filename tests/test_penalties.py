@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,16 +7,17 @@ import pytest
 from seqpen import (
     PenaltySpec,
     constraint_values,
+    elicq_check,
     full_objective,
+    kkt_residual,
     multiplier_estimate,
     penalty_grad_full,
     penalty_value_full,
-    violation_vector,
 )
 from gradcheck import central_diff_gradient, gradient_rel_error
 from seqpen.penalties import constraint_weights, penalty_grad_batch, penalty_value_from_values
 
-from conftest import make_random_problem, make_scalar_problem
+from conftest import make_per_sample_vertex_problem, make_random_problem, make_scalar_problem
 
 
 @pytest.fixture
@@ -34,7 +36,7 @@ def test_spec_validation():
 
 def penalty_value_sample(prob, spec, j, x):
     """Penalty term p_j(x) of one sample."""
-    f, g = prob.objective([j], x), prob.constraints([j], x)
+    f, g = prob.values([j], x)
     return penalty_value_from_values(replace(prob, normalization="sum"), spec, f, g)
 
 
@@ -79,9 +81,9 @@ def test_multiplier_estimate_properties():
         for _ in range(5):
             x = rng.normal(size=3)
             lam = multiplier_estimate(prob, spec, x)
-            v = violation_vector(prob, x)
+            g = constraint_values(prob, x)
             assert (lam >= 0).all()
-            assert np.all(lam[v == 0] == 0.0)
+            assert np.all(lam[g <= 0] == 0.0)
 
 
 def test_penalty_dominates_objective_with_equality_iff_feasible():
@@ -93,7 +95,7 @@ def test_penalty_dominates_objective_with_equality_iff_feasible():
             x = rng.normal(size=3)
             p = penalty_value_full(prob, spec, x)
             f = full_objective(prob, x)
-            feasible = violation_vector(prob, x).max() == 0.0
+            feasible = constraint_values(prob, x).max() <= 0.0
             assert p >= f - 1e-12
             if feasible:
                 assert p == pytest.approx(f, abs=1e-12)
@@ -108,7 +110,7 @@ def test_penalty_monotone_in_tau_at_infeasible_point():
     found_infeasible = 0
     for _ in range(20):
         x = rng.normal(size=3)
-        if violation_vector(prob, x).max() == 0.0:
+        if constraint_values(prob, x).max() <= 0.0:
             continue
         found_infeasible += 1
         for kind in ("quadratic", "linear"):
@@ -199,8 +201,8 @@ def test_zero_tau_penalty_grad_calls_no_constraint_oracle(tiny_encdec, qps):
     params = tiny_encdec.model.init_params(np.random.default_rng(4))
     per_sample = make_random_problem(dim=2, num_samples=3, num_constraints=2, seed=17)
     cases = [
-        (tiny_encdec.problem, "batch_constraints", params),
-        (qps["x_sq_ge_1"].problem, "batch_constraints", np.array([0.0])),
+        (tiny_encdec.problem, "batch_values", params),
+        (qps["x_sq_ge_1"].problem, "batch_values", np.array([0.0])),
         (per_sample, "sample_constraints", np.array([0.3, -0.2])),
     ]
     for prob, field, x in cases:
@@ -208,6 +210,46 @@ def test_zero_tau_penalty_grad_calls_no_constraint_oracle(tiny_encdec, qps):
         got = penalty_grad_batch(counted, PenaltySpec("linear", 0.0), np.arange(prob.num_samples), x)
         assert np.array_equal(got, _two_pass_grad(prob, PenaltySpec("linear", 0.0), np.arange(prob.num_samples), x))
     assert calls == []
+
+
+def _entries(code, run):
+    """How often a call of ``run()`` enters the function whose code object is ``code``."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            entered.append(frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return len(entered)
+
+
+def test_calls_that_need_only_g_evaluate_no_objective(qps):
+    # constraint-only full passes, diagnostics and penalty gradients on a per-sample problem
+    calls = []
+    base, x_star, lam_star, _ = make_per_sample_vertex_problem(seed=3)
+    prob = replace(base, sample_objective=lambda j, x: calls.append(j) or base.sample_objective(j, x))
+    spec = PenaltySpec("quadratic", 10.0)
+    constraint_values(prob, x_star)
+    kkt_residual(prob, x_star, lam_star)
+    elicq_check(prob, x_star)
+    multiplier_estimate(prob, spec, x_star)
+    penalty_grad_batch(prob, spec, np.arange(prob.num_samples), x_star + 0.1)
+    assert calls == []
+    full_objective(prob, x_star)  # the counter does see a value pass
+    assert calls == list(range(prob.num_samples))
+    # a QP's penalty gradient with tau > 0 takes g alone, never the value oracle that also computes f
+    qp = qps["sum_ge_2"].problem
+    x = np.array([0.2, -0.4])
+    code = qp.batch_values.__code__
+    assert _entries(code, lambda: penalty_grad_batch(qp, spec, np.array([0]), x)) == 0
+    assert _entries(code, lambda: penalty_grad_batch(qp, spec, np.array([0, 0, 0]), x)) == 0
+    assert _entries(code, lambda: qp.values(np.array([0]), x)) == 1
 
 
 def test_weighted_grad_weight_function_sees_constraint_values(tiny_encdec):

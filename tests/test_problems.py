@@ -12,7 +12,7 @@ from seqpen import (
     feasibility_stats,
     full_objective,
     objective_grad_full,
-    violation_vector,
+    penalty_value_full,
 )
 from seqpen.penalties import penalty_grad_batch
 from gradcheck import central_diff_gradient, gradient_rel_error
@@ -82,23 +82,18 @@ def test_non_finite_objective_identifies_sample():
         full_objective(prob, np.zeros(1))
 
 
-def test_violation_vector_cases():
-    prob = make_scalar_problem(lambda x: 0.0, lambda x: 0.0, lambda x: 1 - x, lambda x: -1.0)
-    assert violation_vector(prob, np.array([2.0]))[0, 0] == 0.0
-    assert violation_vector(prob, np.array([0.0]))[0, 0] == 1.0
-    boundary = make_scalar_problem(lambda x: 0.0, lambda x: 0.0, lambda x: x, lambda x: 1.0)
-    assert violation_vector(boundary, np.array([0.0]))[0, 0] == 0.0
-
-
-def test_violation_vector_nonnegative_and_zero_on_feasible_set():
+def test_feasibility_stats_count_only_violated_entries():
     prob = make_random_problem(dim=3, num_samples=5, num_constraints=2, seed=2)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.normal(size=3)
-        v = violation_vector(prob, x)
         g = constraint_values(prob, x)
-        assert (v >= 0).all()
-        assert np.allclose(v[g <= 0], 0.0, atol=1e-12)
+        assert (g <= 0).any() and (g > 0).any()
+        stats = feasibility_stats(prob, x)
+        # a satisfied entry adds nothing to the violation, however slack it is
+        assert stats.mean_violation == pytest.approx(g[g > 0].sum() / g.size, rel=1e-12)
+        assert stats.max_violation == g.max()
+        assert stats.satisfied_fraction == (g <= 0).mean()
 
 
 def test_non_finite_constraint_identifies_entry():
@@ -117,8 +112,9 @@ def test_non_finite_constraint_identifies_entry():
         sample_constraints=bad_constraints,
         sample_constraint_jacobian=lambda j, x: np.zeros((2, 1)),
     )
-    with pytest.raises(OracleError, match="sample 1, constraint 1"):
-        violation_vector(prob, np.zeros(1))
+    for full_pass in (constraint_values, lambda p, x: penalty_value_full(p, PenaltySpec("linear", 1.0), x)):
+        with pytest.raises(OracleError, match="sample 1, constraint 1"):
+            full_pass(prob, np.zeros(1))
 
 
 def test_feasibility_stats_arithmetic():
@@ -192,10 +188,12 @@ def test_methods_agree_on_per_sample_and_batch_twins(twins):
         x = rng.normal(size=4)
         obj_w = rng.normal(size=idx.size)
         con_w = rng.normal(size=(idx.size, 3))
-        assert np.abs(per_sample.objective(idx, x) - batched.objective(idx, x)).max() <= 1e-12
-        g = per_sample.constraints(idx, x)
-        assert g.shape == (idx.size, 3)
-        assert np.abs(g - batched.constraints(idx, x)).max() <= 1e-12
+        (f, g), (f_batched, g_batched) = per_sample.values(idx, x), batched.values(idx, x)
+        assert f.shape == (idx.size,) and g.shape == (idx.size, 3)
+        assert np.abs(f - f_batched).max() <= 1e-12
+        assert np.abs(g - g_batched).max() <= 1e-12
+        assert np.array_equal(per_sample.constraints(idx, x), g)
+        assert np.array_equal(batched.constraints(idx, x), g_batched)
         array_form = per_sample.weighted_grad(idx, x, obj_w, con_w)
         assert np.abs(array_form - batched.weighted_grad(idx, x, obj_w, con_w)).max() <= 1e-12
 
@@ -267,8 +265,8 @@ def test_constraint_jacobian_rows_match_per_sample_oracle(twins):
 @pytest.mark.parametrize(
     "missing, quantity",
     [
-        ("sample_objective", "objective"),
-        ("sample_constraints", "constraints"),
+        ("sample_objective", "values"),
+        ("sample_constraints", "values"),
         ("sample_objective_grad", "weighted_grad"),
         ("sample_constraint_jacobian", "weighted_grad"),
     ],
@@ -284,5 +282,5 @@ def test_problem_without_a_source_for_a_quantity_is_rejected(missing, quantity):
     del oracles[missing]
     with pytest.raises(ValueError, match=f"no oracle for {quantity}"):
         FiniteSumProblem(dim=1, num_samples=2, num_constraints=1, **oracles)
-    with pytest.raises(ValueError, match="no oracle for objective, constraints, weighted_grad"):
+    with pytest.raises(ValueError, match="no oracle for values, weighted_grad"):
         FiniteSumProblem(dim=1, num_samples=2, num_constraints=1)

@@ -45,7 +45,7 @@ def test_objective_and_lipschitz():
     x = np.array([3.0])
     reference = 0.5 * x @ qp.Q @ x + qp.b @ x  # x^2
     assert reference == 9.0
-    assert qp.problem.objective([0], x)[0] == pytest.approx(reference)
+    assert qp.problem.values([0], x)[0][0] == pytest.approx(reference)
     # eig_max(Q) + tau * ||a||^2 = 2 + 10
     assert qp.penalty_lipschitz(10.0) == pytest.approx(12.0)
 
@@ -55,8 +55,10 @@ def test_problem_batch_oracles_consistent():
     prob = qp.problem
     x = np.array([0.3, -0.7])
     idx = np.array([0, 0, 0])
-    assert np.allclose(prob.objective(idx, x), np.full(3, 0.5 * x @ qp.Q @ x + qp.b @ x))
-    assert np.allclose(prob.constraints(idx, x), np.tile(qp.A @ x - qp.c, (3, 1)))
+    f, g = prob.values(idx, x)
+    assert np.allclose(f, np.full(3, 0.5 * x @ qp.Q @ x + qp.b @ x))
+    assert np.allclose(g, np.tile(qp.A @ x - qp.c, (3, 1)))
+    assert np.array_equal(prob.constraints(idx, x), g)
     obj_w = np.array([1.0, 2.0, 0.5])
     con_w = np.array([[0.1], [0.0], [2.0]])
     expected = sum(w * (qp.Q @ x + qp.b) + c[0] * qp.A[0] for w, c in zip(obj_w, con_w))
@@ -73,7 +75,7 @@ def test_batch_oracles_equal_the_tile_and_sum_reference_bit_for_bit(qps, rows):
         n, m = qp.dim, qp.A.shape[0]
         for x in (rng.normal(size=n), np.zeros(n), np.full(n, -0.0), qp.x_star):
             g = np.tile(qp.A @ x - qp.c, (rows, 1))
-            assert qp.problem.batch_constraints(idx, x).tobytes() == g.tobytes(), name
+            assert qp.problem.batch_values(idx, x)[1].tobytes() == g.tobytes(), name
             for obj_w, con_w in (
                 (rng.uniform(size=rows), rng.normal(size=(rows, m))),
                 (np.full(rows, -0.0), np.full((rows, m), -0.0)),

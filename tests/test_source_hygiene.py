@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unreferenced definitions or constants.
+"""Source hygiene: no unused imports, no unreferenced definitions or constants, no stale oracle docs.
 
 The project has no linter, so these checks read the ``ast`` of every module
 under ``src/seqpen``. The package ``__init__`` modules only re-export names
@@ -6,6 +6,7 @@ and are exempt.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -119,3 +120,14 @@ def _constants(node):
 
 def test_every_public_module_level_constant_is_read():
     assert _unused_public((ast.Assign, ast.AnnAssign), _constants) == []
+
+
+def test_readme_oracle_section_names_exactly_the_oracle_fields_of_a_problem():
+    from seqpen import FiniteSumProblem
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Problems are described by a `FiniteSumProblem`")
+    section = readme[start : readme.index("A batch oracle wins", start)]
+    named = set(re.findall(r"`((?:batch|sample)_\w+)[`(]", section))
+    fields = {field.name for field in dataclasses.fields(FiniteSumProblem) if "Callable" in str(field.type)}
+    assert named == fields
