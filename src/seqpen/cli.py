@@ -360,14 +360,12 @@ def _write_trace(out: Path, records, dim: int):
 
 
 def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
-    """Build the configured method; returns ``train(problem, start, hook=None) -> OuterTrace``.
+    """Build the configured method; returns ``train(problem, x0, hook=None) -> OuterTrace``.
 
-    ``start()`` returns the initial point. It is called in the argument list
-    of the training call, so no name here holds that point and the outer
-    loop frees it once its first inner run has copied it. The Schedule or
-    the lambda PenaltySpec rejects its values here, before training, as a
-    ConfigError. ``max_outer_key`` is the config key that counts outer
-    iterations; ``stepsize_fn(tau)`` sets the inner stepsize per tau.
+    ``train`` steps ``x0`` in place. The Schedule or the lambda PenaltySpec
+    rejects its values here, before training, as a ConfigError.
+    ``max_outer_key`` is the config key that counts outer iterations;
+    ``stepsize_fn(tau)`` sets the inner stepsize per tau.
     """
     if cfg["method"] == "sequential":
         # Only analytic_qp takes eps0 and eps_decay; enc_dec keeps the Schedule's defaults.
@@ -381,14 +379,14 @@ def _method(cfg, inner: SGDConfig, max_outer_key, stepsize_fn=None):
                 stepsize_fn=stepsize_fn,
                 **eps,
             )
-        return lambda problem, start, hook=None: sequential_penalty_train(
-            problem, cfg["penalty_kind"], schedule, start(), hook=hook
+        return lambda problem, x0, hook=None: sequential_penalty_train(
+            problem, cfg["penalty_kind"], schedule, x0, hook=hook
         )
     with _library_checks(tau="lambda"):
         lam = PenaltySpec("linear", cfg["lambda"] if cfg["method"] == "fixed" else 0.0).tau
         if stepsize_fn is not None:
             inner = dataclasses.replace(inner, stepsize=stepsize_fn(lam))
-    return lambda problem, start, hook=None: fixed_penalty_train(problem, lam, inner, start(), hook=hook)
+    return lambda problem, x0, hook=None: fixed_penalty_train(problem, lam, inner, x0, hook=hook)
 
 
 def _run_qp(cfg):
@@ -430,7 +428,7 @@ def _run_qp(cfg):
         row += [final.feasibility.mean_violation, final.feasibility.satisfied_fraction]
         return [row], [["train", j, i, g[j, i]] for j in range(g.shape[0]) for i in range(g.shape[1])]
 
-    return qp.dim, lambda: train_method(problem, lambda: x0), timeline_rows, result_rows
+    return qp.dim, lambda: train_method(problem, x0), timeline_rows, result_rows
 
 
 def _run_enc_dec(cfg):
@@ -475,12 +473,8 @@ def _run_enc_dec(cfg):
     hook = timeline_hook if cfg["timeline"] else None
 
     def run():
-        # No name here holds the initial parameters or the warm-start candidate:
-        # the first is freed when the warm start returns, and a sequential
-        # schedule frees the second after its first inner run.
-        return train_method(
-            task.problem, lambda: warm_start(task, task.model.init_params(init_rng), warm, hook=hook), hook=hook
-        )
+        params0 = task.model.init_params(init_rng)
+        return train_method(task.problem, warm_start(task, params0, warm, hook=hook), hook=hook)
 
     def result_rows(final):
         results, hist = [], []

@@ -153,25 +153,28 @@ def sgd_run(
     opt_state: Optional[AdamState] = None,
     hook: Optional[Callable[[Array], None]] = None,
 ) -> InnerReport:
-    """Run the configured solver on the penalty subproblem from x0.
+    """Run the configured solver on the penalty subproblem from x0, stepping x0 in place.
 
-    ``hook(z)`` fires after every unit of ``config.budget``: after each
-    iteration in theoretical mode and after each epoch in practical mode,
-    once the iterate is checked finite. It receives an array holding the
+    The candidate is ``x0`` itself, or under rule uniform the copy kept of an
+    earlier iterate. ``hook(z)`` fires after every unit of ``config.budget``:
+    after each iteration in theoretical mode and after each epoch in practical
+    mode, once the iterate is checked finite. It receives an array holding the
     current iterate that the run never writes again: a copy after every unit
-    but the last, and after the last a read-only view of the final iterate,
-    which the run returns as its writable candidate. ``opt_state`` applies to
-    practical mode only: the run continues it in place (pass a copy to keep
-    yours); without one it starts from zero moments and drops them at return.
+    but the last, and after the last a read-only view of the final iterate.
+    ``opt_state`` applies to practical mode only: the run continues it in
+    place, as it does ``x0`` (pass copies to keep yours); without one it
+    starts from zero moments and drops them at return.
     """
-    x0 = as_params(problem, x0)
-    _check_finite(x0, -1)
+    z = as_params(problem, x0)
+    if not z.flags.writeable:
+        raise ValueError("x0 is read-only: the run steps x0 in place, so pass a writable copy")
+    _check_finite(z, -1)
     rng = np.random.default_rng(config.rng_seed)
-    # Each mode loop steps a working copy of x0 in place and returns (candidate, steps).
+    # Each mode loop steps z in place and returns (candidate, steps).
     if config.mode == "theoretical":
-        candidate, steps = _run_theoretical(problem, spec, x0.copy(), config, rng, hook)
+        candidate, steps = _run_theoretical(problem, spec, z, config, rng, hook)
     else:
-        candidate, steps = _run_practical(problem, spec, x0.copy(), config, rng, opt_state, hook)
+        candidate, steps = _run_practical(problem, spec, z, config, rng, opt_state, hook)
     grad_norm = float("nan") if config.grad_norm == "none" else grad_norm_estimate(problem, spec, candidate)
     return InnerReport(candidate=candidate, iterate_count=steps + 1, grad_norm_estimate=grad_norm)
 

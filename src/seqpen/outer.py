@@ -8,8 +8,9 @@ estimate falls below eps_k and the worst violation falls below
 FEASIBILITY_TOL; otherwise it runs max_outer iterations (the theory is
 asymptotic and prescribes no stopping rule).
 
-In practical (Adam) mode the outer loop creates one Adam state and every
-inner run continues it, so a schedule with a one-epoch inner budget is one
+Like ``sgd_run``, both loops step the ``x0`` they are given in place. In
+practical (Adam) mode the outer loop creates one Adam state and every inner
+run continues it, so a schedule with a one-epoch inner budget is one
 continuous training run whose penalty weight increases every epoch.
 
 The fixed-penalty baseline is the degenerate single-subproblem case with the
@@ -110,7 +111,7 @@ class OuterRecord:
     """Snapshot of one outer iteration.
 
     ``candidate`` is the inner run's result. Above ``MAX_TRACE_DIM`` it is
-    None in every record of a trace but the last.
+    None in every record but the last of a finished trace.
     """
 
     k: int
@@ -138,8 +139,8 @@ class OuterTrace:
 
 def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     # One pass over the training set gives f and g; every recorded quantity
-    # is derived from these two arrays. The candidate is kept uncopied: each
-    # inner run returns a fresh array and never touches it again.
+    # is derived from these two arrays. The candidate is kept uncopied: the
+    # outer loop drops it or copies it before the next run steps it.
     x = report.candidate
     f, g = full_values(problem, x)
     lam = constraint_weights(spec, g)
@@ -161,15 +162,19 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
 def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -> InnerReport:
     """Run outer iteration ``k`` from ``x`` and append its record to ``trace``.
 
-    A failure of the inner run or of the record aborts with the trace so far.
+    The run steps ``x`` in place, so the previous record lets go of it first,
+    or keeps a copy up to ``MAX_TRACE_DIM``. A failure of the inner run or of
+    the record aborts with the trace so far.
     """
+    if trace.records and problem.dim > MAX_TRACE_DIM:
+        trace.records[-1].candidate = None
+    elif trace.records:
+        x = x.copy()
     try:
         report = sgd_run(problem, spec, x, config, opt_state=opt_state, hook=hook)
         record = _make_record(problem, spec, k, eps, report)
     except (InnerSolverError, OracleError) as err:
         raise OuterAbort(trace, err) from err
-    if trace.records and problem.dim > MAX_TRACE_DIM:
-        trace.records[-1].candidate = None
     trace.records.append(record)
     return report
 
@@ -183,16 +188,13 @@ def sequential_penalty_train(
 ) -> OuterTrace:
     """Run the outer loop; returns the per-iteration trace.
 
-    Each inner run starts exactly at the previous candidate. RNG seeds for
-    the inner runs are derived per iteration from the configured seed so
-    epochs do not repeat the same shuffles. ``hook`` is passed to every
-    inner run (see ``sgd_run``). In practical mode every inner run continues
-    the one Adam state that this loop creates.
+    Each inner run steps the previous candidate in place, the first one
+    ``x0``. RNG seeds for the inner runs are derived per iteration from the
+    configured seed so epochs do not repeat the same shuffles. ``hook`` is
+    passed to every inner run (see ``sgd_run``). In practical mode every
+    inner run continues the one Adam state that this loop creates.
     """
     x = as_params(problem, x0)
-    # Only ``x`` holds the start point, and it lets go once the first inner
-    # run has copied it.
-    del x0
     trace = OuterTrace()
     opt_state = None
     if schedule.inner.mode == "practical":
@@ -225,10 +227,9 @@ def fixed_penalty_train(
 
     Uses the linear penalty with constant tau = lambda so the baseline and
     the sequential method share the same code path and diagnostics; lambda
-    may be zero (plain unconstrained training).
+    may be zero (plain unconstrained training). The run steps ``x0`` in place.
     """
-    x = as_params(problem, x0)
     spec = PenaltySpec("linear", lam)
     trace = OuterTrace()
-    _outer_step(problem, spec, 0, float("nan"), x, inner, trace, hook)
+    _outer_step(problem, spec, 0, float("nan"), x0, inner, trace, hook)
     return trace

@@ -240,11 +240,11 @@ def desk_runs():
             "test": evaluate_enc_dec(test_task, params),
         }
 
-    record("objective_only", fixed_penalty_train(task.problem, 0.0, inner(25), warm).final().candidate)
+    record("objective_only", fixed_penalty_train(task.problem, 0.0, inner(25), warm.copy()).final().candidate)
     schedule = Schedule(tau0=100.0, gamma=1.1, max_outer=25, inner=inner(1))
-    record("sequential", sequential_penalty_train(task.problem, "linear", schedule, warm).final().candidate)
+    record("sequential", sequential_penalty_train(task.problem, "linear", schedule, warm.copy()).final().candidate)
     for lam in (10.0, 100.0, 1000.0):
-        record(f"fixed_{lam:g}", fixed_penalty_train(task.problem, lam, inner(25), warm).final().candidate)
+        record(f"fixed_{lam:g}", fixed_penalty_train(task.problem, lam, inner(25), warm.copy()).final().candidate)
     results["elapsed"] = time.perf_counter() - t0
     return results
 
@@ -323,7 +323,7 @@ def test_criterion_5_penalty_identities():
         candidate_rule="last",
     )
     iterates = [np.array([-0.5])]
-    sgd_run(qp.problem, spec, iterates[0], cfg, hook=iterates.append)
+    sgd_run(qp.problem, spec, iterates[0].copy(), cfg, hook=iterates.append)
     diffs = np.diff([penalty_value_full(qp.problem, spec, z) for z in iterates])
     assert (diffs <= 1e-12).all()
     elapsed = time.perf_counter() - t0

@@ -23,6 +23,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # parameters raises the count.
 FORWARD_ROWS = {"desk_seq": 3584, "desk_fixed": 2432}
 
+# inner.steps of the same tiny desk runs: two minibatches of 128 in the
+# warm-start epoch and two in the training epoch. The tracer wraps
+# seqpen.inner.sgd_run, so a training call routed around it lowers the count.
+INNER_STEPS = 4
+
 
 @pytest.mark.parametrize("workload", ["desk_seq", "desk_fixed", "qp_theory"])
 def test_traced_workload_runs_clean(workload):
@@ -34,3 +39,4 @@ def test_traced_workload_runs_clean(workload):
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
     if workload in FORWARD_ROWS:
         assert result["metrics"]["mlp.forward_rows"]["value"] == FORWARD_ROWS[workload]
+        assert result["metrics"]["inner.steps"]["value"] == INNER_STEPS

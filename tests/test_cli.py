@@ -6,7 +6,6 @@ import io
 import json
 import os
 import re
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -782,28 +781,29 @@ def test_diverging_training_after_the_warm_start_exits_3_with_its_timeline(tmp_p
     assert [(row["epoch"], row["phase"]) for row in timeline] == [("0", "warm"), ("0", "warm")]
 
 
-def test_warm_start_candidate_is_freed_after_the_first_inner_run(tmp_path, data_root, monkeypatch):
-    candidates, alive = [], []
+def test_every_training_call_steps_the_warm_start_array_in_place(tmp_path, data_root, monkeypatch):
+    warm, calls = [], []
     real_warm_start, real_sgd_run = cli_mod.warm_start, outer_mod.sgd_run
 
     def warm_start(*args, **kwargs):
-        params = real_warm_start(*args, **kwargs)
-        candidates.append(weakref.ref(params))
-        return params
+        warm.append(real_warm_start(*args, **kwargs))
+        return warm[-1]
 
-    def sgd_run(*args, **kwargs):
-        alive.append(candidates[0]() is not None)
-        return real_sgd_run(*args, **kwargs)
+    def sgd_run(problem, spec, x0, *args, **kwargs):
+        report = real_sgd_run(problem, spec, x0, *args, **kwargs)
+        calls.append((x0 is warm[-1], report.candidate is warm[-1]))
+        return report
 
     monkeypatch.setattr(cli_mod, "warm_start", warm_start)
     monkeypatch.setattr(outer_mod, "sgd_run", sgd_run)
-    cfg = write_cfg(
-        tmp_path / "seq.cfg", task="enc_dec", method="sequential", out_dir=tmp_path / "out", data_root=data_root,
-        train_limit=128, test_limit=32, epochs=3, warm_start_epochs=1,
-    )
-    assert main(["run", str(cfg)]) == 0
-    # only the first outer iteration's inner run starts from it
-    assert alive == [True, False, False]
+    keys = dict(task="enc_dec", data_root=data_root, train_limit=128, test_limit=32, warm_start_epochs=1)
+    for method, extra, runs in (("sequential", {"epochs": 3}, 3), ("fixed", {"epochs": 2, "lambda": 100}, 1)):
+        calls.clear()
+        cfg = write_cfg(tmp_path / f"{method}.cfg", method=method, out_dir=tmp_path / method, **keys, **extra)
+        assert main(["run", str(cfg)]) == 0
+        # every inner run steps the warm start's own array and returns it, so the
+        # run holds no second parameter-size copy of the iterate
+        assert calls == [(True, True)] * runs
 
 
 def test_enc_dec_abort_in_training_flushes_every_timeline_row_so_far(tmp_path, data_root, capsys, monkeypatch):

@@ -292,7 +292,7 @@ def test_warm_start_trains_classifier_and_freezes_decoder(tiny_encdec, seeded_pa
     model = task.model
     before = full_objective(task.problem, seeded_params)
     config = SGDConfig(stepsize=1e-3, batch_size=6, mode="practical", budget=30, rng_seed=1, grad_norm="none")
-    trained = warm_start(task, seeded_params, config)
+    trained = warm_start(task, seeded_params.copy(), config)
     after = full_objective(task.problem, trained)
     assert after < before
     assert np.array_equal(trained[model.decoder_slice], seeded_params[model.decoder_slice])

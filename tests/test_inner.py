@@ -35,7 +35,7 @@ def constrained_qp():
 def _penalty_path(problem, spec, x0, cfg, **kwargs):
     """Run sgd_run and return its report with the iterates and penalty values from x0 on."""
     iterates = [np.asarray(x0, dtype=float)]
-    rep = sgd_run(problem, spec, x0, cfg, hook=iterates.append, **kwargs)
+    rep = sgd_run(problem, spec, x0.copy(), cfg, hook=iterates.append, **kwargs)
     return rep, iterates, [penalty_value_full(problem, spec, z) for z in iterates]
 
 
@@ -152,15 +152,15 @@ def test_practical_mode_deterministic_and_threads_state(tiny_encdec):
         grad_norm="exact",
     )
     state = AdamState(np.zeros(prob.dim), np.zeros(prob.dim), 0)
-    rep1 = sgd_run(prob, spec, params0, cfg, opt_state=state)
-    rep2 = sgd_run(prob, spec, params0, cfg)
+    rep1 = sgd_run(prob, spec, params0.copy(), cfg, opt_state=state)
+    rep2 = sgd_run(prob, spec, params0.copy(), cfg)
     assert np.array_equal(rep1.candidate, rep2.candidate)
     assert rep1.grad_norm_estimate == rep2.grad_norm_estimate
     assert state.step == rep1.iterate_count - 1
 
     # warm Adam moments change the continuation trajectory
-    cont_warm = sgd_run(prob, spec, rep1.candidate, cfg, opt_state=state)
-    cont_cold = sgd_run(prob, spec, rep1.candidate, cfg)
+    cont_warm = sgd_run(prob, spec, rep1.candidate.copy(), cfg, opt_state=state)
+    cont_cold = sgd_run(prob, spec, rep1.candidate.copy(), cfg)
     assert not np.array_equal(cont_warm.candidate, cont_cold.candidate)
 
 
@@ -237,7 +237,7 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
         assert np.array_equal(rep.candidate, ref_z)
         assert np.array_equal(state.m, ref_m)
         assert np.array_equal(state.v, ref_v)
-        assert np.array_equal(x0, params0)
+        assert rep.candidate is x0
 
         # continuing it goes on from the saved moments and step
         saved = (state.m.copy(), state.v.copy(), state.step)
@@ -249,7 +249,7 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
         assert np.array_equal(cont.candidate, ref_z2)
         assert np.array_equal(state.m, ref_m2)
         assert np.array_equal(state.v, ref_v2)
-        assert np.array_equal(start, rep.candidate)
+        assert cont.candidate is start
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -279,6 +279,18 @@ def test_last_hook_gets_a_read_only_view_of_the_candidate(free_quadratic, mode):
     assert rep.candidate.flags.writeable
     for z in earlier:
         assert z.flags.writeable and z.base is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_read_only_x0_is_rejected_before_any_step(free_quadratic, mode):
+    # the run steps x0 in place, so the last hook's read-only view cannot start another run
+    kept = []
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
+    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=kept.append)
+    view, before = kept[-1], kept[-1].copy()
+    with pytest.raises(ValueError, match=r"^x0 is read-only: "):
+        sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), view, cfg, hook=kept.append)
+    assert len(kept) == 3 and np.array_equal(view, before)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and inf / inf precede the abort
@@ -345,7 +357,7 @@ def test_theoretical_run_matches_the_out_of_place_reference_bit_for_bit(name, ba
                         grad_norm="none")
         want_candidate, want_iterates = _reference_theoretical_run(prob, spec, x0, cfg)
         got = []
-        rep = sgd_run(prob, spec, x0, cfg, hook=got.append)
+        rep = sgd_run(prob, spec, x0.copy(), cfg, hook=got.append)
         assert [z.tobytes() for z in got] == [z.tobytes() for z in want_iterates]
         assert rep.candidate.tobytes() == want_candidate.tobytes()
         # the run moved off x0, so a dropped or doubled step would show
@@ -394,8 +406,9 @@ def test_theoretical_divergence_reports_the_first_non_finite_coordinate(bad, fir
 
 @pytest.mark.parametrize("rule, most", [("last", 2.5), ("uniform", 3.5)])
 def test_theoretical_run_holds_few_parameter_size_arrays(rule, most):
-    # the working copy and the gradient buffer, plus the drawn iterate under
-    # rule uniform; the candidate is the working copy itself under rule last
+    # the gradient buffer, plus the drawn iterate under rule uniform: the run
+    # steps x0 itself, which is the candidate under rule last (each bound
+    # leaves one array of slack)
     dim = 10**6
 
     def weighted_grad(indices, x, obj_w, con_w, out):
@@ -415,4 +428,5 @@ def test_theoretical_run_holds_few_parameter_size_arrays(rule, most):
     finally:
         tracemalloc.stop()
     assert peak <= most * x0.nbytes
+    assert (rep.candidate is x0) == (rule == "last")
     assert rep.iterate_count == 6 and np.isfinite(rep.grad_norm_estimate)

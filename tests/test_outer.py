@@ -29,7 +29,7 @@ from seqpen import (
 )
 from seqpen.inner import InnerReport
 from seqpen.tasks.data import ImageDataset
-from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec
+from seqpen.tasks.encdec import build_enc_dec_task, evaluate_enc_dec, warm_start
 from seqpen.tasks.qp import qp_registry
 
 from conftest import make_per_sample_vertex_problem
@@ -237,6 +237,25 @@ def test_fixed_penalty_rejects_negative_lambda():
         fixed_penalty_train(qp_problem(), -1.0, exact_inner(), np.array([0.0]))
 
 
+def test_outer_loops_reject_a_read_only_start_before_any_inner_step(monkeypatch):
+    # a ValueError naming x0, not an OuterAbort and not numpy's write error from inside a mode loop
+    steps = []
+    real_grad = inner_mod.penalty_grad_batch
+
+    def counting_grad(*args, **kwargs):
+        steps.append(1)
+        return real_grad(*args, **kwargs)
+
+    monkeypatch.setattr(inner_mod, "penalty_grad_batch", counting_grad)
+    x0 = np.array([0.25])
+    x0.flags.writeable = False
+    with pytest.raises(ValueError, match=r"^x0 is read-only: "):
+        sequential_penalty_train(qp_problem(), "quadratic", qp_schedule(max_outer=3), x0)
+    with pytest.raises(ValueError, match=r"^x0 is read-only: "):
+        fixed_penalty_train(qp_problem(), 1.0, exact_inner(), x0)
+    assert steps == [] and x0[0] == 0.25
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_outer_abort_carries_partial_trace():
     sched = qp_schedule(max_outer=10, stepsize_fn=None, inner=SGDConfig(stepsize=1e9, batch_size=1, budget=2000, candidate_rule="last"))
@@ -406,29 +425,30 @@ def _traced_peak(task, start, max_outer, hook=None):
 def test_practical_sequential_run_holds_no_redundant_parameter_copies():
     # Two outer iterations of one practical epoch each at the desk network
     # shapes (413,174 parameters, 3.3 MB per parameter-size array) on 256
-    # samples. The run peaks at 21.4 MB in a minibatch step of the second
-    # iteration, which holds six parameter-size arrays: the caller's x0, the
-    # iterate, the two Adam moments, the gradient buffer and the first
-    # candidate (the second run's start); the split's memo keeps a digest of
-    # the parameters, not a copy. The bound sits 1.3 MB above that, so one
-    # more parameter-size array fails it: a copied Adam state, a second
-    # gradient, a kept stale candidate or a memo's parameter copy.
+    # samples. The run peaks at 18.1 MB in the minibatch steps of either
+    # iteration, which hold four parameter-size arrays: the iterate (the
+    # start, which both inner runs step in place), the two Adam moments and
+    # the gradient buffer; the split's memo keeps a digest of the parameters,
+    # not a copy. The bound sits 1.3 MB above that, so one more
+    # parameter-size array fails it: a copied start, a copied Adam state, a
+    # second gradient, a kept stale candidate or a memo's parameter copy.
     task, x0 = _desk_shape_task()
-    peak, trace = _traced_peak(task, lambda: x0, 2)
+    peak, trace = _traced_peak(task, lambda: x0.copy(), 2)
     assert len(trace.records) == 2
-    assert peak < 22.7e6
+    assert peak < 19.4e6
 
 
-def test_timeline_run_holds_four_parameter_copies_while_it_evaluates():
+def test_timeline_run_holds_three_parameter_copies_while_it_evaluates():
     # The CLI's timeline wiring at the desk network shapes: the hook evaluates
     # a 512-row training split (one EVAL_CHUNK) and a 128-row test split of
-    # uint8 pixels after every epoch, and no caller holds the start. Each
-    # evaluation chunk runs beside four parameter-size arrays (the iterate,
-    # the run's start and the two Adam moments) and peaks at 21.2 MB; the
-    # minibatch steps, with the gradient buffer as a fifth, peak at 21.4 MB.
-    # The hook's array is a view of the final iterate and each memo keeps a
-    # digest, so one more parameter-size array in either place, a hooked
-    # copy or a memo's parameter copy, breaks the bound 1.3 MB above.
+    # uint8 pixels after every epoch, and the run steps its start in place.
+    # Each evaluation chunk runs beside three parameter-size arrays (the
+    # iterate and the two Adam moments) and peaks at 17.9 MB; the minibatch
+    # steps, with the gradient buffer as a fourth, peak at 18.1 MB. The
+    # hook's array is a view of the final iterate and each memo keeps a
+    # digest, so one more parameter-size array in either place, a copied
+    # start, a hooked copy or a memo's parameter copy, breaks the bound
+    # 1.3 MB above.
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, size=(640, 784), dtype=np.uint8)
     labels = rng.integers(0, 10, size=640)
@@ -446,15 +466,44 @@ def test_timeline_run_holds_four_parameter_copies_while_it_evaluates():
     peak, trace = _traced_peak(task, lambda: task.model.init_params(init_rng), 2, hook=timeline_hook)
     # two splits after each of two epochs, in the untraced run and the traced one
     assert len(trace.records) == 2 and len(evaluated) == 8
-    assert peak < 22.7e6
+    assert peak < 19.4e6
+
+
+def test_fixed_run_from_the_warm_start_holds_four_parameter_copies():
+    # desk_fixed's wiring at the desk network shapes, timeline off: the warm
+    # start steps fresh initial parameters in place, and the fixed run steps
+    # the warm start's result. The fixed run peaks at 18.1 MB in its
+    # minibatch steps, which hold four parameter-size arrays: the iterate,
+    # the two Adam moments and the gradient buffer (the warm start's steps,
+    # with no decoder pass, peak at 15.0 MB). The bound sits 1.3 MB above,
+    # so one more parameter-size array fails it: a copied start, a kept
+    # copy of the warm-start result or a copied Adam state.
+    task, _ = _desk_shape_task()
+    init_rng = np.random.default_rng(2)
+    inner = SGDConfig(stepsize=1e-3, batch_size=128, mode="practical", budget=2, weight_decay=1e-3, rng_seed=1,
+                      grad_norm="none")
+
+    def run():
+        params = warm_start(task, task.model.init_params(init_rng), replace(inner, budget=1))
+        return fixed_penalty_train(task.problem, 100.0, inner, params)
+
+    run()
+    tracemalloc.start()
+    try:
+        trace = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 1
+    assert peak < 19.4e6
 
 
 def test_practical_sequential_run_memory_does_not_grow_with_its_length():
     # A trace that keeps every candidate holds one parameter-size array more
     # per outer iteration: six more (19.8 MB) at 8 iterations than at 2.
     task, x0 = _desk_shape_task()
-    short, _ = _traced_peak(task, lambda: x0, 2)
-    long, trace = _traced_peak(task, lambda: x0, 8)
+    short, _ = _traced_peak(task, lambda: x0.copy(), 2)
+    long, trace = _traced_peak(task, lambda: x0.copy(), 8)
     assert len(trace.records) == 8
     assert long - short < 8 * task.model.num_params
 
@@ -465,7 +514,7 @@ def test_trace_above_max_trace_dim_keeps_only_the_last_candidate(monkeypatch, ti
     inner = SGDConfig(stepsize=1e-2, batch_size=4, mode="practical", budget=1, rng_seed=3, grad_norm="none")
     sched = Schedule(tau0=1.0, gamma=1.5, max_outer=4, inner=inner)
     x0 = tiny_encdec.model.init_params(np.random.default_rng(2))
-    lean = sequential_penalty_train(prob, "linear", sched, x0)
+    lean = sequential_penalty_train(prob, "linear", sched, x0.copy())
     # the same run keeping every candidate
     monkeypatch.setattr(outer_mod, "MAX_TRACE_DIM", prob.dim)
     full = sequential_penalty_train(prob, "linear", sched, x0)
