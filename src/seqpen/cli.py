@@ -26,10 +26,12 @@ seed = -1, candidate_rule = uniform without mode = theoretical or a schedule
 whose last tau overflows a float, a QP x0 that is not finite, an out_dir
 that cannot be created, a negative train_limit or test_limit, a missing or
 unreadable dataset, a corrupt IDX or gzip file, a train or test split with
-no images; also a negative synth-data --train, --test or --seed, or a grid
---jobs below 1, as a usage error), 3 numeric abort (a diverging iterate, in
-the warm start or in training, or a non-finite oracle value; trace.csv and
-timeline.csv are still flushed with the rows gathered so far).
+no images, a synth-data root that cannot be created or written, printed as
+"error: <root>: <reason>"; also a negative synth-data --train, --test or
+--seed, or a grid --jobs below 1, as a usage error), 3 numeric abort (a
+diverging iterate, in the warm start or in training, or a non-finite oracle
+value; trace.csv and timeline.csv are still flushed with the rows gathered
+so far).
 Every config value, lambda and warm_start_epochs included, is turned into
 the library object it feeds before any training starts, so a rejected value
 never costs a training run; the message starts with the config key that set
@@ -44,6 +46,8 @@ All CSV output is UTF-8 with LF line endings, one header row, and floats
 rendered with 6 significant digits; identical configs produce byte-identical
 files at one BLAS thread setting (a multi-threaded BLAS may sum a matrix
 product in another order, so enc_dec files can differ between settings).
+manifest.json records that setting: the four BLAS thread variables (null
+when unset) and the number of CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ from seqpen.problems import OracleError, constraint_values
 SCHEMA = "seqpen-run-v1"
 RUN_ARTIFACTS = ("trace.csv", "timeline.csv", "results.csv", "violations_hist.csv")
 DATA_ENV = "SEQPEN_DATA"
+# The variables that set a BLAS library's thread count; the manifest records them.
+THREAD_ENV = ("BLIS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 TASKS = ("analytic_qp", "enc_dec")
 METHODS = ("sequential", "fixed", "objective_only")
@@ -340,6 +346,8 @@ def _write_manifest(out: Path, cfg):
         "seed": cfg["seed"],
         "label": _method_label(cfg),
         "config": cfg["config_raw"],
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
     }
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -674,7 +682,11 @@ def main(argv=None) -> int:
         return cmd_compare(args.run_dirs, split=args.split)
     if args.command == "grid":
         return cmd_grid(args.pattern, jobs=args.jobs)
-    root = write_synthetic_idx(args.root, num_train=args.train, num_test=args.test, rng_seed=args.seed)
+    try:
+        root = write_synthetic_idx(args.root, num_train=args.train, num_test=args.test, rng_seed=args.seed)
+    except OSError as err:
+        print(f"error: {args.root}: {err.strerror or err}", file=sys.stderr)
+        return 2
     print(f"wrote synthetic dataset under {root}")
     return 0
 

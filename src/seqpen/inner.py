@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from seqpen.penalties import PenaltySpec, penalty_grad_batch, penalty_grad_full
-from seqpen.problems import Array, FiniteSumProblem, as_params, epoch_batches
+from seqpen.problems import Array, FiniteSumProblem, epoch_batches
 
 MODES = ("theoretical", "practical")
 CANDIDATE_RULES = ("uniform", "last")
@@ -39,6 +39,11 @@ BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 # Coordinates per block of the practical-mode Adam step: the block's slices of
 # z, m, v and the gradient plus two scratch buffers stay in cache together.
 ADAM_BLOCK = 16384
+
+# Minibatch indices per block of theoretical-mode draws: one generator call
+# draws the indices of max(1, DRAW_BLOCK // batch_size) steps, the same
+# stream as one call per step, so a long budget holds at most one block.
+DRAW_BLOCK = 65536
 
 
 class InnerSolverError(RuntimeError):
@@ -97,9 +102,8 @@ class SGDConfig:
 
 @dataclass
 class InnerReport:
-    """Outcome of one inner run."""
+    """Outcome of one inner run; its candidate is the ``x0`` that the run stepped."""
 
-    candidate: Array
     iterate_count: int
     grad_norm_estimate: float
 
@@ -124,6 +128,15 @@ def iteration_budget(rho: float, L: float, gap: float, eps: float) -> int:
 def grad_norm_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> float:
     """Norm of the full penalty gradient at x."""
     return float(np.linalg.norm(penalty_grad_full(problem, spec, x)))
+
+
+def check_x0(problem: FiniteSumProblem, x0) -> None:
+    """Refuse, with a ``ValueError`` before any oracle call, an ``x0`` that a run cannot step in place."""
+    if not (isinstance(x0, np.ndarray) and x0.dtype == np.float64 and x0.shape == (problem.dim,)):
+        got = f"{type(x0).__name__} of dtype {getattr(x0, 'dtype', None)}, shape {getattr(x0, 'shape', None)}"
+        raise ValueError(f"x0 must be a float64 ndarray of shape ({problem.dim},) to step in place, got {got}")
+    if not x0.flags.writeable:
+        raise ValueError("x0 is read-only: the run steps x0 in place, so pass a writable copy")
 
 
 def _check_finite(z: Array, iteration: int):
@@ -153,62 +166,62 @@ def sgd_run(
     opt_state: Optional[AdamState] = None,
     hook: Optional[Callable[[Array], None]] = None,
 ) -> InnerReport:
-    """Run the configured solver on the penalty subproblem from x0, stepping x0 in place.
+    """Run the configured solver on the penalty subproblem, stepping ``x0`` in place to its candidate.
 
-    The candidate is ``x0`` itself, or under rule uniform the copy kept of an
-    earlier iterate. ``hook(z)`` fires after every unit of ``config.budget``:
-    after each iteration in theoretical mode and after each epoch in practical
-    mode, once the iterate is checked finite. It receives an array holding the
-    current iterate that the run never writes again: a copy after every unit
-    but the last, and after the last a read-only view of the final iterate.
+    ``hook(z)`` fires after every unit of ``config.budget``: after each
+    iteration in theoretical mode and after each epoch in practical mode,
+    once the iterate is checked finite. It receives an array holding the
+    current iterate that the run never writes again: a copy, or after the
+    last unit of a run that ends at its last iterate a read-only view of it.
     ``opt_state`` applies to practical mode only: the run continues it in
-    place, as it does ``x0`` (pass copies to keep yours); without one it
-    starts from zero moments and drops them at return.
+    place, as it does ``x0`` (see ``check_x0``; pass copies to keep yours);
+    without one it starts from zero moments and drops them at return.
     """
-    z = as_params(problem, x0)
-    if not z.flags.writeable:
-        raise ValueError("x0 is read-only: the run steps x0 in place, so pass a writable copy")
-    _check_finite(z, -1)
+    check_x0(problem, x0)
+    _check_finite(x0, -1)
     rng = np.random.default_rng(config.rng_seed)
-    # Each mode loop steps z in place and returns (candidate, steps).
     if config.mode == "theoretical":
-        candidate, steps = _run_theoretical(problem, spec, z, config, rng, hook)
+        steps = _run_theoretical(problem, spec, x0, config, rng, hook)
     else:
-        candidate, steps = _run_practical(problem, spec, z, config, rng, opt_state, hook)
-    grad_norm = float("nan") if config.grad_norm == "none" else grad_norm_estimate(problem, spec, candidate)
-    return InnerReport(candidate=candidate, iterate_count=steps + 1, grad_norm_estimate=grad_norm)
+        steps = _run_practical(problem, spec, x0, config, rng, opt_state, hook)
+    grad_norm = float("nan") if config.grad_norm == "none" else grad_norm_estimate(problem, spec, x0)
+    return InnerReport(iterate_count=steps + 1, grad_norm_estimate=grad_norm)
 
 
 def _run_theoretical(problem, spec, z, config: SGDConfig, rng, hook):
     n_samples = problem.num_samples
     budget = config.budget
-    # The sampling pool is the first `budget` iterates z^0 .. z^{budget-1}
-    # (just z^0 for an empty run); the index is drawn up front so only the
-    # chosen iterate needs to be retained. Every other candidate is z itself.
-    rule = config.candidate_rule or "uniform"
-    sampled_index = int(rng.integers(max(budget, 1))) if rule == "uniform" else None
+    # Under rule uniform (the default) the candidate is one of the first `budget`
+    # iterates z^0 .. z^{budget-1} (just z^0 for an empty run), drawn up front so
+    # only that iterate is kept; it is written back into z at the end.
+    sampled_index = int(rng.integers(max(budget, 1))) if config.candidate_rule != "last" else None
 
     full_batch = config.batch_size >= n_samples
     batch = np.arange(n_samples) if full_batch else None
     scale = problem.estimator_scale(min(config.batch_size, n_samples))
+    block = max(1, DRAW_BLOCK // config.batch_size)
 
-    candidate = z
+    kept = None
     # One gradient buffer per run and an in-place step, bit-identical to
     # z - stepsize * (scale * g) since multiplication commutes.
     g = np.empty(problem.dim)
     for t in range(budget):
         if sampled_index == t:
-            candidate = z.copy()
+            kept = z.copy()
         if not full_batch:
-            batch = rng.integers(0, n_samples, size=config.batch_size)
+            if t % block == 0:
+                draws = rng.integers(0, n_samples, size=(min(block, budget - t), config.batch_size))
+            batch = draws[t % block]
         penalty_grad_batch(problem, spec, batch, z, out=g)
         g *= scale
         g *= config.stepsize
         z -= g
         _check_finite(z, t)
         if hook is not None:
-            hook(_hooked(z, t == budget - 1))
-    return candidate, budget
+            hook(_hooked(z, t == budget - 1 and kept is None))
+    if kept is not None:
+        z[...] = kept
+    return budget
 
 
 def _run_practical(problem, spec, z, config: SGDConfig, rng, opt_state, hook):
@@ -264,4 +277,4 @@ def _run_practical(problem, spec, z, config: SGDConfig, rng, opt_state, hook):
         if hook is not None:
             hook(_hooked(z, epoch == config.budget - 1))
 
-    return z, steps
+    return steps

@@ -8,9 +8,9 @@ estimate falls below eps_k and the worst violation falls below
 FEASIBILITY_TOL; otherwise it runs max_outer iterations (the theory is
 asymptotic and prescribes no stopping rule).
 
-Like ``sgd_run``, both loops step the ``x0`` they are given in place. In
-practical (Adam) mode the outer loop creates one Adam state and every inner
-run continues it, so a schedule with a one-epoch inner budget is one
+Like ``sgd_run``, both loops step the ``x0`` they are given to their result.
+In practical (Adam) mode the outer loop creates one Adam state and every
+inner run continues it, so a schedule with a one-epoch inner budget is one
 continuous training run whose penalty weight increases every epoch.
 
 The fixed-penalty baseline is the degenerate single-subproblem case with the
@@ -25,14 +25,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from seqpen.inner import AdamState, InnerReport, InnerSolverError, SGDConfig, sgd_run
+from seqpen.inner import AdamState, InnerReport, InnerSolverError, SGDConfig, check_x0, sgd_run
 from seqpen.penalties import PenaltySpec, constraint_weights, penalty_value_from_values
 from seqpen.problems import (
     Array,
     FeasibilityStats,
     FiniteSumProblem,
     OracleError,
-    as_params,
     feasibility_from_values,
     full_values,
 )
@@ -110,8 +109,8 @@ class Schedule:
 class OuterRecord:
     """Snapshot of one outer iteration.
 
-    ``candidate`` is the inner run's result. Above ``MAX_TRACE_DIM`` it is
-    None in every record but the last of a finished trace.
+    ``candidate`` is the inner run's result: a copy up to ``MAX_TRACE_DIM``;
+    above it ``x0`` itself, kept only by the last record of a finished trace.
     """
 
     k: int
@@ -137,18 +136,16 @@ class OuterTrace:
         return self.records[-1]
 
 
-def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
+def _make_record(problem, spec, k, eps, x, report: InnerReport) -> OuterRecord:
     # One pass over the training set gives f and g; every recorded quantity
-    # is derived from these two arrays. The candidate is kept uncopied: the
-    # outer loop drops it or copies it before the next run steps it.
-    x = report.candidate
+    # is derived from these two arrays.
     f, g = full_values(problem, x)
     lam = constraint_weights(spec, g)
     return OuterRecord(
         k=k,
         tau=spec.tau,
         eps=eps,
-        candidate=x,
+        candidate=x.copy() if problem.dim <= MAX_TRACE_DIM else x,
         penalty_value=penalty_value_from_values(problem, spec, f, g),
         objective_value=float(problem.agg_scale * f.sum()),
         grad_norm=report.grad_norm_estimate,
@@ -159,24 +156,20 @@ def _make_record(problem, spec, k, eps, report: InnerReport) -> OuterRecord:
     )
 
 
-def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None) -> InnerReport:
-    """Run outer iteration ``k`` from ``x`` and append its record to ``trace``.
+def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None):
+    """Run outer iteration ``k``, stepping ``x`` in place, and append its record to ``trace``.
 
-    The run steps ``x`` in place, so the previous record lets go of it first,
-    or keeps a copy up to ``MAX_TRACE_DIM``. A failure of the inner run or of
-    the record aborts with the trace so far.
+    Above ``MAX_TRACE_DIM`` the previous record, which holds ``x``, lets go of
+    it first. A failure of the run or of the record aborts with the trace so far.
     """
     if trace.records and problem.dim > MAX_TRACE_DIM:
         trace.records[-1].candidate = None
-    elif trace.records:
-        x = x.copy()
     try:
         report = sgd_run(problem, spec, x, config, opt_state=opt_state, hook=hook)
-        record = _make_record(problem, spec, k, eps, report)
+        record = _make_record(problem, spec, k, eps, x, report)
     except (InnerSolverError, OracleError) as err:
         raise OuterAbort(trace, err) from err
     trace.records.append(record)
-    return report
 
 
 def sequential_penalty_train(
@@ -188,13 +181,13 @@ def sequential_penalty_train(
 ) -> OuterTrace:
     """Run the outer loop; returns the per-iteration trace.
 
-    Each inner run steps the previous candidate in place, the first one
-    ``x0``. RNG seeds for the inner runs are derived per iteration from the
-    configured seed so epochs do not repeat the same shuffles. ``hook`` is
-    passed to every inner run (see ``sgd_run``). In practical mode every
-    inner run continues the one Adam state that this loop creates.
+    Every inner run steps ``x0`` in place, from the previous candidate. RNG
+    seeds for the inner runs are derived per iteration from the configured
+    seed so epochs do not repeat the same shuffles. ``hook`` is passed to
+    every inner run (see ``sgd_run``). In practical mode every inner run
+    continues the one Adam state that this loop creates.
     """
-    x = as_params(problem, x0)
+    check_x0(problem, x0)
     trace = OuterTrace()
     opt_state = None
     if schedule.inner.mode == "practical":
@@ -207,9 +200,8 @@ def sequential_penalty_train(
         if schedule.stepsize_fn is not None:
             config = replace(config, stepsize=schedule.stepsize_fn(tau))
         if schedule.budget_fn is not None:
-            config = replace(config, budget=int(schedule.budget_fn(tau, eps, x)))
-        report = _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state)
-        x = report.candidate
+            config = replace(config, budget=int(schedule.budget_fn(tau, eps, x0)))
+        _outer_step(problem, spec, k, eps, x0, config, trace, hook, opt_state)
         rec = trace.final()
         if rec.grad_norm <= eps and rec.feasibility.max_violation <= FEASIBILITY_TOL:
             break
@@ -227,7 +219,8 @@ def fixed_penalty_train(
 
     Uses the linear penalty with constant tau = lambda so the baseline and
     the sequential method share the same code path and diagnostics; lambda
-    may be zero (plain unconstrained training). The run steps ``x0`` in place.
+    may be zero (plain unconstrained training). The run ends with its result
+    in ``x0``.
     """
     spec = PenaltySpec("linear", lam)
     trace = OuterTrace()

@@ -247,11 +247,11 @@ def evaluate_enc_dec(task: EncDecTask, params: Array) -> dict:
 def warm_start(task: EncDecTask, params0: Array, config: SGDConfig, hook=None) -> Array:
     """Pretrain on the classification loss alone for ``config.budget`` epochs.
 
-    Like ``sgd_run``, it steps ``params0`` in place and returns that array.
-    Weight decay is held at zero here so branches that receive no loss
+    Like ``sgd_run``, it ends with its result in ``params0`` and returns that
+    array. Weight decay is held at zero here so branches that receive no loss
     gradient (the decoder) stay exactly at their initialization; Adam would
     otherwise turn pure decay gradients into full-size steps.
     """
     config = replace(config, weight_decay=0.0)
-    report = sgd_run(task.problem, PenaltySpec("linear", 0.0), params0, config, hook=hook)
-    return report.candidate
+    sgd_run(task.problem, PenaltySpec("linear", 0.0), params0, config, hook=hook)
+    return params0

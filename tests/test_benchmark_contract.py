@@ -24,9 +24,12 @@ ROOT = Path(__file__).resolve().parents[1]
 FORWARD_ROWS = {"desk_seq": 3584, "desk_fixed": 2432}
 
 # inner.steps of the same tiny desk runs: two minibatches of 128 in the
-# warm-start epoch and two in the training epoch. The tracer wraps
-# seqpen.inner.sgd_run, so a training call routed around it lowers the count.
-INNER_STEPS = 4
+# warm-start epoch and two in the training epoch. qp_theory's tiny traced run
+# at seed 0 counts 11,200 theoretical-mode steps. The tracer wraps
+# seqpen.inner.sgd_run, so a training call routed around it lowers the
+# count, and a change to the theoretical loop cannot change what it counts
+# unseen.
+INNER_STEPS = {"desk_seq": 4, "desk_fixed": 4, "qp_theory": 11200}
 
 
 @pytest.mark.parametrize("workload", ["desk_seq", "desk_fixed", "qp_theory"])
@@ -37,6 +40,6 @@ def test_traced_workload_runs_clean(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    assert result["metrics"]["inner.steps"]["value"] == INNER_STEPS[workload]
     if workload in FORWARD_ROWS:
         assert result["metrics"]["mlp.forward_rows"]["value"] == FORWARD_ROWS[workload]
-        assert result["metrics"]["inner.steps"]["value"] == INNER_STEPS

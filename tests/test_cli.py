@@ -69,6 +69,20 @@ def test_run_qp_sequential(tmp_path):
     assert manifest["method"] == "sequential"
 
 
+def test_manifest_records_the_thread_setting(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_cfg(tmp_path / "qp.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "out", max_outer=2)
+    assert main(["run", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["thread_env"].keys() == {
+        "BLIS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"
+    }
+    assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["thread_env"]["MKL_NUM_THREADS"] is None
+    assert isinstance(manifest["usable_cpus"], int) and manifest["usable_cpus"] >= 1
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "bad.cfg", task="analytic_qp", method="sequential", out_dir="o", tau00=1.0)
     assert main(["run", str(cfg)]) == 2
@@ -631,6 +645,14 @@ def test_synth_data_negative_count_is_a_usage_error(tmp_path, capsys, option):
     assert not (tmp_path / "d").exists()
 
 
+def test_synth_data_into_a_root_it_cannot_create_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    root = tmp_path / "file" / "d"
+    assert main(["synth-data", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {root}: Not a directory\n"
+
+
 def _enc_cfg(tmp_path, data_root, name="enc"):
     return write_cfg(
         tmp_path / f"{name}.cfg",
@@ -790,9 +812,8 @@ def test_every_training_call_steps_the_warm_start_array_in_place(tmp_path, data_
         return warm[-1]
 
     def sgd_run(problem, spec, x0, *args, **kwargs):
-        report = real_sgd_run(problem, spec, x0, *args, **kwargs)
-        calls.append((x0 is warm[-1], report.candidate is warm[-1]))
-        return report
+        calls.append(x0 is warm[-1])
+        return real_sgd_run(problem, spec, x0, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "warm_start", warm_start)
     monkeypatch.setattr(outer_mod, "sgd_run", sgd_run)
@@ -801,9 +822,9 @@ def test_every_training_call_steps_the_warm_start_array_in_place(tmp_path, data_
         calls.clear()
         cfg = write_cfg(tmp_path / f"{method}.cfg", method=method, out_dir=tmp_path / method, **keys, **extra)
         assert main(["run", str(cfg)]) == 0
-        # every inner run steps the warm start's own array and returns it, so the
-        # run holds no second parameter-size copy of the iterate
-        assert calls == [(True, True)] * runs
+        # every inner run steps the warm start's own array, which ends holding the
+        # result, so the run holds no second parameter-size copy of the iterate
+        assert calls == [True] * runs
 
 
 def test_enc_dec_abort_in_training_flushes_every_timeline_row_so_far(tmp_path, data_root, capsys, monkeypatch):
@@ -819,10 +840,10 @@ def test_enc_dec_abort_in_training_flushes_every_timeline_row_so_far(tmp_path, d
     assert main(["run", str(write_cfg(tmp_path / "done.cfg", out_dir=tmp_path / "done", **keys))]) == 0
     real_make_record = outer_mod._make_record
 
-    def make_record(problem, spec, k, eps, report):
+    def make_record(problem, spec, k, eps, x, report):
         if k == 1:
             raise outer_mod.OracleError("non-finite objective value for sample 0")
-        return real_make_record(problem, spec, k, eps, report)
+        return real_make_record(problem, spec, k, eps, x, report)
 
     monkeypatch.setattr(outer_mod, "_make_record", make_record)
     assert main(["run", str(write_cfg(tmp_path / "boom.cfg", out_dir=tmp_path / "boom", **keys))]) == 3

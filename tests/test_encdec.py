@@ -237,9 +237,11 @@ def test_record_objective_and_constraints_cost_one_pass(tiny_encdec, seeded_para
     n = task.problem.num_samples
     passes = _count_passes(monkeypatch)
     config = SGDConfig(stepsize=1e-3, batch_size=5, mode="practical", budget=1, rng_seed=3, grad_norm="none")
-    rec = fixed_penalty_train(task.problem, 10.0, config, seeded_params).final()
+    # the run steps its start in place, so it gets a copy of the module's shared parameters
+    x = seeded_params.copy()
+    rec = fixed_penalty_train(task.problem, 10.0, config, x).final()
     assert passes == [n]  # training reads no values; the record reads f and g from one pass
-    ce, _, mse = split_values(task.model, rec.candidate, task.images, task.labels, np.arange(n))
+    ce, _, mse = split_values(task.model, x, task.images, task.labels, np.arange(n))
     assert rec.objective_value == float(task.problem.agg_scale * ce.sum())
     assert rec.feasibility.max_violation == float(np.maximum(0.0, mse - 0.01).max())
 
@@ -253,8 +255,8 @@ def test_record_hashes_the_parameters_once(tiny_encdec, seeded_params, monkeypat
         return hashlib.sha256(data)
 
     monkeypatch.setattr(encdec_mod, "hashlib", SimpleNamespace(sha256=sha256))
-    report = InnerReport(candidate=seeded_params.copy(), iterate_count=1, grad_norm_estimate=float("nan"))
-    _make_record(task.problem, PenaltySpec("linear", 10.0), 0, float("nan"), report)
+    report = InnerReport(iterate_count=1, grad_norm_estimate=float("nan"))
+    _make_record(task.problem, PenaltySpec("linear", 10.0), 0, float("nan"), seeded_params.copy(), report)
     assert digests == [seeded_params.nbytes]
 
 

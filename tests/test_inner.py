@@ -33,19 +33,20 @@ def constrained_qp():
 
 
 def _penalty_path(problem, spec, x0, cfg, **kwargs):
-    """Run sgd_run and return its report with the iterates and penalty values from x0 on."""
-    iterates = [np.asarray(x0, dtype=float)]
-    rep = sgd_run(problem, spec, x0.copy(), cfg, hook=iterates.append, **kwargs)
+    """Run sgd_run, stepping x0, and return its report with the iterates and penalty values from x0 on."""
+    iterates = [x0.copy()]
+    rep = sgd_run(problem, spec, x0, cfg, hook=iterates.append, **kwargs)
     return rep, iterates, [penalty_value_full(problem, spec, z) for z in iterates]
 
 
 def test_hand_iterated_descent(free_quadratic):
     # gradient step on x^2 with eta = 0.25 halves the iterate each time
     cfg = SGDConfig(stepsize=0.25, batch_size=1, budget=3, candidate_rule="last")
-    rep, iterates, trace = _penalty_path(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg)
+    x0 = np.array([1.0])
+    rep, iterates, trace = _penalty_path(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg)
     assert np.concatenate(iterates) == pytest.approx([1.0, 0.5, 0.25, 0.125])
     assert trace == pytest.approx([1.0, 0.25, 0.0625, 0.015625])
-    assert rep.candidate[0] == pytest.approx(0.125)
+    assert x0[0] == pytest.approx(0.125)
     assert rep.iterate_count == 4
 
 
@@ -53,7 +54,7 @@ def test_budget_zero_is_noop(free_quadratic):
     cfg = SGDConfig(stepsize=0.1, batch_size=1, budget=0)
     x0 = np.array([0.7])
     rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg)
-    assert np.array_equal(rep.candidate, x0)
+    assert x0[0] == 0.7
     assert rep.iterate_count == 1
 
 
@@ -61,18 +62,21 @@ def test_uniform_candidate_near_penalty_minimizer(constrained_qp):
     # tau = 100: the quadratic-penalty minimizer is tau / (2 + tau)
     spec = PenaltySpec("quadratic", 100.0)
     cfg = SGDConfig(stepsize=1e-3, batch_size=1, budget=10_000, rng_seed=0)
-    rep, iterates, _ = _penalty_path(constrained_qp, spec, np.array([0.0]), cfg)
-    # the candidate is drawn from z^0 .. z^{budget-1}: x0 or one of the first budget - 1 hooked iterates
-    assert any(np.array_equal(rep.candidate, z) for z in iterates[: cfg.budget])
-    assert rep.candidate[0] == pytest.approx(100.0 / 102.0, abs=1e-2)
+    x0 = np.array([0.0])
+    _, iterates, _ = _penalty_path(constrained_qp, spec, x0, cfg)
+    # the candidate, written into x0, is drawn from z^0 .. z^{budget-1}: the
+    # start or one of the first budget - 1 hooked iterates
+    assert any(np.array_equal(x0, z) for z in iterates[: cfg.budget])
+    assert x0[0] == pytest.approx(100.0 / 102.0, abs=1e-2)
 
 
 def test_determinism(constrained_qp):
     spec = PenaltySpec("quadratic", 10.0)
     cfg = SGDConfig(stepsize=1e-3, batch_size=1, budget=500, rng_seed=42)
-    rep1, _, trace1 = _penalty_path(constrained_qp, spec, np.array([0.3]), cfg)
-    rep2, _, trace2 = _penalty_path(constrained_qp, spec, np.array([0.3]), cfg)
-    assert np.array_equal(rep1.candidate, rep2.candidate)
+    x1, x2 = np.array([0.3]), np.array([0.3])
+    rep1, _, trace1 = _penalty_path(constrained_qp, spec, x1, cfg)
+    rep2, _, trace2 = _penalty_path(constrained_qp, spec, x2, cfg)
+    assert np.array_equal(x1, x2)
     assert trace1 == trace2
     assert rep1.grad_norm_estimate == rep2.grad_norm_estimate
 
@@ -152,16 +156,18 @@ def test_practical_mode_deterministic_and_threads_state(tiny_encdec):
         grad_norm="exact",
     )
     state = AdamState(np.zeros(prob.dim), np.zeros(prob.dim), 0)
-    rep1 = sgd_run(prob, spec, params0.copy(), cfg, opt_state=state)
-    rep2 = sgd_run(prob, spec, params0.copy(), cfg)
-    assert np.array_equal(rep1.candidate, rep2.candidate)
+    x1, x2 = params0.copy(), params0.copy()
+    rep1 = sgd_run(prob, spec, x1, cfg, opt_state=state)
+    rep2 = sgd_run(prob, spec, x2, cfg)
+    assert np.array_equal(x1, x2)
     assert rep1.grad_norm_estimate == rep2.grad_norm_estimate
     assert state.step == rep1.iterate_count - 1
 
     # warm Adam moments change the continuation trajectory
-    cont_warm = sgd_run(prob, spec, rep1.candidate.copy(), cfg, opt_state=state)
-    cont_cold = sgd_run(prob, spec, rep1.candidate.copy(), cfg)
-    assert not np.array_equal(cont_warm.candidate, cont_cold.candidate)
+    warm, cold = x1.copy(), x1.copy()
+    sgd_run(prob, spec, warm, cfg, opt_state=state)
+    sgd_run(prob, spec, cold, cfg)
+    assert not np.array_equal(warm, cold)
 
 
 def test_practical_mode_descends_on_average(free_quadratic):
@@ -188,8 +194,9 @@ def test_rate_improves_with_budget(constrained_qp):
         norms = []
         for seed in range(10):
             cfg = SGDConfig(stepsize=1e-4, batch_size=1, budget=budget, rng_seed=seed)
-            rep = sgd_run(constrained_qp, spec, np.array([0.0]), cfg)
-            norms.append(grad_norm_estimate(constrained_qp, spec, rep.candidate))
+            x0 = np.array([0.0])
+            sgd_run(constrained_qp, spec, x0, cfg)
+            norms.append(grad_norm_estimate(constrained_qp, spec, x0))
         medians.append(float(np.median(norms)))
     assert medians[1] < medians[0] / 1.8
 
@@ -230,38 +237,37 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
         x0 = params0.copy()
         state = AdamState(np.zeros(prob.dim), np.zeros(prob.dim), 0)
         m, v = state.m, state.v
-        rep = sgd_run(prob, spec, x0, cfg, opt_state=state)
+        sgd_run(prob, spec, x0, cfg, opt_state=state)
         # the given state is advanced in place: the same arrays, now holding the reference's moments
         assert state.m is m and state.v is v
         assert ref_step == state.step == 9
-        assert np.array_equal(rep.candidate, ref_z)
+        assert x0.tobytes() == ref_z.tobytes()
         assert np.array_equal(state.m, ref_m)
         assert np.array_equal(state.v, ref_v)
-        assert rep.candidate is x0
 
         # continuing it goes on from the saved moments and step
         saved = (state.m.copy(), state.v.copy(), state.step)
-        start = rep.candidate.copy()
-        cont = sgd_run(prob, spec, start, cfg, opt_state=state)
-        ref_z2, (ref_m2, ref_v2, ref_step2) = _reference_adam_run(prob, spec, rep.candidate, cfg, saved)
+        start = x0.copy()
+        sgd_run(prob, spec, start, cfg, opt_state=state)
+        ref_z2, (ref_m2, ref_v2, ref_step2) = _reference_adam_run(prob, spec, x0, cfg, saved)
         assert state.m is m and state.v is v
         assert ref_step2 == state.step == 18
-        assert np.array_equal(cont.candidate, ref_z2)
+        assert start.tobytes() == ref_z2.tobytes()
         assert np.array_equal(state.m, ref_m2)
         assert np.array_equal(state.v, ref_v2)
-        assert cont.candidate is start
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_hook_gets_arrays_that_do_not_change_later(free_quadratic, mode):
     kept = []
     cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
-    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=kept.append)
+    x0 = np.array([1.0])
+    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
     assert len({id(z) for z in kept}) == 3
     values = [z[0] for z in kept]
     assert values == sorted(values, reverse=True) and len(set(values)) == 3
-    assert values[-1] == rep.candidate[0]
-    assert kept[-1] is not rep.candidate
+    assert values[-1] == x0[0]
+    assert kept[-1] is not x0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -270,15 +276,28 @@ def test_last_hook_gets_a_read_only_view_of_the_candidate(free_quadratic, mode):
     # reads it without a copy; every earlier unit gets a writable copy
     kept = []
     cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
-    rep = sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=kept.append)
+    x0 = np.array([1.0])
+    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
     *earlier, last = kept
-    assert last is not rep.candidate and last.base is rep.candidate
-    assert last.tobytes() == rep.candidate.tobytes()
+    assert last is not x0 and last.base is x0
+    assert last.tobytes() == x0.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         last[0] = 0.0
-    assert rep.candidate.flags.writeable
+    assert x0.flags.writeable
     for z in earlier:
         assert z.flags.writeable and z.base is None
+
+
+def test_uniform_rule_ends_with_the_drawn_iterate_in_x0_and_hooks_only_copies(free_quadratic):
+    # the run writes the drawn iterate into x0 after the last unit, so even the last hook gets a copy
+    kept = []
+    cfg = SGDConfig(stepsize=0.1, batch_size=1, budget=3, rng_seed=0, candidate_rule="uniform")
+    x0 = np.array([1.0])
+    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
+    assert all(z.flags.writeable and z.base is None for z in kept)
+    # the pool is z^0 .. z^2; the last hook saw z^3, which descent left below all of them
+    assert x0[0] in [1.0] + [z[0] for z in kept[:-1]]
+    assert kept[-1][0] < x0[0]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -320,7 +339,9 @@ def test_practical_divergence_reports_the_first_non_finite_coordinate(monkeypatc
 
 
 def _reference_theoretical_run(prob, spec, x0, cfg):
-    """Out-of-place SGD with samples drawn with replacement: the textbook step, one draw per step."""
+    """Out-of-place SGD with samples drawn with replacement: the textbook step, one draw per step.
+
+    Returns the candidate and every iterate after x0."""
     rng = np.random.default_rng(cfg.rng_seed)
     n = prob.num_samples
     rule = cfg.candidate_rule or "uniform"
@@ -340,12 +361,37 @@ def _reference_theoretical_run(prob, spec, x0, cfg):
     return (z.copy() if rule == "last" else candidate), iterates
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 1000, 6000, 2**31 + 5, 2**33 + 7])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 128])
+def test_block_index_draws_equal_per_step_draws(n, batch_size):
+    # the theoretical loop draws a block of steps' indices in one call; numpy
+    # must give the same indices and leave the generator in the same state
+    steps = 6
+    per_step, block = np.random.default_rng(17), np.random.default_rng(17)
+    want = [per_step.integers(0, n, size=batch_size) for _ in range(steps)]
+    got = block.integers(0, n, size=(steps, batch_size))
+    assert [row.tolist() for row in got] == [w.tolist() for w in want]
+    assert block.bit_generator.state == per_step.bit_generator.state
+
+
+REFERENCE_CASES = [("per_sample_mean", 2, 0.2), ("certified_qp", 1, 0.02), ("batch_oracle_sum", 3, 0.002)]
+
+
 @pytest.mark.parametrize("rule", ["uniform", "last"])
-@pytest.mark.parametrize(
-    "name, batch_size, stepsize",
-    [("per_sample_mean", 2, 0.2), ("certified_qp", 1, 0.02), ("batch_oracle_sum", 3, 0.002)],
-)
+@pytest.mark.parametrize("name, batch_size, stepsize", REFERENCE_CASES)
 def test_theoretical_run_matches_the_out_of_place_reference_bit_for_bit(name, batch_size, stepsize, rule):
+    _check_theoretical_run_against_the_reference(name, batch_size, stepsize, rule)
+
+
+@pytest.mark.parametrize("rule", ["uniform", "last"])
+def test_theoretical_run_drawing_several_index_blocks_matches_the_reference(monkeypatch, rule):
+    # 7 indices a block: the 40 steps draw theirs in several blocks and a short last one
+    monkeypatch.setattr(inner_mod, "DRAW_BLOCK", 7)
+    for case in REFERENCE_CASES:
+        _check_theoretical_run_against_the_reference(*case, rule)
+
+
+def _check_theoretical_run_against_the_reference(name, batch_size, stepsize, rule):
     prob = {
         "per_sample_mean": lambda: make_per_sample_vertex_problem(seed=3)[0],
         "certified_qp": lambda: qp_registry()["sum_ge_2"].problem,
@@ -356,10 +402,10 @@ def test_theoretical_run_matches_the_out_of_place_reference_bit_for_bit(name, ba
         cfg = SGDConfig(stepsize=stepsize, batch_size=batch_size, budget=40, rng_seed=7, candidate_rule=rule,
                         grad_norm="none")
         want_candidate, want_iterates = _reference_theoretical_run(prob, spec, x0, cfg)
-        got = []
-        rep = sgd_run(prob, spec, x0.copy(), cfg, hook=got.append)
+        got, x = [], x0.copy()
+        sgd_run(prob, spec, x, cfg, hook=got.append)
         assert [z.tobytes() for z in got] == [z.tobytes() for z in want_iterates]
-        assert rep.candidate.tobytes() == want_candidate.tobytes()
+        assert x.tobytes() == want_candidate.tobytes()
         # the run moved off x0, so a dropped or doubled step would show
         assert not np.array_equal(got[-1], x0)
 
@@ -377,9 +423,9 @@ def test_theoretical_iterate_whose_sum_overflows_is_finite():
     for mode in MODES:
         cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last", grad_norm="none")
         kept = []
-        rep = sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
+        sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
         assert len(kept) == 3
-        assert np.array_equal(rep.candidate, x0)
+        assert np.array_equal(x0, [1.5e308, 1.5e308])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf precedes the abort
@@ -407,8 +453,8 @@ def test_theoretical_divergence_reports_the_first_non_finite_coordinate(bad, fir
 @pytest.mark.parametrize("rule, most", [("last", 2.5), ("uniform", 3.5)])
 def test_theoretical_run_holds_few_parameter_size_arrays(rule, most):
     # the gradient buffer, plus the drawn iterate under rule uniform: the run
-    # steps x0 itself, which is the candidate under rule last (each bound
-    # leaves one array of slack)
+    # steps x0 itself and ends with the candidate in it (each bound leaves one
+    # array of slack)
     dim = 10**6
 
     def weighted_grad(indices, x, obj_w, con_w, out):
@@ -424,9 +470,10 @@ def test_theoretical_run_holds_few_parameter_size_arrays(rule, most):
     tracemalloc.start()
     try:
         rep = sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak, end = tracemalloc.get_traced_memory()[::-1]
     finally:
         tracemalloc.stop()
     assert peak <= most * x0.nbytes
-    assert (rep.candidate is x0) == (rule == "last")
-    assert rep.iterate_count == 6 and np.isfinite(rep.grad_norm_estimate)
+    # the run returns holding no parameter-size array: the drawn iterate went back into x0
+    assert end < 0.5 * x0.nbytes
+    assert not np.array_equal(x0, np.ones(dim)) and rep.iterate_count == 6 and np.isfinite(rep.grad_norm_estimate)

@@ -1,6 +1,7 @@
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import seqpen.cli as cli_mod
 import seqpen.inner as inner_mod
 import seqpen.outer as outer_mod
 from seqpen import (
+    FiniteSumProblem,
     InnerSolverError,
     OracleError,
     OuterAbort,
@@ -256,6 +258,131 @@ def test_outer_loops_reject_a_read_only_start_before_any_inner_step(monkeypatch)
     assert steps == [] and x0[0] == 0.25
 
 
+def _unsteppable_x0s():
+    read_only = np.array([0.25])
+    read_only.flags.writeable = False
+    return {
+        "list": ([0.25], r"^x0 must be a float64 ndarray of shape \(1,\) to step in place, got list "),
+        "int": (np.array([1]), r"^x0 must be .* got ndarray of dtype int64, shape \(1,\)$"),
+        "float32": (np.array([0.25], dtype=np.float32), r"^x0 must be .* got ndarray of dtype float32, shape \(1,\)$"),
+        "wrong_shape": (np.array([0.25, 0.5]), r"^x0 must be .* got ndarray of dtype float64, shape \(2,\)$"),
+        "read_only": (read_only, r"^x0 is read-only: "),
+    }
+
+
+TRAINING_CALLS = {
+    "sgd_run": lambda prob, x0: sgd_run(prob, PenaltySpec("quadratic", 1.0), x0, exact_inner()),
+    "warm_start": lambda prob, x0: warm_start(SimpleNamespace(problem=prob), x0, exact_inner()),
+    "fixed": lambda prob, x0: fixed_penalty_train(prob, 1.0, exact_inner(), x0),
+    # the budget rule reads the problem, so the check must come before it too
+    "sequential": lambda prob, x0: sequential_penalty_train(
+        prob, "quadratic", qp_schedule(max_outer=2, budget_fn=lambda tau, eps, x: 30 + 0 * full_objective(prob, x)), x0
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", list(_unsteppable_x0s()))
+@pytest.mark.parametrize("call", list(TRAINING_CALLS))
+def test_every_training_call_refuses_an_x0_it_cannot_step_before_any_oracle_call(call, bad):
+    # a list, an int or float32 array would be converted and the copy stepped,
+    # leaving the caller's array behind; a wrong shape or a read-only array cannot be stepped
+    calls = []
+    base = qp_problem()
+    prob = replace(base, batch_values=_counting(base.batch_values, calls, "values"),
+                   batch_weighted_grad=_counting(base.batch_weighted_grad, calls, "grad"))
+    x0, message = _unsteppable_x0s()[bad]
+    before = np.array(x0, copy=True)
+    with pytest.raises(ValueError, match=message):
+        TRAINING_CALLS[call](prob, x0)
+    assert calls == [] and np.array_equal(x0, before)
+
+
+def _hand_chained_sequential(problem, kind, schedule, x):
+    """The outer loop's inner runs, one after another on ``x``, without the loop."""
+    state = inner_mod.AdamState(np.zeros(problem.dim), np.zeros(problem.dim), 0)
+    for k in range(schedule.max_outer):
+        tau = schedule.tau_at(k)
+        config = replace(schedule.inner, rng_seed=outer_mod.derived_seed(schedule.inner.rng_seed, k))
+        if schedule.stepsize_fn is not None:
+            config = replace(config, stepsize=schedule.stepsize_fn(tau))
+        sgd_run(problem, PenaltySpec(kind, tau), x, config, opt_state=state)
+
+
+@pytest.mark.parametrize("rule", ["uniform", "last"])
+def test_sequential_run_at_dimension_one_ends_with_its_result_in_x0(rule):
+    # every record keeps a copy of its candidate, while the loop steps x0 throughout
+    inner = SGDConfig(stepsize=1.0, batch_size=1, budget=30, candidate_rule=rule, grad_norm="exact", rng_seed=4)
+    sched = qp_schedule(max_outer=3, inner=inner)
+    x0, want = np.array([0.0]), np.array([0.0])
+    trace = sequential_penalty_train(qp_problem(), "quadratic", sched, x0)
+    _hand_chained_sequential(qp_problem(), "quadratic", sched, want)
+    assert x0.tobytes() == want.tobytes() == trace.final().candidate.tobytes()
+    assert all(rec.candidate is not x0 for rec in trace.records)
+    assert trace.records[0].candidate[0] < x0[0]
+
+
+def test_sequential_run_above_max_trace_dim_ends_with_its_result_in_x0(tiny_encdec):
+    prob = tiny_encdec.problem
+    assert prob.dim > outer_mod.MAX_TRACE_DIM
+    inner = SGDConfig(stepsize=1e-2, batch_size=4, mode="practical", budget=1, rng_seed=3, grad_norm="none")
+    sched = Schedule(tau0=1.0, gamma=1.5, max_outer=3, inner=inner)
+    x0 = tiny_encdec.model.init_params(np.random.default_rng(2))
+    want = x0.copy()
+    trace = sequential_penalty_train(prob, "linear", sched, x0)
+    _hand_chained_sequential(prob, "linear", sched, want)
+    assert x0.tobytes() == want.tobytes()
+    assert trace.final().candidate is x0
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "practical"])
+def test_fixed_run_ends_with_its_result_in_x0(mode):
+    inner = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=5, rng_seed=8)
+    x0, want = np.array([3.0]), np.array([3.0])
+    trace = fixed_penalty_train(qp_problem(), 10.0, inner, x0)
+    sgd_run(qp_problem(), PenaltySpec("linear", 10.0), want, inner)
+    assert x0.tobytes() == want.tobytes() == trace.final().candidate.tobytes()
+
+
+@pytest.mark.parametrize("rule, most", [("last", 2.5), ("uniform", 3.5)])
+def test_theoretical_sequential_run_keeps_no_stale_iterate(rule, most):
+    # Three outer iterations at dimension 10**6 from a start made inside the
+    # trace: the start, which every run steps, and the gradient buffer, plus
+    # the drawn iterate under rule uniform (each bound leaves half an array of
+    # slack). A loop that went on from a returned copy kept the start alive
+    # beside it, one array more (4.0 under uniform).
+    dim = 10**6
+
+    def weighted_grad(indices, x, obj_w, con_w, out):
+        np.multiply(x, 1e-3, out=out)
+
+    prob = FiniteSumProblem(
+        dim=dim, num_samples=4, num_constraints=1,
+        batch_values=lambda indices, x: (np.zeros(len(indices)), np.zeros((len(indices), 1))),
+        batch_weighted_grad=weighted_grad,
+    )
+    inner = SGDConfig(stepsize=0.1, batch_size=2, budget=5, rng_seed=0, candidate_rule=rule, grad_norm="none")
+    sched = Schedule(tau0=1.0, gamma=2.0, max_outer=3, inner=inner)
+    tracemalloc.start()
+    try:
+        trace = sequential_penalty_train(prob, "quadratic", sched, np.ones(dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 3
+    assert peak <= most * 8 * dim
+
+
+def test_warm_start_ends_with_its_result_in_x0(tiny_encdec):
+    inner = SGDConfig(stepsize=1e-2, batch_size=4, mode="practical", budget=2, weight_decay=1e-2, rng_seed=3,
+                      grad_norm="none")
+    x0 = tiny_encdec.model.init_params(np.random.default_rng(2))
+    want = x0.copy()
+    assert warm_start(tiny_encdec, x0, inner) is x0
+    # the warm start trains on the classification loss alone, without weight decay
+    sgd_run(tiny_encdec.problem, PenaltySpec("linear", 0.0), want, replace(inner, weight_decay=0.0))
+    assert x0.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_outer_abort_carries_partial_trace():
     sched = qp_schedule(max_outer=10, stepsize_fn=None, inner=SGDConfig(stepsize=1e9, batch_size=1, budget=2000, candidate_rule="last"))
@@ -361,11 +488,11 @@ def test_record_makes_one_value_oracle_call(tiny_encdec):
     base = tiny_encdec.problem
     prob = replace(base, batch_values=_counting(base.batch_values, calls, "values"))
     x = tiny_encdec.model.init_params(np.random.default_rng(7))
-    report = InnerReport(candidate=x, iterate_count=1, grad_norm_estimate=0.5)
+    report = InnerReport(iterate_count=1, grad_norm_estimate=0.5)
     for kind in ("quadratic", "linear"):
         spec = PenaltySpec(kind, 3.0)
         calls.clear()
-        rec = outer_mod._make_record(prob, spec, 2, 0.1, report)
+        rec = outer_mod._make_record(prob, spec, 2, 0.1, x, report)
         assert calls == ["values"]
         # every quantity equals the one computed by its own full pass
         lam = multiplier_estimate(base, spec, x)
