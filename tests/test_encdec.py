@@ -495,26 +495,39 @@ def test_full_split_pass_does_not_copy_the_split(monkeypatch):
     assert peak < images.nbytes / 2
 
 
+def _traced_peak(call):
+    """tracemalloc peak of ``call()``, run once untraced first."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_full_split_pass_holds_one_chunk_at_a_time():
-    # One full-split pass at the desk shapes: 2,000 rows in EVAL_CHUNK = 512
-    # row chunks, 3.2 MB per chunk of images or reconstructions. It peaks at
-    # 7.7 MB: one gathered chunk, its reconstruction and the hidden layers.
-    # The bound sits 1.3 MB above that, so one more chunk-size array fails it.
-    # An MSE built in two temporaries while the previous chunk's
-    # reconstruction is still alive peaked at 12.9 MB.
+    # One full-split pass at the desk shapes: 2,000 rows in EVAL_CHUNK = 128
+    # row chunks, 0.8 MB per chunk of images or reconstructions. It peaks at
+    # 2.00 MB: one gathered chunk, its reconstruction and the hidden layers.
+    # The bound sits 0.5 MB above that, so one more chunk-size array fails
+    # it, as do 512-row chunks (7.70 MB) and an MSE built in two temporaries
+    # while the previous chunk's reconstruction is still alive (2.81 MB).
+    # The pass also peaks below one 128-row training gradient into a caller
+    # buffer (3.82 MB), so a run's peak is its training step, not its
+    # evaluation.
     model = EncDecModel()
     rng = np.random.default_rng(4)
     params = model.init_params(rng)
     images, labels = rng.random((2000, 784)), rng.integers(0, 10, size=2000)
-    rows = np.arange(2000)
-    split_values(model, params, images, labels, rows)
-    tracemalloc.start()
-    try:
-        split_values(model, params, images, labels, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9.0e6
+    rows, out = np.arange(2000), np.empty(model.num_params)
+    con_w = lambda mse: np.full(mse.shape, 100.0)
+    pass_peak = _traced_peak(lambda: split_values(model, params, images, labels, rows))
+    step_peak = _traced_peak(
+        lambda: model.weighted_grad(params, images[:128], labels[:128], np.ones(128), con_w, out=out)
+    )
+    assert pass_peak < 2.5e6
+    assert pass_peak < step_peak
 
 
 @pytest.mark.parametrize("top", ["identity", "relu", "sigmoid", "softmax"])

@@ -567,15 +567,15 @@ def test_practical_sequential_run_holds_no_redundant_parameter_copies():
 
 def test_timeline_run_holds_three_parameter_copies_while_it_evaluates():
     # The CLI's timeline wiring at the desk network shapes: the hook evaluates
-    # a 512-row training split (one EVAL_CHUNK) and a 128-row test split of
+    # a 512-row training split (four EVAL_CHUNKs) and a 128-row test split of
     # uint8 pixels after every epoch, and the run steps its start in place.
     # Each evaluation chunk runs beside three parameter-size arrays (the
-    # iterate and the two Adam moments) and peaks at 17.9 MB; the minibatch
-    # steps, with the gradient buffer as a fourth, peak at 18.1 MB. The
-    # hook's array is a view of the final iterate and each memo keeps a
+    # iterate and the two Adam moments) and the hook peaks at 12.2 MB; the
+    # minibatch steps, with the gradient buffer as a fourth, peak at 18.1 MB.
+    # The hook's array is a view of the final iterate and each memo keeps a
     # digest, so one more parameter-size array in either place, a copied
     # start, a hooked copy or a memo's parameter copy, breaks the bound
-    # 1.3 MB above.
+    # 1.3 MB above its peak; so do 512-row chunks in the hook (17.9 MB).
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, size=(640, 784), dtype=np.uint8)
     labels = rng.integers(0, 10, size=640)
@@ -583,17 +583,26 @@ def test_timeline_run_holds_three_parameter_copies_while_it_evaluates():
         split: build_enc_dec_task(ImageDataset(pixels[rows], labels[rows], split=split), theta=0.03)
         for split, rows in (("train", slice(0, 512)), ("test", slice(512, None)))
     }
-    task, evaluated = tasks["train"], []
+    task, evaluated, step_peaks, hook_peaks = tasks["train"], [], [], []
 
     def timeline_hook(params):
+        # in the traced run, the peak of the steps before the hook, then the hook's own
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            step_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
         for split_task in tasks.values():
             evaluated.append(evaluate_enc_dec(split_task, params)["accuracy"])
+        if tracing:
+            hook_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
 
     init_rng = np.random.default_rng(2)
     peak, trace = _traced_peak(task, lambda: task.model.init_params(init_rng), 2, hook=timeline_hook)
     # two splits after each of two epochs, in the untraced run and the traced one
-    assert len(trace.records) == 2 and len(evaluated) == 8
-    assert peak < 19.4e6
+    assert len(trace.records) == 2 and len(evaluated) == 8 and len(hook_peaks) == 2
+    assert max(step_peaks + [peak]) < 19.4e6
+    assert max(hook_peaks) < 13.5e6
 
 
 def test_fixed_run_from_the_warm_start_holds_four_parameter_copies():

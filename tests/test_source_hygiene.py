@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports, no unreferenced definitions or constants, no stale oracle docs.
+"""Source hygiene: no unused imports, no unreferenced definitions or constants, no stale README facts.
 
 The project has no linter, so these checks read the ``ast`` of every module
 under ``src/seqpen``. The package ``__init__`` modules only re-export names
@@ -131,3 +131,10 @@ def test_readme_oracle_section_names_exactly_the_oracle_fields_of_a_problem():
     named = set(re.findall(r"`((?:batch|sample)_\w+)[`(]", section))
     fields = {field.name for field in dataclasses.fields(FiniteSumProblem) if "Callable" in str(field.type)}
     assert named == fields
+
+
+def test_readme_states_the_evaluation_chunk_size():
+    from seqpen.tasks.encdec import EVAL_CHUNK
+
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert re.findall(r"evaluated in chunks of (\d+) rows", readme) == [str(EVAL_CHUNK)]
