@@ -9,10 +9,14 @@ Commands:
 * ``seqpen compare <dirs...>``: print an aligned summary table across runs;
   exit 1 when a directory lacks its manifest or results, or its manifest is
   not a JSON object holding task, method and label.
-* ``seqpen grid <config-glob> [--jobs K]``: run many configs in up to K
-  worker processes (never more than there are configs), each writing to its
-  own directory; a failing config does not stop the others, and the exit
-  code is the largest of theirs.
+* ``seqpen grid <config-glob> [--jobs K]``: run many configs, each writing to
+  its own directory; a failing config does not stop the others, and the exit
+  code is the largest of theirs. With K = 1 they run in this process. With
+  K > 1 each runs as a ``python -m seqpen.cli run <config>`` child, at most
+  ``workers = min(K, configs)`` at a time, started with the four BLAS thread
+  variables capped at ``max(1, usable CPUs // workers)``, an unset one set to
+  it (its manifest records them; this process's environment is left as it was). A child's exit code
+  is its config's, and a child killed by signal N counts as 128 + N.
 * ``seqpen synth-data <root>``: generate a synthetic digit dataset in IDX
   format so the image task runs without any download.
 
@@ -31,7 +35,7 @@ no images, a synth-data root that cannot be created or written, printed as
 --seed, or a grid --jobs below 1, as a usage error), 3 numeric abort (a
 diverging iterate, in the warm start or in training, or a non-finite oracle
 value; trace.csv and timeline.csv are still flushed with the rows gathered
-so far).
+so far), 128 + N a grid child killed by signal N.
 Every config value, lambda and warm_start_epochs included, is turned into
 the library object it feeds before any training starts, so a rejected value
 never costs a training run; the message starts with the config key that set
@@ -336,6 +340,10 @@ def _method_label(cfg) -> str:
     return "-"
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def _write_manifest(out: Path, cfg):
     manifest = {
         "schema": SCHEMA,
@@ -347,7 +355,7 @@ def _write_manifest(out: Path, cfg):
         "label": _method_label(cfg),
         "config": cfg["config_raw"],
         "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
-        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "usable_cpus": _usable_cpus(),
     }
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -621,19 +629,42 @@ def _run_grid_config(config) -> int:
         return 1
 
 
+def _run_grid_child(config, env) -> int:
+    """``seqpen run <config>`` in a child interpreter; a child killed by signal N counts as exit 128 + N."""
+    import subprocess  # here, not at the top: its 8 modules add 0.5 MB to every ``seqpen run``
+
+    code = subprocess.run([sys.executable, "-m", "seqpen.cli", "run", config], env=env).returncode
+    return 128 - code if code < 0 else code
+
+
+def _grid_child_env(workers: int) -> dict:
+    """This process's environment for one of ``workers`` grid children, with this seqpen source on its path.
+
+    Each ``THREAD_ENV`` variable, read once when numpy loads its BLAS, is capped at an even share of the usable
+    CPUs so that the children do not oversubscribe them; a value set within the share is kept, as a run keeps it.
+    """
+    share = max(1, _usable_cpus() // workers)
+    env = dict(os.environ)
+    for name in THREAD_ENV:
+        value = env.get(name, "")
+        env[name] = value if value.isdigit() and 0 < int(value) <= share else str(share)
+    src = str(Path(seqpen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def cmd_grid(pattern: str, jobs: int) -> int:
     configs = sorted(globmod.glob(pattern))
     if not configs:
         print(f"error: no config files match {pattern!r}", file=sys.stderr)
         return 1
-    # Under fork the pool starts all its workers at the first submit, so it
-    # gets no more than there are configs.
     workers = min(jobs, len(configs))
     if workers == 1:
         codes = [_run_grid_config(c) for c in configs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_run_grid_config, configs))
+        env = _grid_child_env(workers)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            codes = list(pool.map(lambda config: _run_grid_child(config, env), configs))
     for config, code in zip(configs, codes):
         print(f"{config}: exit {code}")
     return max(codes)

@@ -31,6 +31,7 @@ from seqpen.problems import (
     as_params,
     constraint_jacobian,
     constraint_values,
+    full_weighted_grad,
     objective_grad_full,
 )
 
@@ -100,8 +101,7 @@ def kkt_residual(problem: FiniteSumProblem, x, lambdas) -> KKTReport:
     x = as_params(problem, x)
     lam = np.asarray(lambdas, dtype=float).reshape(problem.num_samples, problem.num_constraints)
     g = constraint_values(problem, x)
-    idx = np.arange(problem.num_samples)
-    stat_vec = problem.agg_scale * problem.weighted_grad(idx, x, np.ones(problem.num_samples), lam)
+    stat_vec = full_weighted_grad(problem, x, lam)
     return KKTReport(
         stationarity_residual=float(np.linalg.norm(stat_vec)),
         feasibility_residual=float(np.maximum(0.0, g).max()),
@@ -219,16 +219,23 @@ def sgc_estimate(problem: FiniteSumProblem, spec: PenaltySpec, probe_points: Seq
     ratios = []
     skipped = 0
     n_s = problem.num_samples
+    # Per-sample gradients are summed in sample order beside their squared norms: two buffers, not N.
+    total, grad = np.empty(problem.dim), np.empty(problem.dim)
     for x in probe_points:
         x = as_params(problem, x)
-        per_sample = np.stack([penalty_grad_batch(problem, spec, [j], x) for j in range(n_s)])
-        full = problem.agg_scale * per_sample.sum(axis=0)
-        full_sq = float(full @ full)
+        total.fill(0.0)
+        sum_sq = 0.0
+        for j in range(n_s):
+            penalty_grad_batch(problem, spec, [j], x, out=grad)
+            total += grad
+            sum_sq += float(grad @ grad)
+        total *= problem.agg_scale
+        full_sq = float(total @ total)
         if np.sqrt(full_sq) <= ZERO_TOL:
             warnings.warn("skipping probe with near-zero full penalty gradient", RuntimeWarning)
             skipped += 1
             continue
-        mean_sq = float((per_sample * per_sample).sum()) / n_s * problem.estimator_scale(1) ** 2
+        mean_sq = sum_sq / n_s * problem.estimator_scale(1) ** 2
         ratios.append(mean_sq / full_sq)
     if not ratios:
         raise ValueError("all probe points had near-zero full gradients; no ratio defined")

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqpen.problems import Array, FiniteSumProblem, as_params, constraint_values, full_values
+from seqpen.problems import (
+    Array,
+    FiniteSumProblem,
+    as_params,
+    constraint_values,
+    full_values,
+    full_weighted_grad,
+    unit_weights,
+)
 
 PENALTY_KINDS = ("quadratic", "linear")
 
@@ -73,12 +81,11 @@ def penalty_value_from_values(problem: FiniteSumProblem, spec: PenaltySpec, f: A
     return float(problem.agg_scale * (f.sum() + violation_term(spec, g)))
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_weights(size: int) -> Array:
-    """Objective weights of 1 for a batch of ``size``, shared and read-only."""
-    w = np.ones(size)
-    w.flags.writeable = False
-    return w
+def _penalty_con_weights(problem: FiniteSumProblem, spec: PenaltySpec, size: int):
+    """Penalty-gradient ``con_weights``: a map of the oracle's own g, or at tau = 0 zeros that need no g."""
+    if spec.tau == 0:
+        return np.zeros((size, problem.num_constraints))
+    return functools.partial(constraint_weights, spec)
 
 
 def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x, out=None) -> Array:
@@ -89,19 +96,13 @@ def penalty_grad_batch(problem: FiniteSumProblem, spec: PenaltySpec, indices, x,
     """
     x = as_params(problem, x)
     indices = np.asarray(indices, dtype=int)
-    # The oracle maps the constraint values of its own forward pass to
-    # weights; at tau = 0 every weight is zero and no value is needed.
-    if spec.tau == 0:
-        con_w = np.zeros((indices.size, problem.num_constraints))
-    else:
-        con_w = functools.partial(constraint_weights, spec)
-    return problem.weighted_grad(indices, x, _unit_weights(indices.size), con_w, out=out)
+    con_w = _penalty_con_weights(problem, spec, indices.size)
+    return problem.weighted_grad(indices, x, unit_weights(indices.size), con_w, out=out)
 
 
 def penalty_grad_full(problem: FiniteSumProblem, spec: PenaltySpec, x) -> Array:
     """Gradient of the aggregate penalty (exact, all samples)."""
-    idx = np.arange(problem.num_samples)
-    return problem.agg_scale * penalty_grad_batch(problem, spec, idx, x)
+    return full_weighted_grad(problem, x, _penalty_con_weights(problem, spec, problem.num_samples))
 
 
 def multiplier_estimate(problem: FiniteSumProblem, spec: PenaltySpec, x) -> Array:

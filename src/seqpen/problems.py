@@ -12,7 +12,8 @@ The library evaluates a problem only through three batch methods:
 ``values`` (f and g from one pass), ``constraints`` (g alone) and
 ``weighted_grad``. Each is backed either by one batch oracle or by
 per-sample oracles, which the method then loops over; these methods are the
-one place that reads an oracle.
+one place that reads an oracle. A gradient over every sample goes through
+``full_weighted_grad``, one ``weighted_grad`` call per ``GRAD_CHUNK`` rows.
 
 Oracles are treated as read-only with respect to the problem definition and
 must be safe to call concurrently; every reduction over samples here runs in
@@ -21,6 +22,7 @@ a fixed order, so results are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,6 +31,10 @@ import numpy as np
 Array = np.ndarray
 
 NORMALIZATIONS = ("sum", "mean")
+
+# Rows per oracle call of a gradient over every sample, so that no call holds
+# a whole split's activations: the default batch, as in EVAL_CHUNK.
+GRAD_CHUNK = 128
 
 
 class OracleError(RuntimeError):
@@ -72,8 +78,8 @@ class FiniteSumProblem:
       ``sample_constraint_jacobian(j, x)`` (an (num_constraints, dim) matrix
       of constraint gradients as rows).
 
-    Oracles must not write their weight arguments: ``penalty_grad_batch``
-    passes one shared, read-only array of unit objective weights per batch size.
+    Oracles must not write their weight arguments: ``unit_weights`` gives the
+    gradients one shared, read-only array of unit objective weights per batch size.
     """
 
     dim: int
@@ -182,11 +188,36 @@ def full_objective(problem: FiniteSumProblem, x) -> float:
     return float(problem.agg_scale * full_values(problem, x)[0].sum())
 
 
+@functools.lru_cache(maxsize=8)
+def unit_weights(size: int) -> Array:
+    """Objective weights of 1 for a batch of ``size``, shared and read-only."""
+    w = np.ones(size)
+    w.flags.writeable = False
+    return w
+
+
+def full_weighted_grad(problem: FiniteSumProblem, x, con_weights) -> Array:
+    """``agg_scale`` times ``weighted_grad`` of every sample, unit objective weights, in ``GRAD_CHUNK``-row calls.
+
+    Each call gets its rows of a ``con_weights`` array, or the weight function itself to map its own g once.
+    """
+    x, idx = as_params(problem, x), np.arange(problem.num_samples)
+    total = part = None
+    for lo in range(0, idx.size, GRAD_CHUNK):
+        rows = idx[lo : lo + GRAD_CHUNK]
+        con_w = con_weights if callable(con_weights) else con_weights[lo : lo + GRAD_CHUNK]
+        part = problem.weighted_grad(rows, x, unit_weights(rows.size), con_w, out=part)
+        if total is None:
+            total, part = part, None
+        else:
+            total += part
+    total *= problem.agg_scale
+    return total
+
+
 def objective_grad_full(problem: FiniteSumProblem, x) -> Array:
     """Gradient of the aggregate objective."""
-    n, m = problem.num_samples, problem.num_constraints
-    g = problem.weighted_grad(np.arange(n), as_params(problem, x), np.ones(n), np.zeros((n, m)))
-    return problem.agg_scale * g
+    return full_weighted_grad(problem, x, np.zeros((problem.num_samples, problem.num_constraints)))
 
 
 def constraint_jacobian(problem: FiniteSumProblem, j: int, x) -> Array:

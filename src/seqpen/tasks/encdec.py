@@ -112,7 +112,7 @@ class EncDecModel:
         else:
             g_cls.fill(0.0)
         if con_w.any():
-            # con_w[:, None] * mse_grad(images, recon), built in the residual
+            # con_w[:, None] times the MSE gradient, built in the residual recon - images
             d_recon = residual_mse_grad(residual)
             d_recon *= con_w[:, None]
             _, g_codes = self.decoder.backward(pd, dec_cache, d_recon, out=g_dec)

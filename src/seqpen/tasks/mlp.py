@@ -200,18 +200,3 @@ def residual_mse_grad(diff: Array) -> Array:
     diff *= 2.0
     diff /= diff.shape[1]
     return diff
-
-
-def mse_values(targets: Array, outputs: Array) -> Array:
-    """Per-row mean squared error over pixels."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    diff = outputs - targets
-    return residual_mse(diff, out=diff)
-
-
-def mse_grad(targets: Array, outputs: Array) -> Array:
-    """d(mse)/d(outputs), rows independent."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    return residual_mse_grad(outputs - targets)

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,7 +300,7 @@ def test_grid_starts_at_most_one_worker_per_config(tmp_path, monkeypatch):
     asked = []
 
     class RecordingPool:
-        """Records the pool size it is asked for and runs the configs in this process."""
+        """Records the pool size it is asked for and starts the config children one at a time."""
 
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -312,7 +314,7 @@ def test_grid_starts_at_most_one_worker_per_config(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_mod.concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     for idx in range(2):
         write_cfg(tmp_path / f"g{idx}.cfg", task="analytic_qp", method="sequential",
                   out_dir=tmp_path / f"gout{idx}", max_outer=2)
@@ -334,6 +336,60 @@ def test_grid_runs_configs_in_worker_processes(tmp_path, capsys):
     ]
     for idx in range(2):
         assert (tmp_path / f"gout{idx}" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_grid_children_run_with_capped_blas_threads(tmp_path, monkeypatch, cpus):
+    # a grid of 2 children gets max(1, cpus // 2) threads each; a value the
+    # caller set within that share is kept, a larger or unset one is capped
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.setenv("BLIS_NUM_THREADS", "0")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    for idx in range(3):
+        write_cfg(tmp_path / f"g{idx}.cfg", task="analytic_qp", method="sequential",
+                  out_dir=tmp_path / f"gout{idx}", max_outer=2)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "2"]) == 0
+    share = str(cpus // 2)
+    expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": share, "BLIS_NUM_THREADS": share,
+                "MKL_NUM_THREADS": share}
+    for idx in range(3):
+        manifest = json.loads((tmp_path / f"gout{idx}" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["thread_env"] == expected
+    # the parent's own environment is left as it was
+    assert dict(os.environ) == before
+
+
+def test_grid_csvs_match_a_run_child_with_the_same_variables(tmp_path, data_root):
+    keys = dict(task="enc_dec", method="sequential", data_root=data_root, train_limit=128, test_limit=32,
+                epochs=2, warm_start_epochs=1)
+    for idx in range(2):
+        write_cfg(tmp_path / f"g{idx}.cfg", out_dir=tmp_path / f"gout{idx}", seed=idx, **keys)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "2"]) == 0
+    solo = write_cfg(tmp_path / "solo.cfg", out_dir=tmp_path / "solo", seed=0, **keys)
+    env = cli_mod._grid_child_env(2)
+    subprocess.run([sys.executable, "-m", "seqpen.cli", "run", str(solo)], env=env, check=True)
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for name in cli_mod.RUN_ARTIFACTS:
+        assert digest(tmp_path / "gout0" / name) == digest(tmp_path / "solo" / name), name
+    assert digest(tmp_path / "gout1" / "results.csv") != digest(tmp_path / "solo" / "results.csv")
+
+
+def test_grid_child_exit_codes_are_their_configs(tmp_path, capsys, monkeypatch):
+    write_cfg(tmp_path / "g0.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "gout0", max_outer=2)
+    write_cfg(tmp_path / "g1.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "gout1", tau00=1)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "2"]) == 2
+    summary = [line for line in capsys.readouterr().out.splitlines() if ": exit " in line]
+    assert summary == [f"{tmp_path / 'g0.cfg'}: exit 0", f"{tmp_path / 'g1.cfg'}: exit 2"]
+    # a child killed by signal N (returncode -N) counts as 128 + N
+    killed = subprocess.CompletedProcess([], returncode=-9)
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: killed)
+    assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "2"]) == 137
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

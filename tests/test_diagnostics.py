@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from seqpen import (
     suggested_stepsize,
 )
 from seqpen.diagnostics import SmoothnessEstimate, _probe_points
+from seqpen.penalties import penalty_grad_batch
 
-from conftest import make_random_problem, make_scalar_problem
+from conftest import make_per_sample_vertex_problem, make_random_problem, make_scalar_problem
 
 
 def constant_grad_problem(grads, constraints=None, normalization="mean"):
@@ -324,6 +327,64 @@ def test_sgc_at_least_one_on_random_problems():
     est = sgc_estimate(prob, spec, probes)
     assert est.rho_est >= 1.0 - 1e-12
     assert all(r >= 1.0 - 1e-12 for r in est.ratios)
+
+
+def _stacked_rho(problem, spec, probes):
+    """The strong-growth ratio from every per-sample gradient stacked as an N x dim array."""
+    ratios = []
+    for x in probes:
+        per_sample = np.stack([penalty_grad_batch(problem, spec, [j], x) for j in range(problem.num_samples)])
+        full = problem.agg_scale * per_sample.sum(axis=0)
+        mean_sq = float((per_sample * per_sample).sum()) / problem.num_samples * problem.estimator_scale(1) ** 2
+        ratios.append(mean_sq / float(full @ full))
+    return max(ratios)
+
+
+def test_sgc_matches_the_stacked_formula_on_the_tier1_problems(qps):
+    problems = [qp.problem for _, qp in sorted(qps.items())]
+    problems += [make_random_problem(dim=3, num_samples=6, num_constraints=2, seed=71, normalization=norm, oracles=o)
+                 for norm in ("sum", "mean") for o in ("sample", "batch")]
+    problems.append(make_per_sample_vertex_problem(72)[0])
+    rng = np.random.default_rng(73)
+    for prob in problems:
+        for spec in (PenaltySpec("quadratic", 2.0), PenaltySpec("linear", 2.0)):
+            probes = [rng.normal(size=prob.dim) for _ in range(3)]
+            assert sgc_estimate(prob, spec, probes).rho_est == pytest.approx(_stacked_rho(prob, spec, probes), rel=1e-12)
+
+
+def test_sgc_holds_two_parameter_size_buffers():
+    # f_j = a_j ||x||^2 / 2 and g_j = s_j x_0 - 1, from a batch oracle that
+    # writes its sum into out and allocates nothing of size dim. sgc_estimate
+    # then holds the running sum and one sample's gradient (0.4 MB each);
+    # stacking the 300 per-sample gradients took 120 MB.
+    dim, n = 50_000, 300
+    rng = np.random.default_rng(74)
+    a, s = rng.uniform(0.5, 1.5, size=n), rng.normal(size=n)
+
+    def constraint_rows(indices, x):
+        return (s[indices] * x[0] - 1.0).reshape(-1, 1)
+
+    def batch_weighted_grad(indices, x, obj_w, con_w, out):
+        if callable(con_w):
+            con_w = con_w(constraint_rows(indices, x))
+        np.multiply(x, float(np.asarray(obj_w) @ a[indices]), out=out)
+        out[0] += float(np.asarray(con_w).ravel() @ s[indices])
+
+    prob = FiniteSumProblem(
+        dim=dim, num_samples=n, num_constraints=1, normalization="mean",
+        batch_values=lambda indices, x: (0.5 * a[indices] * float(x @ x), constraint_rows(indices, x)),
+        batch_weighted_grad=batch_weighted_grad,
+    )
+    spec, probes = PenaltySpec("quadratic", 1.0), [np.full(dim, 0.5), np.linspace(-1.0, 1.0, dim)]
+    sgc_estimate(prob, spec, probes)
+    tracemalloc.start()
+    try:
+        est = sgc_estimate(prob, spec, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dim * 8 + 64 * 1024
+    assert est.rho_est >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------

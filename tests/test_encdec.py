@@ -14,6 +14,8 @@ from seqpen import (
     constraint_jacobian,
     fixed_penalty_train,
     full_objective,
+    kkt_residual,
+    objective_grad_full,
     penalty_grad_full,
     penalty_value_full,
 )
@@ -21,9 +23,10 @@ from gradcheck import central_diff_gradient, directional_diff, gradient_rel_erro
 from seqpen.inner import InnerReport
 from seqpen.outer import _make_record
 from seqpen.penalties import penalty_grad_batch
+from seqpen.problems import full_weighted_grad
 from seqpen.tasks.data import ImageDataset, gather_pixels
 from seqpen.tasks.encdec import EncDecModel, build_enc_dec_task, evaluate_enc_dec, split_values, warm_start
-from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, mse_grad, mse_values
+from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, residual_mse, residual_mse_grad
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +47,7 @@ def test_problem_wiring(tiny_encdec, seeded_params):
     probs, recon = task.model.predict_and_reconstruct(params, task.images[3:4])
     f, g = prob.values([3], params)
     assert f[0] == pytest.approx(float(ce_values(probs, task.labels[3:4])[0]))
-    expected_g = float(mse_values(task.images[3:4], recon)[0]) - task.theta
+    expected_g = float(residual_mse(recon - task.images[3:4])[0]) - task.theta
     assert g[0, 0] == pytest.approx(expected_g)
     assert prob.constraints([3], params)[0, 0] == g[0, 0]
 
@@ -376,7 +379,7 @@ def _reference_weighted_grad(model, params, images, labels, obj_w, con_w):
     dec = None
     if callable(con_w):
         dec = _reference_forward(model.decoder, pd, codes)
-        con_w = con_w(mse_values(images, dec[2][-1]))
+        con_w = con_w(residual_mse(dec[2][-1] - images))
     con_w = np.asarray(con_w, dtype=float).ravel()
     grad = np.zeros(model.num_params)
     grad_codes = np.zeros_like(codes)
@@ -388,7 +391,7 @@ def _reference_weighted_grad(model, params, images, labels, obj_w, con_w):
     if con_w.any():
         if dec is None:
             dec = _reference_forward(model.decoder, pd, codes)
-        d_recon = con_w[:, None] * mse_grad(images, dec[2][-1])
+        d_recon = con_w[:, None] * residual_mse_grad(dec[2][-1] - images)
         g_dec, g_codes = _reference_backward(model.decoder, pd, dec, d_recon)
         grad[model.decoder_slice] = g_dec
         grad_codes += g_codes
@@ -528,6 +531,46 @@ def test_full_split_pass_holds_one_chunk_at_a_time():
     )
     assert pass_peak < 2.5e6
     assert pass_peak < step_peak
+
+
+@pytest.fixture(scope="module")
+def desk_6000():
+    """The desk network on 6,000 random uint8 rows, every one violating, at its initial parameters."""
+    rng = np.random.default_rng(27)
+    dataset = ImageDataset(rng.integers(0, 256, size=(6000, 784), dtype=np.uint8), rng.integers(0, 10, size=6000))
+    task = build_enc_dec_task(dataset, theta=0.01)
+    return task.problem, task.model.init_params(rng)
+
+
+def test_whole_split_gradient_holds_one_chunk_at_a_time(desk_6000):
+    # penalty_grad_full at the desk shapes sums GRAD_CHUNK = 128 row oracle
+    # calls into one buffer. It peaks at 11.3 MB: the sum and one call's
+    # buffer (3.3 MB each, 413,174 parameters) and one 128-row weighted_grad.
+    # The bound sits 1.7 MB above that, less than one more parameter-size
+    # array; the whole split as one batch peaked at 220 MB.
+    prob, params = desk_6000
+    spec = PenaltySpec("linear", 100.0)
+    assert _traced_peak(lambda: penalty_grad_full(prob, spec, params)) < 13.0e6
+
+
+def test_whole_split_gradients_match_one_batch_at_6000_rows(desk_6000):
+    prob, params = desk_6000
+    n = prob.num_samples
+    lam = np.linspace(0.0, 2.0, n).reshape(-1, 1)
+
+    def one_batch(obj_w, con_w):
+        return prob.agg_scale * prob.weighted_grad(np.arange(n), params, obj_w, con_w)
+
+    spec = PenaltySpec("linear", 100.0)
+    pairs = [
+        (penalty_grad_full(prob, spec, params), one_batch(np.ones(n), lambda g: 100.0 * (g > 0))),
+        (objective_grad_full(prob, params), one_batch(np.ones(n), np.zeros((n, 1)))),
+        (full_weighted_grad(prob, params, lam), one_batch(np.ones(n), lam)),
+    ]
+    for chunked, whole in pairs:
+        assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+    stationarity = kkt_residual(prob, params, lam).stationarity_residual
+    assert stationarity == pytest.approx(float(np.linalg.norm(pairs[2][1])), rel=1e-12)
 
 
 @pytest.mark.parametrize("top", ["identity", "relu", "sigmoid", "softmax"])

@@ -10,8 +10,8 @@ from seqpen.tasks.mlp import (
     _apply_activation,
     ce_grad,
     ce_values,
-    mse_grad,
-    mse_values,
+    residual_mse,
+    residual_mse_grad,
 )
 
 
@@ -123,18 +123,23 @@ def test_ce_clamps_tiny_probabilities_with_warning():
     assert val == pytest.approx(-np.log(1e-12))
 
 
-def test_mse_values():
-    img = np.zeros(784)
-    assert mse_values(img, img)[0] == 0.0
-    assert mse_values(img, np.full(784, 0.1))[0] == pytest.approx(0.01)
+def test_residual_mse():
+    img = np.zeros((1, 784))
+    assert residual_mse(img - img)[0] == 0.0
+    assert residual_mse(np.full((1, 784), 0.1) - img)[0] == pytest.approx(0.01)
+    diff = np.full((2, 784), -0.1)
+    assert np.allclose(residual_mse(diff, out=diff), 0.01) and diff[0, 0] == pytest.approx(0.01)  # squared in place
 
 
-def test_mse_grad_matches_finite_differences():
+def test_residual_mse_grad_matches_finite_differences():
     rng = np.random.default_rng(4)
     target = rng.random(12)
     out = rng.random(12)
-    fd = central_diff_gradient(lambda o: mse_values(target, o)[0], out, rel_step=1e-7)
-    assert gradient_rel_error(mse_grad(target, out)[0], fd) <= 1e-7
+    fd = central_diff_gradient(lambda o: residual_mse((o - target)[None, :])[0], out, rel_step=1e-7)
+    diff = (out - target)[None, :]
+    grad = residual_mse_grad(diff)
+    assert grad is diff  # written into the residual
+    assert gradient_rel_error(grad[0], fd) <= 1e-7
 
 
 def test_init_params_seeded_and_bounded():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from seqpen import (
     epoch_batches,
     feasibility_stats,
     full_objective,
+    kkt_residual,
     objective_grad_full,
+    penalty_grad_full,
     penalty_value_full,
 )
-from seqpen.penalties import penalty_grad_batch
+from seqpen.penalties import constraint_weights, penalty_grad_batch
+from seqpen.problems import GRAD_CHUNK
 from gradcheck import central_diff_gradient, gradient_rel_error
 
 from conftest import make_random_problem, make_scalar_problem
@@ -284,3 +288,78 @@ def test_problem_without_a_source_for_a_quantity_is_rejected(missing, quantity):
         FiniteSumProblem(dim=1, num_samples=2, num_constraints=1, **oracles)
     with pytest.raises(ValueError, match="no oracle for values, weighted_grad"):
         FiniteSumProblem(dim=1, num_samples=2, num_constraints=1)
+
+
+# ---------------------------------------------------------------------------
+# whole-split gradients in GRAD_CHUNK-row oracle calls
+
+
+def _recording(problem):
+    """``problem`` whose batch gradient oracle records each call's rows and each weight-function call's g."""
+    calls, mapped = [], []
+    oracle = problem.batch_weighted_grad
+
+    def batch_weighted_grad(indices, x, obj_w, con_w, out):
+        calls.append(np.array(indices))
+        if callable(con_w):
+            weights_of_g = con_w
+            con_w = lambda g: mapped.append(g.copy()) or weights_of_g(g)
+        oracle(indices, x, obj_w, con_w, out)
+
+    return replace(problem, batch_weighted_grad=batch_weighted_grad), calls, mapped
+
+
+def _one_call(problem, x, obj_w, con_w):
+    """The whole-split sum as one ``weighted_grad`` call, as before chunking."""
+    return problem.agg_scale * problem.weighted_grad(np.arange(problem.num_samples), x, obj_w, con_w)
+
+
+def _whole_split_gradients(problem, x, lam, spec):
+    """(chunked, one-call) pairs of the three whole-split gradients; the KKT one as its norm."""
+    n, m = problem.num_samples, problem.num_constraints
+    return [
+        (penalty_grad_full(problem, spec, x), _one_call(problem, x, np.ones(n), partial(constraint_weights, spec))),
+        (objective_grad_full(problem, x), _one_call(problem, x, np.ones(n), np.zeros((n, m)))),
+        (kkt_residual(problem, x, lam).stationarity_residual, np.linalg.norm(_one_call(problem, x, np.ones(n), lam))),
+    ]
+
+
+@pytest.mark.parametrize("normalization", ["sum", "mean"])
+@pytest.mark.parametrize("num_samples", [1, 127, GRAD_CHUNK])
+def test_whole_split_gradients_of_at_most_one_chunk_are_one_call_and_bit_identical(num_samples, normalization):
+    prob, calls, mapped = _recording(
+        make_random_problem(dim=3, num_samples=num_samples, num_constraints=2, seed=91,
+                            normalization=normalization, oracles="batch")
+    )
+    rng = np.random.default_rng(92)
+    x, lam = rng.normal(size=3), np.abs(rng.normal(size=(num_samples, 2)))
+    for chunked, whole in _whole_split_gradients(prob, x, lam, PenaltySpec("quadratic", 3.0)):
+        assert np.array_equal(chunked, whole)
+    # penalty, objective and KKT term, then the three one-call references
+    assert len(calls) == 6 and all(np.array_equal(c, np.arange(num_samples)) for c in calls)
+    assert len(mapped) == 2
+
+
+@pytest.mark.parametrize("oracles", ["batch", "sample"])
+@pytest.mark.parametrize("normalization", ["sum", "mean"])
+def test_whole_split_gradients_run_in_chunks_that_map_their_own_g_once(oracles, normalization):
+    n = 2 * GRAD_CHUNK + 44
+    prob = make_random_problem(dim=4, num_samples=n, num_constraints=2, seed=93, normalization=normalization,
+                               oracles=oracles)
+    if oracles == "batch":
+        prob, calls, mapped = _recording(prob)
+    rng = np.random.default_rng(94)
+    x, lam = rng.normal(size=4), np.abs(rng.normal(size=(n, 2)))
+    spec = PenaltySpec("linear", 2.0)
+    for chunked, whole in _whole_split_gradients(prob, x, lam, spec):
+        assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+    if oracles == "batch":
+        chunks = [np.arange(lo, min(lo + GRAD_CHUNK, n)) for lo in range(0, n, GRAD_CHUNK)]
+        # three chunked gradients, each followed by its one-call reference
+        expected = [c for _ in range(3) for c in chunks + [np.arange(n)]]
+        assert len(calls) == len(expected) and all(np.array_equal(a, b) for a, b in zip(calls, expected))
+        # the penalty's weight function maps each chunk's own g, once per call
+        assert [g.shape for g in mapped] == [(c.size, 2) for c in chunks] + [(n, 2)]
+        assert np.array_equal(np.vstack(mapped[:3]), mapped[3])
+    # tau = 0 passes sliced zero weights: the objective gradient, bit for bit
+    assert np.array_equal(penalty_grad_full(prob, PenaltySpec("linear", 0.0), x), objective_grad_full(prob, x))

@@ -138,3 +138,12 @@ def test_readme_states_the_evaluation_chunk_size():
 
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     assert re.findall(r"evaluated in chunks of (\d+) rows", readme) == [str(EVAL_CHUNK)]
+
+
+def test_readme_states_the_whole_split_gradient_chunk_size():
+    from seqpen.problems import GRAD_CHUNK
+    from seqpen.tasks.encdec import EVAL_CHUNK
+
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert re.findall(r"gradients over a whole split \(.*?\) run in chunks of (\d+) rows", readme) == [str(GRAD_CHUNK)]
+    assert GRAD_CHUNK == EVAL_CHUNK
