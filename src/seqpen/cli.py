@@ -11,12 +11,14 @@ Commands:
   not a JSON object holding task, method and label.
 * ``seqpen grid <config-glob> [--jobs K]``: run many configs, each writing to
   its own directory; a failing config does not stop the others, and the exit
-  code is the largest of theirs. With K = 1 they run in this process. With
-  K > 1 each runs as a ``python -m seqpen.cli run <config>`` child, at most
-  ``workers = min(K, configs)`` at a time, started with the four BLAS thread
+  code is the largest of theirs. Each config runs as a ``python -m seqpen.cli
+  run <config>`` child, at most ``workers = min(K, configs)`` at a time.
+  With more than one worker the children start with the four BLAS thread
   variables capped at ``max(1, usable CPUs // workers)``, an unset one set to
-  it (its manifest records them; this process's environment is left as it was). A child's exit code
-  is its config's, and a child killed by signal N counts as 128 + N.
+  it (its manifest records them; this process's environment is left as it
+  was); one worker's child gets them as they are. A child's exit code is its
+  config's (1 for an unexpected error), and a child killed by signal N
+  counts as 128 + N.
 * ``seqpen synth-data <root>``: generate a synthetic digit dataset in IDX
   format so the image task runs without any download.
 
@@ -66,7 +68,6 @@ import json
 import operator
 import os
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +440,7 @@ def _run_qp(cfg):
         return [[rec.k, "train", "train", float("nan"), rec.feasibility.satisfied_fraction] for rec in records]
 
     def result_rows(final):
-        g = constraint_values(problem, final.candidate)
+        g = constraint_values(problem, x0)
         row = ["train", final.objective_value, float("nan"), float(g.mean())]
         row += [final.feasibility.mean_violation, final.feasibility.satisfied_fraction]
         return [row], [["train", j, i, g[j, i]] for j in range(g.shape[0]) for i in range(g.shape[1])]
@@ -478,24 +479,27 @@ def _run_enc_dec(cfg):
     init_rng = np.random.default_rng(derived_seed(cfg["seed"], 0))
     timeline = []
 
-    def timeline_hook(params):
+    params = None  # the array the training call steps, allocated when it starts
+
+    def timeline_hook(z):
         # The hook fires once per epoch, the warm start's epochs first.
         epoch = len(timeline) // len(tasks)
         phase = "warm" if epoch < cfg["warm_start_epochs"] else "train"
         for split_name, split_task in tasks.items():
-            m = evaluate_enc_dec(split_task, params)
+            m = evaluate_enc_dec(split_task, z)
             timeline.append([epoch, phase, split_name, m["accuracy"], m["satisfied_fraction"]])
 
     hook = timeline_hook if cfg["timeline"] else None
 
     def run():
-        params0 = task.model.init_params(init_rng)
-        return train_method(task.problem, warm_start(task, params0, warm, hook=hook), hook=hook)
+        nonlocal params
+        params = task.model.init_params(init_rng)
+        return train_method(task.problem, warm_start(task, params, warm, hook=hook), hook=hook)
 
     def result_rows(final):
         results, hist = [], []
         for split_name, split_task in tasks.items():
-            m = evaluate_enc_dec(split_task, final.candidate)
+            m = evaluate_enc_dec(split_task, params)
             results.append([split_name, *(m[key] for key in RESULTS_HEADER[1:])])
             hist.extend([split_name, j, 0, mse] for j, mse in enumerate(m["mse_per_sample"]))
         return results, hist
@@ -619,16 +623,6 @@ def cmd_compare(run_dirs, split: str = "train") -> int:
     return 0
 
 
-def _run_grid_config(config) -> int:
-    """``run_experiment`` for one grid config; an unexpected error ends only this config, with exit 1."""
-    try:
-        return run_experiment(config)
-    except Exception:
-        print(f"{config}: unexpected error", file=sys.stderr)
-        traceback.print_exc()
-        return 1
-
-
 def _run_grid_child(config, env) -> int:
     """``seqpen run <config>`` in a child interpreter; a child killed by signal N counts as exit 128 + N."""
     import subprocess  # here, not at the top: its 8 modules add 0.5 MB to every ``seqpen run``
@@ -640,12 +634,13 @@ def _run_grid_child(config, env) -> int:
 def _grid_child_env(workers: int) -> dict:
     """This process's environment for one of ``workers`` grid children, with this seqpen source on its path.
 
-    Each ``THREAD_ENV`` variable, read once when numpy loads its BLAS, is capped at an even share of the usable
-    CPUs so that the children do not oversubscribe them; a value set within the share is kept, as a run keeps it.
+    With several workers each ``THREAD_ENV`` variable, read once when numpy loads its BLAS, is capped at an even
+    share of the usable CPUs so that the children do not oversubscribe them; a value set within the share is kept,
+    as a run keeps it. One worker gets the variables as they are, so its child runs as ``seqpen run`` would here.
     """
     share = max(1, _usable_cpus() // workers)
     env = dict(os.environ)
-    for name in THREAD_ENV:
+    for name in THREAD_ENV if workers > 1 else ():
         value = env.get(name, "")
         env[name] = value if value.isdigit() and 0 < int(value) <= share else str(share)
     src = str(Path(seqpen.__file__).resolve().parents[1])
@@ -659,12 +654,9 @@ def cmd_grid(pattern: str, jobs: int) -> int:
         print(f"error: no config files match {pattern!r}", file=sys.stderr)
         return 1
     workers = min(jobs, len(configs))
-    if workers == 1:
-        codes = [_run_grid_config(c) for c in configs]
-    else:
-        env = _grid_child_env(workers)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(lambda config: _run_grid_child(config, env), configs))
+    env = _grid_child_env(workers)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        codes = list(pool.map(lambda config: _run_grid_child(config, env), configs))
     for config, code in zip(configs, codes):
         print(f"{config}: exit {code}")
     return max(codes)

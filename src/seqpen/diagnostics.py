@@ -174,20 +174,25 @@ def smoothness_estimate(
 
     obj_grads = np.stack([objective_grad_full(problem, p) for p in probes])
     g_vals = np.stack([constraint_values(problem, p) for p in probes])  # (P, N, m)
-    jacs = np.array([[constraint_jacobian(problem, j, p) for j in range(n_s)] for p in probes])  # (P, N, m, dim)
-
-    grad_sup = np.linalg.norm(jacs, axis=3).max(axis=0)  # (N, m)
     violation_sup = np.maximum(0.0, g_vals).max(axis=0)  # (N, m)
 
-    lf = 0.0
-    lg = np.zeros((n_s, n_c))
+    lf, pairs = 0.0, []  # pairs: (a, b, distance) of the probe pairs a < b at distinct points
     for a in range(n_probes):
         for b in range(a + 1, n_probes):
             dist = float(np.linalg.norm(probes[a] - probes[b]))
             if dist == 0.0:
                 continue
             lf = max(lf, float(np.linalg.norm(obj_grads[a] - obj_grads[b])) / dist)
-            lg = np.maximum(lg, np.linalg.norm(jacs[a] - jacs[b], axis=2) / dist)
+            pairs.append((a, b, dist))
+
+    # One sample's Jacobians at every probe, (P, m, dim), at a time: never the (P, N, m, dim) stack.
+    grad_sup = np.empty((n_s, n_c))
+    lg = np.zeros((n_s, n_c))
+    for j in range(n_s):
+        jacs = np.stack([constraint_jacobian(problem, j, p) for p in probes])
+        grad_sup[j] = np.linalg.norm(jacs, axis=2).max(axis=0)
+        for a, b, dist in pairs:
+            lg[j] = np.maximum(lg[j], np.linalg.norm(jacs[a] - jacs[b], axis=1) / dist)
 
     penalty_l = lf + spec.tau * problem.agg_scale * float((grad_sup**2 + violation_sup * lg).sum())
     return SmoothnessEstimate(

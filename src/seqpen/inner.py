@@ -19,6 +19,7 @@ Runs are bit-deterministic given (problem, spec, x0, config).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -149,15 +150,6 @@ def _check_finite(z: Array, iteration: int):
         raise InnerSolverError(f"non-finite iterate at iteration {iteration}, coordinate {int(bad[0])}")
 
 
-def _hooked(z: Array, last: bool) -> Array:
-    # After the last unit the run never writes z again: the hook reads it through a view, not a copy.
-    if not last:
-        return z.copy()
-    view = z.view()
-    view.flags.writeable = False
-    return view
-
-
 def sgd_run(
     problem: FiniteSumProblem,
     spec: PenaltySpec,
@@ -170,16 +162,19 @@ def sgd_run(
 
     ``hook(z)`` fires after every unit of ``config.budget``: after each
     iteration in theoretical mode and after each epoch in practical mode,
-    once the iterate is checked finite. It receives an array holding the
-    current iterate that the run never writes again: a copy, or after the
-    last unit of a run that ends at its last iterate a read-only view of it.
-    ``opt_state`` applies to practical mode only: the run continues it in
-    place, as it does ``x0`` (see ``check_x0``; pass copies to keep yours);
-    without one it starts from zero moments and drops them at return.
+    once the iterate is checked finite. ``z`` is a read-only view of ``x0``,
+    valid until the hook returns; copy it to keep it. ``opt_state`` applies
+    to practical mode only: the run continues it in place, as it does ``x0``
+    (see ``check_x0``; pass copies to keep yours); without one it starts
+    from zero moments and drops them at return.
     """
     check_x0(problem, x0)
     _check_finite(x0, -1)
     rng = np.random.default_rng(config.rng_seed)
+    if hook is not None:
+        view = x0.view()
+        view.flags.writeable = False
+        hook = functools.partial(hook, view)
     if config.mode == "theoretical":
         steps = _run_theoretical(problem, spec, x0, config, rng, hook)
     else:
@@ -218,7 +213,7 @@ def _run_theoretical(problem, spec, z, config: SGDConfig, rng, hook):
         z -= g
         _check_finite(z, t)
         if hook is not None:
-            hook(_hooked(z, t == budget - 1 and kept is None))
+            hook()
     if kept is not None:
         z[...] = kept
     return budget
@@ -275,6 +270,6 @@ def _run_practical(problem, spec, z, config: SGDConfig, rng, opt_state, hook):
             steps += 1
         del gsum
         if hook is not None:
-            hook(_hooked(z, epoch == config.budget - 1))
+            hook()
 
     return steps

@@ -36,9 +36,10 @@ from seqpen.problems import (
     full_values,
 )
 
-# Every record of a trace keeps its candidate only up to this dimension (the
-# trace.csv writer appends those candidates as columns); above it only the
-# last record does, so a run's memory does not grow with its length.
+# A record keeps a copy of its candidate only up to this dimension (the
+# trace.csv writer appends those candidates as columns); above it no record
+# keeps one, the result is in the stepped x0 alone, and a run's memory does
+# not grow with its length.
 MAX_TRACE_DIM = 16
 
 # The worst violation at which the outer loop may stop early (see above).
@@ -109,8 +110,8 @@ class Schedule:
 class OuterRecord:
     """Snapshot of one outer iteration.
 
-    ``candidate`` is the inner run's result: a copy up to ``MAX_TRACE_DIM``;
-    above it ``x0`` itself, kept only by the last record of a finished trace.
+    ``candidate`` is a copy of the inner run's result up to ``MAX_TRACE_DIM``
+    and None above it, where the result is read from the ``x0`` that was stepped.
     """
 
     k: int
@@ -145,7 +146,7 @@ def _make_record(problem, spec, k, eps, x, report: InnerReport) -> OuterRecord:
         k=k,
         tau=spec.tau,
         eps=eps,
-        candidate=x.copy() if problem.dim <= MAX_TRACE_DIM else x,
+        candidate=x.copy() if problem.dim <= MAX_TRACE_DIM else None,
         penalty_value=penalty_value_from_values(problem, spec, f, g),
         objective_value=float(problem.agg_scale * f.sum()),
         grad_norm=report.grad_norm_estimate,
@@ -159,11 +160,8 @@ def _make_record(problem, spec, k, eps, x, report: InnerReport) -> OuterRecord:
 def _outer_step(problem, spec, k, eps, x, config, trace, hook, opt_state=None):
     """Run outer iteration ``k``, stepping ``x`` in place, and append its record to ``trace``.
 
-    Above ``MAX_TRACE_DIM`` the previous record, which holds ``x``, lets go of
-    it first. A failure of the run or of the record aborts with the trace so far.
+    A failure of the run or of the record aborts with the trace so far.
     """
-    if trace.records and problem.dim > MAX_TRACE_DIM:
-        trace.records[-1].candidate = None
     try:
         report = sgd_run(problem, spec, x, config, opt_state=opt_state, hook=hook)
         record = _make_record(problem, spec, k, eps, x, report)

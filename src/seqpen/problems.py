@@ -13,7 +13,7 @@ The library evaluates a problem only through three batch methods:
 ``weighted_grad``. Each is backed either by one batch oracle or by
 per-sample oracles, which the method then loops over; these methods are the
 one place that reads an oracle. A gradient over every sample goes through
-``full_weighted_grad``, one ``weighted_grad`` call per ``GRAD_CHUNK`` rows.
+``full_weighted_grad``, one ``weighted_grad`` call per ``SPLIT_CHUNK`` rows.
 
 Oracles are treated as read-only with respect to the problem definition and
 must be safe to call concurrently; every reduction over samples here runs in
@@ -32,9 +32,9 @@ Array = np.ndarray
 
 NORMALIZATIONS = ("sum", "mean")
 
-# Rows per oracle call of a gradient over every sample, so that no call holds
-# a whole split's activations: the default batch, as in EVAL_CHUNK.
-GRAD_CHUNK = 128
+# Rows per oracle call of a gradient or an evaluation pass over a whole split,
+# so that no call holds the split's activations: the default training batch.
+SPLIT_CHUNK = 128
 
 
 class OracleError(RuntimeError):
@@ -197,15 +197,15 @@ def unit_weights(size: int) -> Array:
 
 
 def full_weighted_grad(problem: FiniteSumProblem, x, con_weights) -> Array:
-    """``agg_scale`` times ``weighted_grad`` of every sample, unit objective weights, in ``GRAD_CHUNK``-row calls.
+    """``agg_scale`` times ``weighted_grad`` of every sample, unit objective weights, in ``SPLIT_CHUNK``-row calls.
 
     Each call gets its rows of a ``con_weights`` array, or the weight function itself to map its own g once.
     """
     x, idx = as_params(problem, x), np.arange(problem.num_samples)
     total = part = None
-    for lo in range(0, idx.size, GRAD_CHUNK):
-        rows = idx[lo : lo + GRAD_CHUNK]
-        con_w = con_weights if callable(con_weights) else con_weights[lo : lo + GRAD_CHUNK]
+    for lo in range(0, idx.size, SPLIT_CHUNK):
+        rows = idx[lo : lo + SPLIT_CHUNK]
+        con_w = con_weights if callable(con_weights) else con_weights[lo : lo + SPLIT_CHUNK]
         part = problem.weighted_grad(rows, x, unit_weights(rows.size), con_w, out=part)
         if total is None:
             total, part = part, None

@@ -22,13 +22,9 @@ import numpy as np
 
 from seqpen.inner import SGDConfig, sgd_run
 from seqpen.penalties import PenaltySpec
-from seqpen.problems import Array, FiniteSumProblem, feasibility_from_values
+from seqpen.problems import SPLIT_CHUNK, Array, FiniteSumProblem, feasibility_from_values
 from seqpen.tasks.data import ImageDataset, gather_pixels
 from seqpen.tasks.mlp import LayerSpec, Mlp, ce_grad, ce_values, residual_mse, residual_mse_grad
-
-# Rows per forward pass when evaluating a whole split: the default training
-# batch, so a 784-wide chunk (0.8 MB) stays in L2 beside the layer weights.
-EVAL_CHUNK = 128
 
 
 def _float_pixels(images) -> Array:
@@ -129,15 +125,16 @@ def split_values(
     """Per-sample cross entropy, correctness and reconstruction MSE of ``images[rows]``.
 
     The rows are gathered (as floats, see ``gather_pixels``) and run through
-    one encoder pass ``EVAL_CHUNK`` at a time, so a pass never copies the
+    one encoder pass ``SPLIT_CHUNK`` at a time, so a pass never copies the
     whole split, and each chunk's MSE is computed in place in its
-    reconstruction. ``EVAL_CHUNK`` is the default training batch, so a
-    chunk's arrays stay L2-resident and its GEMMs see the step's row count.
+    reconstruction. ``SPLIT_CHUNK`` is the default training batch, so a
+    784-wide chunk (0.8 MB) stays in L2 beside the layer weights and its
+    GEMMs see the step's row count.
     """
     n = len(rows)
     ce, correct, mse = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-    for lo in range(0, n, EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
+    for lo in range(0, n, SPLIT_CHUNK):
+        sl = slice(lo, lo + SPLIT_CHUNK)
         chunk_images, chunk_labels = gather_pixels(images, rows[sl]), labels[rows[sl]]
         probs, recon = model.predict_and_reconstruct(params, chunk_images)
         ce[sl] = ce_values(probs, chunk_labels)

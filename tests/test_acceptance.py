@@ -235,17 +235,20 @@ def desk_runs():
 
     results = {}
 
-    def record(name, params):
+    def record(name, train_call, *args):
+        # the training call ends with its result in the array it is given
+        params = warm.copy()
+        train_call(task.problem, *args, params)
         results[name] = {
             "train": evaluate_enc_dec(task, params),
             "test": evaluate_enc_dec(test_task, params),
         }
 
-    record("objective_only", fixed_penalty_train(task.problem, 0.0, inner(25), warm.copy()).final().candidate)
+    record("objective_only", fixed_penalty_train, 0.0, inner(25))
     schedule = Schedule(tau0=100.0, gamma=1.1, max_outer=25, inner=inner(1))
-    record("sequential", sequential_penalty_train(task.problem, "linear", schedule, warm.copy()).final().candidate)
+    record("sequential", sequential_penalty_train, "linear", schedule)
     for lam in (10.0, 100.0, 1000.0):
-        record(f"fixed_{lam:g}", fixed_penalty_train(task.problem, lam, inner(25), warm.copy()).final().candidate)
+        record(f"fixed_{lam:g}", fixed_penalty_train, lam, inner(25))
     results["elapsed"] = time.perf_counter() - t0
     return results
 
@@ -324,7 +327,7 @@ def test_criterion_5_penalty_identities():
         candidate_rule="last",
     )
     iterates = [np.array([-0.5])]
-    sgd_run(qp.problem, spec, iterates[0].copy(), cfg, hook=iterates.append)
+    sgd_run(qp.problem, spec, iterates[0].copy(), cfg, hook=lambda z: iterates.append(z.copy()))
     diffs = np.diff([penalty_value_full(qp.problem, spec, z) for z in iterates])
     assert (diffs <= 1e-12).all()
     elapsed = time.perf_counter() - t0

@@ -3,12 +3,15 @@ outside; this runs each of its workloads end to end at the smallest size,
 traced, so the hooked names and the CLI path the desk workloads drive through
 ``cli.main`` stay in place."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from seqpen.outer import MAX_TRACE_DIM
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,14 @@ def test_traced_workload_runs_clean(workload):
     assert result["metrics"]["inner.steps"]["value"] == INNER_STEPS[workload]
     if workload in FORWARD_ROWS:
         assert result["metrics"]["mlp.forward_rows"]["value"] == FORWARD_ROWS[workload]
+
+
+def test_every_qp_theory_problem_keeps_its_candidates():
+    # qp_theory reads each run's result from final.candidate, which a record
+    # keeps only up to MAX_TRACE_DIM
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    problems = workloads.QpTheory(seed=0).setup()
+    dims = [problem.dim for _, problem, *_ in problems]
+    assert len(dims) == 4 and max(dims) <= MAX_TRACE_DIM

@@ -320,9 +320,9 @@ def test_grid_starts_at_most_one_worker_per_config(tmp_path, monkeypatch):
                   out_dir=tmp_path / f"gout{idx}", max_outer=2)
     assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "1000"]) == 0
     assert asked == [2]
-    # one config runs in this process, whatever --jobs says
+    # one config runs in one child, whatever --jobs says
     assert main(["grid", str(tmp_path / "g0.cfg"), "--jobs", "8"]) == 0
-    assert asked == [2]
+    assert asked == [2, 1]
 
 
 def test_grid_runs_configs_in_worker_processes(tmp_path, capsys):
@@ -402,7 +402,7 @@ def test_grid_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert not (tmp_path / "gout0").exists()
 
 
-def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
+def test_grid_isolates_a_failing_config(tmp_path, capfd, monkeypatch):
     for idx, gamma in enumerate((1.5, 3.0, 2.0)):
         write_cfg(
             tmp_path / f"g{idx}.cfg",
@@ -412,22 +412,46 @@ def test_grid_isolates_a_failing_config(tmp_path, capsys, monkeypatch):
             gamma=gamma,
             max_outer=4,
         )
-    real_train = cli_mod.sequential_penalty_train
+    real_run = subprocess.run
+    crashing_run = (
+        "import sys, seqpen.cli as c\n"
+        "def crash(*args, **kwargs):\n"
+        "    raise RuntimeError('injected failure')\n"
+        "c.sequential_penalty_train = crash\n"
+        "sys.exit(c.main(['run', sys.argv[1]]))\n"
+    )
 
-    def crash_on_middle_config(problem, kind, schedule, x0, **kwargs):
-        if schedule.gamma == 3.0:
-            raise RuntimeError("injected failure")
-        return real_train(problem, kind, schedule, x0, **kwargs)
+    def crash_on_middle_config(args, **kwargs):
+        # the middle config's child runs its config with training raising an unexpected error
+        if args[-1].endswith("g1.cfg"):
+            args = [sys.executable, "-c", crashing_run, args[-1]]
+        return real_run(args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "sequential_penalty_train", crash_on_middle_config)
+    monkeypatch.setattr(subprocess, "run", crash_on_middle_config)
     assert main(["grid", str(tmp_path / "g*.cfg"), "--jobs", "1"]) == 1
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     summary = [line for line in out.splitlines() if ": exit " in line]
     assert summary == [f"{tmp_path / f'g{idx}.cfg'}: exit {code}" for idx, code in enumerate((0, 1, 0))]
     assert "injected failure" in err
     assert (tmp_path / "gout0" / "results.csv").exists()
+    # the failing config got as far as its manifest and wrote no results
+    assert (tmp_path / "gout1" / "manifest.json").exists()
     assert not (tmp_path / "gout1" / "results.csv").exists()
     assert (tmp_path / "gout2" / "results.csv").exists()
+
+
+def test_one_grid_worker_keeps_the_callers_thread_variables(tmp_path, monkeypatch):
+    # with one worker the child gets the variables as they are, set or unset, as ``seqpen run`` would
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    for name in ("BLIS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    write_cfg(tmp_path / "g0.cfg", task="analytic_qp", method="sequential", out_dir=tmp_path / "gout0", max_outer=2)
+    assert main(["grid", str(tmp_path / "g0.cfg"), "--jobs", "4"]) == 0
+    manifest = json.loads((tmp_path / "gout0" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "7",
+                                      "BLIS_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
 
 @pytest.mark.parametrize(

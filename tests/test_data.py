@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqpen.problems import epoch_batches
+from seqpen.problems import SPLIT_CHUNK, epoch_batches
 from seqpen.tasks.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
@@ -20,7 +20,7 @@ from seqpen.tasks.data import (
     write_idx,
     write_synthetic_idx,
 )
-from seqpen.tasks.encdec import EVAL_CHUNK, build_enc_dec_task
+from seqpen.tasks.encdec import build_enc_dec_task
 
 
 @pytest.fixture
@@ -186,8 +186,8 @@ def test_every_gather_is_bit_identical_to_scaling_the_whole_split(tmp_path):
     whole = ds.images.astype(float) / 255.0
     rng = np.random.default_rng(0)
     batches = epoch_batches(ds.num_samples, 128, rng)
-    chunks = [np.arange(lo, min(lo + EVAL_CHUNK, ds.num_samples)) for lo in range(0, ds.num_samples, EVAL_CHUNK)]
-    for rows in batches + chunks + [rng.permutation(ds.num_samples)[:EVAL_CHUNK]]:
+    chunks = [np.arange(lo, min(lo + SPLIT_CHUNK, ds.num_samples)) for lo in range(0, ds.num_samples, SPLIT_CHUNK)]
+    for rows in batches + chunks + [rng.permutation(ds.num_samples)[:SPLIT_CHUNK]]:
         assert gather_pixels(ds.images, rows).tobytes() == whole[rows].tobytes()
 
 

@@ -16,6 +16,8 @@ from seqpen import (
 )
 from seqpen.diagnostics import SmoothnessEstimate, _probe_points
 from seqpen.penalties import penalty_grad_batch
+from seqpen.problems import constraint_jacobian, constraint_values, objective_grad_full
+from seqpen.tasks.qp import qp_registry
 
 from conftest import make_per_sample_vertex_problem, make_random_problem, make_scalar_problem
 
@@ -420,3 +422,78 @@ def test_diagnostics_agree_on_per_sample_and_batch_twins(normalization):
     probes = [x, x + 0.5]
     sgc = [sgc_estimate(prob, spec, probes) for prob in twins]
     assert np.allclose(sgc[0].ratios, sgc[1].ratios, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# smoothness estimation, one sample's Jacobians at a time
+
+
+def _stacked_smoothness(problem, spec, probes):
+    """The smoothness fields from the (probes, N, m, dim) stack of every constraint Jacobian, as first written."""
+    obj_grads = np.stack([objective_grad_full(problem, p) for p in probes])
+    g_vals = np.stack([constraint_values(problem, p) for p in probes])
+    jacs = np.array([[constraint_jacobian(problem, j, p) for j in range(problem.num_samples)] for p in probes])
+    grad_sup = np.linalg.norm(jacs, axis=3).max(axis=0)
+    violation_sup = np.maximum(0.0, g_vals).max(axis=0)
+    lf, lg = 0.0, np.zeros((problem.num_samples, problem.num_constraints))
+    for a in range(len(probes)):
+        for b in range(a + 1, len(probes)):
+            dist = float(np.linalg.norm(probes[a] - probes[b]))
+            if dist == 0.0:
+                continue
+            lf = max(lf, float(np.linalg.norm(obj_grads[a] - obj_grads[b])) / dist)
+            lg = np.maximum(lg, np.linalg.norm(jacs[a] - jacs[b], axis=2) / dist)
+    penalty_l = lf + spec.tau * problem.agg_scale * float((grad_sup**2 + violation_sup * lg).sum())
+    return lf, grad_sup, violation_sup, lg, penalty_l
+
+
+@pytest.mark.parametrize("case", ["per_sample_sum", "batch_mean", "vertex", "certified_qp"])
+def test_smoothness_estimate_is_bit_identical_to_the_stacked_formula(case):
+    prob, kind = {
+        "per_sample_sum": lambda: (make_random_problem(4, 7, 3, seed=1), "quadratic"),
+        "batch_mean": lambda: (make_random_problem(5, 9, 2, seed=2, normalization="mean", oracles="batch"), "linear"),
+        "vertex": lambda: (make_per_sample_vertex_problem(3)[0], "quadratic"),
+        "certified_qp": lambda: (qp_registry()["sum_ge_2"].problem, "linear"),
+    }[case]()
+    spec, lo, hi = PenaltySpec(kind, 3.0), np.full(prob.dim, -1.0), np.full(prob.dim, 1.5)
+    est = smoothness_estimate(prob, spec, (lo, hi), num_probes=6, rng_seed=2)
+    want = _stacked_smoothness(prob, spec, _probe_points(lo, hi, 6, np.random.default_rng(2)))
+    got = (est.objective_lipschitz, est.grad_sup, est.violation_sup, est.constraint_lipschitz, est.penalty_lipschitz)
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    assert est.penalty_lipschitz > est.objective_lipschitz > 0.0
+
+
+def test_smoothness_estimate_holds_one_samples_jacobians_at_a_time():
+    # 300 samples of a 5,000-parameter batch-oracle problem at 4 probes: the
+    # (probes, N, m, dim) stack of every constraint Jacobian is 48 MB (the
+    # estimate peaked at 96.6 MB with it), one sample's is 160 kB. The
+    # problem's own passes hold O(dim) arrays, so the estimate peaks at
+    # 0.9 MB, about five parameter-size arrays per probe.
+    dim, n, n_probes = 5000, 300, 4
+    rng = np.random.default_rng(75)
+    a, s = rng.uniform(0.5, 1.5, size=n), rng.normal(size=n)
+
+    def constraint_rows(indices, x):
+        return (s[indices] * x[0] - 1.0).reshape(-1, 1)
+
+    def batch_weighted_grad(indices, x, obj_w, con_w, out):
+        if callable(con_w):
+            con_w = con_w(constraint_rows(indices, x))
+        np.multiply(x, float(np.asarray(obj_w) @ a[indices]), out=out)
+        out[0] += float(np.asarray(con_w).ravel() @ s[indices])
+
+    prob = FiniteSumProblem(
+        dim=dim, num_samples=n, num_constraints=1, normalization="mean",
+        batch_values=lambda indices, x: (0.5 * a[indices] * float(x @ x), constraint_rows(indices, x)),
+        batch_weighted_grad=batch_weighted_grad,
+    )
+    spec = PenaltySpec("quadratic", 1.0)
+    smoothness_estimate(prob, spec, (-1.0, 1.0), num_probes=n_probes)
+    tracemalloc.start()
+    try:
+        est = smoothness_estimate(prob, spec, (-1.0, 1.0), num_probes=n_probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_probes * dim * 8 + 64 * 1024
+    assert est.grad_sup.shape == (n, 1) and est.penalty_lipschitz > 0.0

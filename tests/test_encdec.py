@@ -483,7 +483,7 @@ def test_backward_below_the_top_layer_holds_two_gradients():
 def test_full_split_pass_does_not_copy_the_split(monkeypatch):
     # Small chunks and a narrow network keep a pass's own arrays far below
     # the split's 12.5 MB of images, so a copy of the split shows.
-    monkeypatch.setattr(encdec_mod, "EVAL_CHUNK", 64)
+    monkeypatch.setattr(encdec_mod, "SPLIT_CHUNK", 64)
     rng = np.random.default_rng(8)
     images = rng.random((2000, 784))
     dataset = ImageDataset(images, rng.integers(0, 10, size=2000))
@@ -510,7 +510,7 @@ def _traced_peak(call):
 
 
 def test_full_split_pass_holds_one_chunk_at_a_time():
-    # One full-split pass at the desk shapes: 2,000 rows in EVAL_CHUNK = 128
+    # One full-split pass at the desk shapes: 2,000 rows in SPLIT_CHUNK = 128
     # row chunks, 0.8 MB per chunk of images or reconstructions. It peaks at
     # 2.00 MB: one gathered chunk, its reconstruction and the hidden layers.
     # The bound sits 0.5 MB above that, so one more chunk-size array fails
@@ -543,7 +543,7 @@ def desk_6000():
 
 
 def test_whole_split_gradient_holds_one_chunk_at_a_time(desk_6000):
-    # penalty_grad_full at the desk shapes sums GRAD_CHUNK = 128 row oracle
+    # penalty_grad_full at the desk shapes sums SPLIT_CHUNK = 128 row oracle
     # calls into one buffer. It peaks at 11.3 MB: the sum and one call's
     # buffer (3.3 MB each, 413,174 parameters) and one 128-row weighted_grad.
     # The bound sits 1.7 MB above that, less than one more parameter-size

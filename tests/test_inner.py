@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def constrained_qp():
 def _penalty_path(problem, spec, x0, cfg, **kwargs):
     """Run sgd_run, stepping x0, and return its report with the iterates and penalty values from x0 on."""
     iterates = [x0.copy()]
-    rep = sgd_run(problem, spec, x0, cfg, hook=iterates.append, **kwargs)
+    rep = sgd_run(problem, spec, x0, cfg, hook=lambda z: iterates.append(z.copy()), **kwargs)
     return rep, iterates, [penalty_value_full(problem, spec, z) for z in iterates]
 
 
@@ -257,52 +258,41 @@ def test_in_place_adam_matches_out_of_place_reference(tiny_encdec, monkeypatch):
         assert np.array_equal(state.v, ref_v2)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_hook_gets_arrays_that_do_not_change_later(free_quadratic, mode):
-    kept = []
-    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
-    x0 = np.array([1.0])
-    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
-    assert len({id(z) for z in kept}) == 3
-    values = [z[0] for z in kept]
-    assert values == sorted(values, reverse=True) and len(set(values)) == 3
-    assert values[-1] == x0[0]
-    assert kept[-1] is not x0
+@pytest.mark.parametrize("mode, rule", [("theoretical", "uniform"), ("theoretical", "last"), ("practical", "last")])
+def test_every_hook_call_reads_the_units_iterate_through_a_read_only_view_of_x0(tiny_encdec, mode, rule):
+    # z is a read-only view of x0, valid until the hook returns: the hook
+    # copies it to keep it, and the copies equal the reference run's iterates
+    prob, spec = tiny_encdec.problem, PenaltySpec("linear", 3.0)
+    cfg = SGDConfig(stepsize=1e-2, batch_size=8, mode=mode, budget=3, rng_seed=5, candidate_rule=rule,
+                    grad_norm="none")
+    start = tiny_encdec.model.init_params(np.random.default_rng(4))
+    x0, seen = start.copy(), []
 
+    def hook(z):
+        assert np.shares_memory(z, x0) and not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+        seen.append(z.copy())
 
-@pytest.mark.parametrize("mode", MODES)
-def test_last_hook_gets_a_read_only_view_of_the_candidate(free_quadratic, mode):
-    # after the last unit the run never writes its iterate again, so the hook
-    # reads it without a copy; every earlier unit gets a writable copy
-    kept = []
-    cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
-    x0 = np.array([1.0])
-    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
-    *earlier, last = kept
-    assert last is not x0 and last.base is x0
-    assert last.tobytes() == x0.tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        last[0] = 0.0
-    assert x0.flags.writeable
-    for z in earlier:
-        assert z.flags.writeable and z.base is None
-
-
-def test_uniform_rule_ends_with_the_drawn_iterate_in_x0_and_hooks_only_copies(free_quadratic):
-    # the run writes the drawn iterate into x0 after the last unit, so even the last hook gets a copy
-    kept = []
-    cfg = SGDConfig(stepsize=0.1, batch_size=1, budget=3, rng_seed=0, candidate_rule="uniform")
-    x0 = np.array([1.0])
-    sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), x0, cfg, hook=kept.append)
-    assert all(z.flags.writeable and z.base is None for z in kept)
-    # the pool is z^0 .. z^2; the last hook saw z^3, which descent left below all of them
-    assert x0[0] in [1.0] + [z[0] for z in kept[:-1]]
-    assert kept[-1][0] < x0[0]
+    sgd_run(prob, spec, x0, cfg, hook=hook)
+    if mode == "theoretical":
+        want_candidate, want = _reference_theoretical_run(prob, spec, start, cfg)
+    else:
+        # an epoch's shuffle is the next draw of the run's one generator, so
+        # the iterate after k epochs is the result of a k-epoch run
+        want = []
+        for budget in range(1, cfg.budget + 1):
+            want.append(start.copy())
+            sgd_run(prob, spec, want[-1], replace(cfg, budget=budget))
+        want_candidate = want[-1]
+    assert [z.tobytes() for z in seen] == [z.tobytes() for z in want]
+    assert x0.tobytes() == want_candidate.tobytes() and x0.flags.writeable
+    assert len({z.tobytes() for z in seen}) == cfg.budget
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_read_only_x0_is_rejected_before_any_step(free_quadratic, mode):
-    # the run steps x0 in place, so the last hook's read-only view cannot start another run
+    # the run steps x0 in place, so the hook's read-only view cannot start another run
     kept = []
     cfg = SGDConfig(stepsize=0.1, batch_size=1, mode=mode, budget=3, candidate_rule="last")
     sgd_run(free_quadratic, PenaltySpec("quadratic", 1.0), np.array([1.0]), cfg, hook=kept.append)
@@ -403,7 +393,7 @@ def _check_theoretical_run_against_the_reference(name, batch_size, stepsize, rul
                         grad_norm="none")
         want_candidate, want_iterates = _reference_theoretical_run(prob, spec, x0, cfg)
         got, x = [], x0.copy()
-        sgd_run(prob, spec, x, cfg, hook=got.append)
+        sgd_run(prob, spec, x, cfg, hook=lambda z: got.append(z.copy()))
         assert [z.tobytes() for z in got] == [z.tobytes() for z in want_iterates]
         assert x.tobytes() == want_candidate.tobytes()
         # the run moved off x0, so a dropped or doubled step would show

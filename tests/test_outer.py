@@ -331,7 +331,8 @@ def test_sequential_run_above_max_trace_dim_ends_with_its_result_in_x0(tiny_encd
     trace = sequential_penalty_train(prob, "linear", sched, x0)
     _hand_chained_sequential(prob, "linear", sched, want)
     assert x0.tobytes() == want.tobytes()
-    assert trace.final().candidate is x0
+    # above MAX_TRACE_DIM no record keeps a candidate: the result is in x0 alone
+    assert [rec.candidate for rec in trace.records] == [None] * 3
 
 
 @pytest.mark.parametrize("mode", ["theoretical", "practical"])
@@ -567,13 +568,13 @@ def test_practical_sequential_run_holds_no_redundant_parameter_copies():
 
 def test_timeline_run_holds_three_parameter_copies_while_it_evaluates():
     # The CLI's timeline wiring at the desk network shapes: the hook evaluates
-    # a 512-row training split (four EVAL_CHUNKs) and a 128-row test split of
+    # a 512-row training split (four SPLIT_CHUNKs) and a 128-row test split of
     # uint8 pixels after every epoch, and the run steps its start in place.
     # Each evaluation chunk runs beside three parameter-size arrays (the
     # iterate and the two Adam moments) and the hook peaks at 12.2 MB; the
     # minibatch steps, with the gradient buffer as a fourth, peak at 18.1 MB.
-    # The hook's array is a view of the final iterate and each memo keeps a
-    # digest, so one more parameter-size array in either place, a copied
+    # The hook's array is a read-only view of the iterate and each memo keeps
+    # a digest, so one more parameter-size array in either place, a copied
     # start, a hooked copy or a memo's parameter copy, breaks the bound
     # 1.3 MB above its peak; so do 512-row chunks in the hook (17.9 MB).
     rng = np.random.default_rng(5)
@@ -644,24 +645,45 @@ def test_practical_sequential_run_memory_does_not_grow_with_its_length():
     assert long - short < 8 * task.model.num_params
 
 
-def test_trace_above_max_trace_dim_keeps_only_the_last_candidate(monkeypatch, tiny_encdec, tmp_path):
+def test_trace_above_max_trace_dim_keeps_no_candidate(monkeypatch, tiny_encdec, tmp_path):
     prob = tiny_encdec.problem
     assert prob.dim > outer_mod.MAX_TRACE_DIM
     inner = SGDConfig(stepsize=1e-2, batch_size=4, mode="practical", budget=1, rng_seed=3, grad_norm="none")
     sched = Schedule(tau0=1.0, gamma=1.5, max_outer=4, inner=inner)
+    real_sgd_run = outer_mod.sgd_run
+
+    def finished_and_cut(x):
+        """The records of a run stepping x, and of a run from x's start that aborts in its third inner run."""
+        start, calls = x.copy(), []
+        finished = sequential_penalty_train(prob, "linear", sched, x)
+
+        def third_run_diverges(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise InnerSolverError("injected divergence")
+            return real_sgd_run(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(outer_mod, "sgd_run", third_run_diverges)
+            with pytest.raises(OuterAbort) as err:
+                sequential_penalty_train(prob, "linear", sched, start)
+        return finished.records, err.value.partial.records
+
     x0 = tiny_encdec.model.init_params(np.random.default_rng(2))
-    lean = sequential_penalty_train(prob, "linear", sched, x0.copy())
-    # the same run keeping every candidate
+    lean_x = x0.copy()
+    lean, lean_cut = finished_and_cut(lean_x)
+    assert [rec.candidate for rec in lean + lean_cut] == [None] * 6
+    # the same runs at or below MAX_TRACE_DIM, where each record holds a copy of its own
     monkeypatch.setattr(outer_mod, "MAX_TRACE_DIM", prob.dim)
-    full = sequential_penalty_train(prob, "linear", sched, x0)
-    assert [rec.candidate for rec in lean.records[:-1]] == [None] * 3
-    assert all(rec.candidate is not None for rec in full.records)
-    assert np.array_equal(lean.final().candidate, full.final().candidate)
+    full, full_cut = finished_and_cut(x0)
+    kept = [x0] + [rec.candidate for rec in full + full_cut]
+    assert len(kept) == 7 and not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1 :])
+    assert lean_x.tobytes() == x0.tobytes() == full[-1].candidate.tobytes()
     # the scalars, compared by repr so that grad_norm's nan equals itself
-    for a, b in zip(lean.records, full.records):
+    for a, b in zip(lean + lean_cut, full + full_cut, strict=True):
         assert repr(replace(a, candidate=None)) == repr(replace(b, candidate=None))
-    for name, trace in (("lean", lean), ("full", full)):
+    for name, records in (("lean", lean), ("full", full)):
         (tmp_path / name).mkdir()
-        cli_mod._write_trace(tmp_path / name, trace.records, prob.dim)
+        cli_mod._write_trace(tmp_path / name, records, prob.dim)
     assert (tmp_path / "lean" / "trace.csv").read_bytes() == (tmp_path / "full" / "trace.csv").read_bytes()
 

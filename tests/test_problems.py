@@ -18,7 +18,7 @@ from seqpen import (
     penalty_value_full,
 )
 from seqpen.penalties import constraint_weights, penalty_grad_batch
-from seqpen.problems import GRAD_CHUNK
+from seqpen.problems import SPLIT_CHUNK
 from gradcheck import central_diff_gradient, gradient_rel_error
 
 from conftest import make_random_problem, make_scalar_problem
@@ -291,7 +291,7 @@ def test_problem_without_a_source_for_a_quantity_is_rejected(missing, quantity):
 
 
 # ---------------------------------------------------------------------------
-# whole-split gradients in GRAD_CHUNK-row oracle calls
+# whole-split gradients in SPLIT_CHUNK-row oracle calls
 
 
 def _recording(problem):
@@ -325,7 +325,7 @@ def _whole_split_gradients(problem, x, lam, spec):
 
 
 @pytest.mark.parametrize("normalization", ["sum", "mean"])
-@pytest.mark.parametrize("num_samples", [1, 127, GRAD_CHUNK])
+@pytest.mark.parametrize("num_samples", [1, 127, SPLIT_CHUNK])
 def test_whole_split_gradients_of_at_most_one_chunk_are_one_call_and_bit_identical(num_samples, normalization):
     prob, calls, mapped = _recording(
         make_random_problem(dim=3, num_samples=num_samples, num_constraints=2, seed=91,
@@ -343,7 +343,7 @@ def test_whole_split_gradients_of_at_most_one_chunk_are_one_call_and_bit_identic
 @pytest.mark.parametrize("oracles", ["batch", "sample"])
 @pytest.mark.parametrize("normalization", ["sum", "mean"])
 def test_whole_split_gradients_run_in_chunks_that_map_their_own_g_once(oracles, normalization):
-    n = 2 * GRAD_CHUNK + 44
+    n = 2 * SPLIT_CHUNK + 44
     prob = make_random_problem(dim=4, num_samples=n, num_constraints=2, seed=93, normalization=normalization,
                                oracles=oracles)
     if oracles == "batch":
@@ -354,7 +354,7 @@ def test_whole_split_gradients_run_in_chunks_that_map_their_own_g_once(oracles, 
     for chunked, whole in _whole_split_gradients(prob, x, lam, spec):
         assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
     if oracles == "batch":
-        chunks = [np.arange(lo, min(lo + GRAD_CHUNK, n)) for lo in range(0, n, GRAD_CHUNK)]
+        chunks = [np.arange(lo, min(lo + SPLIT_CHUNK, n)) for lo in range(0, n, SPLIT_CHUNK)]
         # three chunked gradients, each followed by its one-call reference
         expected = [c for _ in range(3) for c in chunks + [np.arange(n)]]
         assert len(calls) == len(expected) and all(np.array_equal(a, b) for a, b in zip(calls, expected))

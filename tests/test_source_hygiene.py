@@ -134,16 +134,14 @@ def test_readme_oracle_section_names_exactly_the_oracle_fields_of_a_problem():
 
 
 def test_readme_states_the_evaluation_chunk_size():
-    from seqpen.tasks.encdec import EVAL_CHUNK
+    from seqpen.problems import SPLIT_CHUNK
 
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    assert re.findall(r"evaluated in chunks of (\d+) rows", readme) == [str(EVAL_CHUNK)]
+    assert re.findall(r"evaluated in chunks of (\d+) rows", readme) == [str(SPLIT_CHUNK)]
 
 
 def test_readme_states_the_whole_split_gradient_chunk_size():
-    from seqpen.problems import GRAD_CHUNK
-    from seqpen.tasks.encdec import EVAL_CHUNK
+    from seqpen.problems import SPLIT_CHUNK
 
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    assert re.findall(r"gradients over a whole split \(.*?\) run in chunks of (\d+) rows", readme) == [str(GRAD_CHUNK)]
-    assert GRAD_CHUNK == EVAL_CHUNK
+    assert re.findall(r"gradients over a whole split \(.*?\) run in chunks of (\d+) rows", readme) == [str(SPLIT_CHUNK)]
